@@ -91,6 +91,18 @@ XBAR_THREADS=1 cargo run --release -p xbar-bench --bin fig5_precision -- $QUANT_
 cmp "$QUANT_TMP/q1.csv" "$QUANT_TMP/q4.csv"
 echo "    quantized sweep byte-identical at 1 and 4 threads"
 
+echo "==> benchmark build + int8_mlp smoke (its own Cargo workspace)"
+# `benchmark/` is a Cargo workspace of its own, so the workspace build and
+# tests above never compile it, and a public-API change could break it
+# unseen. run.py builds it offline from this checkout, runs a 2 s int8_mlp
+# window and re-checks its leading operations in a child process at one
+# thread; the result line must report a correct run with no failed
+# operation.
+BENCH_LINE=$(python3 benchmark/run.py --workload int8_mlp --seed 1 --seconds 2 --trace 0 | tail -n 1)
+echo "$BENCH_LINE" | grep -q '"correct":true'
+echo "$BENCH_LINE" | grep -q '"failed":0[,}]'
+echo "    int8_mlp smoke: correct, 0 failed"
+
 echo "==> tile-parity smoke (tiled == monolithic through the full stack)"
 # Release-mode re-run of the tiling integration suite (the debug test phase
 # above already ran it once) plus the tiled cost table as an e2e smoke.

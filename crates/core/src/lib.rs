@@ -81,7 +81,7 @@ pub use healing::{
 };
 pub use mapping::{Mapping, ParseMappingError};
 pub use periphery::PeripheryMatrix;
-pub use quantized::{quantized_raw_batch, QuantReadout};
+pub use quantized::{QuantReadout, ReadoutImage};
 pub use remap::{remap_for_faults, RemapReport};
 pub use tiling::{ColGroup, TileGrid, TiledCrossbar};
 // Re-exported from `xbar_device` (where the physical array bound lives)

@@ -26,20 +26,26 @@
 //!    `y_dev = s_x · (c₀ · S + step · A)` (with `S = Σ (c − zp)` the
 //!    input code sum), done serially on the calling thread.
 //!
-//! Because every parallel step is integer-exact and the commit order is
-//! pinned by [`backend::ordered_stream`], the quantized forward is
-//! **bitwise identical for any thread count** — stronger than the fp32
-//! path's tolerance-free determinism, and checked by `ci.sh`.
+//! Step 2 depends only on the programmed array, so it lives in a
+//! [`ReadoutImage`] built once per set of conductances; steps 1, 3 and 4
+//! run per batch in [`ReadoutImage::raw_batch`]. Because every parallel
+//! step is integer-exact and the commit order is pinned by
+//! [`backend::ordered_stream`], the quantized forward is **bitwise
+//! identical for any thread count** — stronger than the fp32 path's
+//! tolerance-free determinism, and checked by `ci.sh`.
 
 use xbar_device::{AdcSpec, DeviceConfig, Quantizer};
 use xbar_tensor::backend;
 use xbar_tensor::qgemm::{self, QGEMM_MAX_K};
-use xbar_tensor::quant::{QScheme, QuantizedTensor};
+use xbar_tensor::quant::{QScheme, QuantizedTensor, AFFINE_BITS_MAX};
 use xbar_tensor::{scratch, Tensor};
 
 use crate::crossbar::CrossbarArray;
 use crate::error::MappingError;
 use crate::tiling::{TileGrid, TiledCrossbar};
+
+/// The operation the readout's errors name.
+const OP: &str = "forward_quantized";
 
 /// Configuration of the integer readout: activation DAC width, optional
 /// calibrated activation clip range, and the column ADC.
@@ -77,23 +83,49 @@ impl QuantReadout {
             ..Self::default()
         }
     }
+
+    /// Checks that `x` can be read through this readout: an activation
+    /// width the unsigned GEMM operand holds (`1..=7`), and finite values
+    /// — the affine quantizer would otherwise code a NaN as the zero
+    /// point and return finite garbage.
+    ///
+    /// # Errors
+    ///
+    /// [`MappingError::Unsupported`] for an activation width outside
+    /// `1..=7`; [`MappingError::NonFiniteInput`] if `x` holds NaN or ±Inf.
+    pub fn check_input(&self, x: &Tensor) -> Result<(), MappingError> {
+        if !(1..=AFFINE_BITS_MAX).contains(&self.act_bits) {
+            return Err(MappingError::Unsupported {
+                op: OP,
+                reason: format!(
+                    "activation bit width {} outside 1..={AFFINE_BITS_MAX}; codes must fit \
+                     the unsigned 7-bit GEMM operand",
+                    self.act_bits
+                ),
+            });
+        }
+        if !x.data().iter().all(|v| v.is_finite()) {
+            return Err(MappingError::NonFiniteInput { op: OP });
+        }
+        Ok(())
+    }
 }
 
 /// Checks that `device` supports the integer readout: it must expose a
 /// quantized state grid no wider than 8 bits (centered indices must fit
 /// i8).
-fn readout_quantizer(device: &DeviceConfig, op: &'static str) -> Result<Quantizer, MappingError> {
+fn readout_quantizer(device: &DeviceConfig) -> Result<Quantizer, MappingError> {
     let q = device
         .quantizer_opt()
         .ok_or_else(|| MappingError::Unsupported {
-            op,
+            op: OP,
             reason: "device conductance is continuous; the integer readout needs a \
                      quantized state grid (set a bit width ≤ 8)"
                 .into(),
         })?;
     if q.bits() > 8 {
         return Err(MappingError::Unsupported {
-            op,
+            op: OP,
             reason: format!(
                 "device bit width {} exceeds 8; centered state codes must fit i8",
                 q.bits()
@@ -103,178 +135,244 @@ fn readout_quantizer(device: &DeviceConfig, op: &'static str) -> Result<Quantize
     Ok(q)
 }
 
-fn validate_input(x: &Tensor, n_in: usize, op: &'static str) -> Result<(), MappingError> {
-    if x.ndim() != 2 || x.shape()[1] != n_in {
-        return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
-            op,
-            format!("expected (batch, {n_in}) input, got {:?}", x.shape()),
-        )));
-    }
-    if !x.data().iter().all(|v| v.is_finite()) {
-        return Err(MappingError::NonFiniteInput { op });
-    }
-    Ok(())
+/// One tile of a [`ReadoutImage`]: input rows `r0..r0 + rl` × device
+/// rows `d0..d0 + dl`.
+#[derive(Debug, Clone)]
+struct TileImage {
+    r0: usize,
+    rl: usize,
+    d0: usize,
+    dl: usize,
+    /// Centered state codes `gsym`, `dl × rl` row-major — the NT operand
+    /// of the tile's int8 GEMM.
+    codes: Vec<i8>,
+    /// `Σ_i gsym[j, i]` per device row: the zero-point correction term.
+    colsum: Vec<i32>,
 }
 
-/// Raw dequantized column outputs `(batch × N_D)` of the integer readout
-/// of `effective (N_D × N_I)` — what the ADCs delivered, before the
-/// periphery combine. With `grid = None` the whole array is one tile;
-/// otherwise each grid tile gets its own int8 GEMM and its own ADC
-/// ranging, and digitized partial sums accumulate as integers across row
-/// blocks in fixed tile order.
-///
-/// The caller guarantees `q.bits() ≤ 8` (see the module docs); shapes
-/// must agree (`x` is `(batch, N_I)`).
-///
-/// # Panics
-///
-/// Panics if `mode.act_bits` is outside `1..=7`, shapes disagree, or
-/// `N_I` exceeds [`QGEMM_MAX_K`].
-pub fn quantized_raw_batch(
-    effective: &Tensor,
-    grid: Option<&TileGrid>,
-    q: &Quantizer,
-    mode: &QuantReadout,
-    x: &Tensor,
-) -> Tensor {
-    let (batch, k) = (x.shape()[0], x.shape()[1]);
-    let nd = effective.shape()[0];
-    assert_eq!(effective.shape()[1], k, "conductance/input width mismatch");
-    assert!(k <= QGEMM_MAX_K, "input width {k} exceeds exact-i32 bound");
-    assert!(q.bits() <= 8, "device bits must be ≤ 8 for the i8 image");
+/// The weight side of the integer readout of one conductance matrix
+/// `(N_D × N_I)`: every tile's centered i8 state codes, packed as its
+/// GEMM operand, and their column sums. It depends only on the
+/// conductances, the tile grid and the device's state grid, so an array
+/// read many times per programming builds it once; each batch then pays
+/// only for [`ReadoutImage::raw_batch`].
+#[derive(Debug, Clone)]
+pub struct ReadoutImage {
+    n_dev: usize,
+    n_in: usize,
+    /// `2^(B−1)`: the offset centering state indices into i8.
+    half: i32,
+    /// State spacing and the centered grid origin: `g = c0 + step · gsym`.
+    step: f32,
+    c0: f32,
+    /// One entry per tile, in the grid's fixed commit order (row blocks
+    /// outer, column groups inner).
+    tiles: Vec<TileImage>,
+}
 
-    // Activation codes (unsigned affine, ≤ 127 by construction).
-    let qx = QuantizedTensor::quantize_affine_with_range(x, mode.act_bits, mode.act_range);
-    let QScheme::Affine {
-        scale: sx,
-        zero_point: zp,
-        ..
-    } = *qx.scheme()
-    else {
-        unreachable!("quantize_affine always returns an affine scheme")
-    };
-    let codes = qx.data();
-    let max_code = ((1u32 << mode.act_bits) - 1) as i64;
-
-    // Centered i8 image of the conductance grid: g = c0 + step · gsym.
-    let half = 1i32 << (q.bits() - 1);
-    let mut gsym = scratch::take_filled_i8(nd * k, 0);
-    for (c, &g) in gsym.iter_mut().zip(effective.data()) {
-        *c = (q.state_index(g) as i32 - half) as i8;
+impl ReadoutImage {
+    /// Reads `conductances (N_D × N_I)` on `device`'s state grid and packs
+    /// them per tile of `grid` (`None`: the whole array is one tile).
+    /// Conductances that sit off-grid (variation, drift, IR drop) snap to
+    /// the nearest state — the read discretization a digital readout
+    /// cannot avoid.
+    ///
+    /// # Errors
+    ///
+    /// [`MappingError::Unsupported`] if the device has no quantizer or
+    /// more than 8 bits, or `N_I` exceeds [`QGEMM_MAX_K`]; a shape error
+    /// if `conductances` is not 2-D or disagrees with `grid`.
+    pub fn new(
+        conductances: &Tensor,
+        grid: Option<&TileGrid>,
+        device: &DeviceConfig,
+    ) -> Result<Self, MappingError> {
+        let q = readout_quantizer(device)?;
+        let shape = conductances.shape();
+        let grid_shape = grid.map(|g| [g.nd_total(), g.n_in()]);
+        if shape.len() != 2 || grid_shape.is_some_and(|gs| gs != shape) {
+            return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
+                OP,
+                format!("conductances {shape:?} do not match the tile grid {grid_shape:?}"),
+            )));
+        }
+        let (nd, k) = (shape[0], shape[1]);
+        if k > QGEMM_MAX_K {
+            return Err(MappingError::Unsupported {
+                op: OP,
+                reason: format!("input width {k} exceeds the exact-i32 bound {QGEMM_MAX_K}"),
+            });
+        }
+        // One tile per grid cell; the degenerate monolithic grid is a
+        // single full-array tile.
+        let spans: Vec<(usize, usize, usize, usize)> = match grid {
+            Some(g) => g
+                .row_blocks()
+                .iter()
+                .flat_map(|&(r0, rl)| {
+                    g.col_groups()
+                        .iter()
+                        .map(move |cg| (r0, rl, cg.dev_start, cg.dev_len))
+                })
+                .collect(),
+            None => vec![(0, k, 0, nd)],
+        };
+        let half = 1i32 << (q.bits() - 1);
+        let g = conductances.data();
+        let tiles = spans
+            .into_iter()
+            .map(|(r0, rl, d0, dl)| {
+                let mut codes = Vec::with_capacity(dl * rl);
+                for j in d0..d0 + dl {
+                    codes.extend(
+                        g[j * k + r0..][..rl]
+                            .iter()
+                            .map(|&v| (q.state_index(v) as i32 - half) as i8),
+                    );
+                }
+                let colsum = (0..dl)
+                    .map(|j| codes[j * rl..][..rl].iter().map(|&c| i32::from(c)).sum())
+                    .collect();
+                TileImage {
+                    r0,
+                    rl,
+                    d0,
+                    dl,
+                    codes,
+                    colsum,
+                }
+            })
+            .collect();
+        let step = q.step();
+        Ok(Self {
+            n_dev: nd,
+            n_in: k,
+            half,
+            step,
+            c0: q.state_value(0) + half as f32 * step,
+            tiles,
+        })
     }
 
-    // Per-batch centered input code sums S[b] = Σ_i (c_i − zp): the term
-    // the grid offset c0 multiplies. Row blocks partition the inputs, so
-    // the total equals the sum of every tile's local S.
-    let s_tot: Vec<i32> = (0..batch)
-        .map(|b| codes[b * k..][..k].iter().map(|&c| c as i32 - zp).sum())
-        .collect();
-
-    // One work item per tile; the degenerate monolithic grid is a single
-    // full-array tile.
-    let tiles: Vec<(usize, usize, usize, usize)> = match grid {
-        Some(g) => {
-            debug_assert_eq!(g.nd_total(), nd);
-            let mut v = Vec::with_capacity(g.num_tiles());
-            for &(r0, rl) in g.row_blocks() {
-                for cg in g.col_groups() {
-                    v.push((r0, rl, cg.dev_start, cg.dev_len));
-                }
-            }
-            v
+    /// Raw dequantized column outputs `(batch × N_D)` of the readout of
+    /// `x (batch × N_I)` — what the ADCs delivered, before the periphery
+    /// combine. Activations quantize to `mode.act_bits`; each tile runs
+    /// its own int8 GEMM, removes the zero point and digitizes through
+    /// `mode.adc`, ranged for the tile's row depth; digitized partial sums
+    /// accumulate as integers across row blocks in fixed tile order, so
+    /// the result is bitwise identical for any thread count.
+    ///
+    /// # Errors
+    ///
+    /// A shape error unless `x` is `(batch, N_I)`; otherwise as
+    /// [`QuantReadout::check_input`].
+    pub fn raw_batch(&self, mode: &QuantReadout, x: &Tensor) -> Result<Tensor, MappingError> {
+        let (nd, k) = (self.n_dev, self.n_in);
+        if x.ndim() != 2 || x.shape()[1] != k {
+            return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
+                OP,
+                format!("expected (batch, {k}) input, got {:?}", x.shape()),
+            )));
         }
-        None => vec![(0, k, 0, nd)],
-    };
+        mode.check_input(x)?;
+        let batch = x.shape()[0];
 
-    // Digitized partial column sums, accumulated in i32: per-tile integer
-    // GEMMs fan across the pool, the ordered stream commits them in
-    // submission order, and every step is exact — bitwise identical at
-    // any thread count.
-    let mut a_tot = scratch::take_filled_i32(batch * nd, 0);
-    let adc = mode.adc;
-    let gsym_ref: &[i8] = &gsym;
-    backend::ordered_stream(
-        tiles,
-        |_, (r0, rl, d0, dl)| {
-            let mut a_blk = scratch::take_filled_i8(batch * rl, 0);
-            for b in 0..batch {
-                a_blk[b * rl..][..rl].copy_from_slice(&codes[b * k + r0..][..rl]);
-            }
-            let mut b_blk = scratch::take_filled_i8(dl * rl, 0);
-            for j in 0..dl {
-                b_blk[j * rl..][..rl].copy_from_slice(&gsym_ref[(d0 + j) * k + r0..][..rl]);
-            }
-            let mut acc = scratch::take_filled_i32(batch * dl, 0);
-            // SAFETY: affine codes are non-negative (≤ 127), so the i8
-            // buffer reinterprets to u8 value-preservingly.
-            let a_u8 =
-                unsafe { std::slice::from_raw_parts(a_blk.as_ptr().cast::<u8>(), a_blk.len()) };
-            qgemm::qgemm_nt(a_u8, &b_blk, &mut acc, batch, rl, dl);
-            // Zero-point correction term, then the tile's ADC: ranged
-            // from the worst-case tile-local centered sum
-            // rl · max|c − zp| · max|gsym|.
-            let colsum: Vec<i32> = (0..dl)
-                .map(|j| b_blk[j * rl..][..rl].iter().map(|&c| c as i32).sum())
-                .collect();
-            let shift = adc.shift_for(rl as i64 * max_code * half as i64);
-            for b in 0..batch {
-                for j in 0..dl {
-                    let a = acc[b * dl + j] - zp * colsum[j];
-                    acc[b * dl + j] = adc.convert(a, shift);
-                }
-            }
-            scratch::give_i8(a_blk);
-            scratch::give_i8(b_blk);
-            (d0, dl, acc)
-        },
-        |_, (d0, dl, acc)| {
-            for b in 0..batch {
-                let dst = &mut a_tot[b * nd + d0..][..dl];
-                for (d, &p) in dst.iter_mut().zip(&acc[b * dl..][..dl]) {
-                    *d += p;
-                }
-            }
-            scratch::give_i32(acc);
-        },
-    );
-    scratch::give_i8(gsym);
+        // Activation codes (unsigned affine, ≤ 127 by construction).
+        let qx = QuantizedTensor::quantize_affine_with_range(x, mode.act_bits, mode.act_range);
+        let QScheme::Affine {
+            scale: sx,
+            zero_point: zp,
+            ..
+        } = *qx.scheme()
+        else {
+            unreachable!("quantize_affine always returns an affine scheme")
+        };
+        let codes = qx.data();
+        let max_code = ((1u32 << mode.act_bits) - 1) as i64;
 
-    // Serial f32 reconstruction: y_dev = s_x · (c0 · S + step · A).
-    let step = q.step();
-    let c0 = q.state_value(0) + half as f32 * step;
-    let mut raw = Tensor::zeros(&[batch, nd]);
-    let rd = raw.data_mut();
-    for b in 0..batch {
-        let base = sx * c0 * s_tot[b] as f32;
-        for j in 0..nd {
-            rd[b * nd + j] = base + sx * step * a_tot[b * nd + j] as f32;
+        // Per-batch centered input code sums S[b] = Σ_i (c_i − zp): the term
+        // the grid offset c0 multiplies. Row blocks partition the inputs, so
+        // the total equals the sum of every tile's local S.
+        let s_tot: Vec<i32> = (0..batch)
+            .map(|b| codes[b * k..][..k].iter().map(|&c| c as i32 - zp).sum())
+            .collect();
+
+        // Digitized partial column sums, accumulated in i32: per-tile integer
+        // GEMMs fan across the pool, the ordered stream commits them in
+        // submission order, and every step is exact — bitwise identical at
+        // any thread count.
+        let mut a_tot = scratch::take_filled_i32(batch * nd, 0);
+        let adc = mode.adc;
+        let half = self.half as i64;
+        backend::ordered_stream(
+            self.tiles.iter().collect(),
+            |_, t: &TileImage| {
+                let (r0, rl, dl) = (t.r0, t.rl, t.dl);
+                let mut a_blk = scratch::take_filled_i8(batch * rl, 0);
+                for b in 0..batch {
+                    a_blk[b * rl..][..rl].copy_from_slice(&codes[b * k + r0..][..rl]);
+                }
+                let mut acc = scratch::take_filled_i32(batch * dl, 0);
+                // SAFETY: affine codes are non-negative (≤ 127), so the i8
+                // buffer reinterprets to u8 value-preservingly.
+                let a_u8 =
+                    unsafe { std::slice::from_raw_parts(a_blk.as_ptr().cast::<u8>(), a_blk.len()) };
+                qgemm::qgemm_nt(a_u8, &t.codes, &mut acc, batch, rl, dl);
+                // Zero-point correction term, then the tile's ADC: ranged
+                // from the worst-case tile-local centered sum
+                // rl · max|c − zp| · max|gsym|.
+                let shift = adc.shift_for(rl as i64 * max_code * half);
+                for b in 0..batch {
+                    for (a, &cs) in acc[b * dl..][..dl].iter_mut().zip(&t.colsum) {
+                        *a = adc.convert(*a - zp * cs, shift);
+                    }
+                }
+                scratch::give_i8(a_blk);
+                (t.d0, dl, acc)
+            },
+            |_, (d0, dl, acc)| {
+                for b in 0..batch {
+                    let dst = &mut a_tot[b * nd + d0..][..dl];
+                    for (d, &p) in dst.iter_mut().zip(&acc[b * dl..][..dl]) {
+                        *d += p;
+                    }
+                }
+                scratch::give_i32(acc);
+            },
+        );
+
+        // Serial f32 reconstruction: y_dev = s_x · (c0 · S + step · A).
+        let (step, c0) = (self.step, self.c0);
+        let mut raw = Tensor::zeros(&[batch, nd]);
+        let rd = raw.data_mut();
+        for b in 0..batch {
+            let base = sx * c0 * s_tot[b] as f32;
+            for j in 0..nd {
+                rd[b * nd + j] = base + sx * step * a_tot[b * nd + j] as f32;
+            }
         }
+        scratch::give_i32(a_tot);
+        Ok(raw)
     }
-    scratch::give_i32(a_tot);
-    raw
 }
 
 impl CrossbarArray {
     /// Batched signed MVM through the integer readout:
     /// `X (batch × N_I) → Y (batch × N_O)`, with activations quantized to
     /// `mode.act_bits`, conductances read on the device state grid, and
-    /// each column sum digitized by `mode.adc`. Bitwise identical for any
-    /// thread count.
+    /// each column sum digitized by `mode.adc`. Builds a fresh
+    /// [`ReadoutImage`] per call. Bitwise identical for any thread count.
     ///
     /// # Errors
     ///
-    /// [`MappingError::Unsupported`] if the device has no quantizer or
-    /// more than 8 bits; shape / non-finite-input errors as for
-    /// [`CrossbarArray::forward`].
+    /// As [`ReadoutImage::new`] and [`ReadoutImage::raw_batch`].
     pub fn forward_quantized(
         &self,
         x: &Tensor,
         mode: &QuantReadout,
     ) -> Result<Tensor, MappingError> {
-        let q = readout_quantizer(self.device(), "forward_quantized")?;
-        validate_input(x, self.n_in(), "forward_quantized")?;
-        let raw = quantized_raw_batch(self.effective_conductances(), None, &q, mode, x);
-        self.periphery().combine(&raw)
+        let image = ReadoutImage::new(self.effective_conductances(), None, self.device())?;
+        self.periphery().combine(&image.raw_batch(mode, x)?)
     }
 }
 
@@ -283,28 +381,23 @@ impl TiledCrossbar {
     /// each grid tile runs its own int8 GEMM and ADC (ranged for the
     /// tile's row depth), digitized partial sums accumulate as integers
     /// across row blocks, and the per-group periphery combines the
-    /// result. Bitwise identical for any thread count.
+    /// result. Builds a fresh [`ReadoutImage`] per call. Bitwise identical
+    /// for any thread count.
     ///
     /// # Errors
     ///
-    /// [`MappingError::Unsupported`] if the device has no quantizer or
-    /// more than 8 bits; shape / non-finite-input errors as for
-    /// [`TiledCrossbar::forward`].
+    /// As [`ReadoutImage::new`] and [`ReadoutImage::raw_batch`].
     pub fn forward_quantized(
         &self,
         x: &Tensor,
         mode: &QuantReadout,
     ) -> Result<Tensor, MappingError> {
-        let q = readout_quantizer(self.device(), "forward_quantized")?;
-        validate_input(x, self.n_in(), "forward_quantized")?;
-        let raw = quantized_raw_batch(
+        let image = ReadoutImage::new(
             self.effective_conductances(),
             Some(self.grid()),
-            &q,
-            mode,
-            x,
-        );
-        self.periphery().combine(&raw)
+            self.device(),
+        )?;
+        self.periphery().combine(&image.raw_batch(mode, x)?)
     }
 }
 
@@ -460,6 +553,54 @@ mod tests {
             xbar.forward_quantized(&bad_value, &QuantReadout::default()),
             Err(MappingError::NonFiniteInput { .. })
         ));
+    }
+
+    #[test]
+    fn activation_width_outside_1_to_7_is_a_typed_error() {
+        let mut rng = XorShiftRng::new(4);
+        let w = rand_tensor(&mut rng, &[4, 8], -0.05, 0.05);
+        let xbar =
+            CrossbarArray::program_signed(&w, Mapping::Acm, ideal_device(4), &mut rng).unwrap();
+        let x = rand_tensor(&mut rng, &[2, 8], -1.0, 1.0);
+        for act_bits in [0, 8] {
+            let mode = QuantReadout {
+                act_bits,
+                ..QuantReadout::default()
+            };
+            let err = xbar.forward_quantized(&x, &mode).unwrap_err();
+            assert!(matches!(err, MappingError::Unsupported { .. }), "{err}");
+            assert!(err.to_string().contains("activation bit width"), "{err}");
+        }
+    }
+
+    #[test]
+    fn an_image_reads_every_batch_like_a_fresh_one() {
+        let mut rng = XorShiftRng::new(6);
+        let w = rand_tensor(&mut rng, &[20, 50], -0.04, 0.04);
+        let xbar = TiledCrossbar::program_signed(
+            &w,
+            Mapping::Acm,
+            ideal_device(6),
+            TileShape::new(16, 16),
+            &mut rng,
+        )
+        .unwrap();
+        let image = ReadoutImage::new(
+            xbar.effective_conductances(),
+            Some(xbar.grid()),
+            xbar.device(),
+        )
+        .unwrap();
+        let mode = QuantReadout::with_adc_bits(6);
+        for _ in 0..3 {
+            let x = rand_tensor(&mut rng, &[4, 50], -1.0, 1.0);
+            let raw = image.raw_batch(&mode, &x).unwrap();
+            let want = xbar.forward_quantized(&x, &mode).unwrap();
+            assert_eq!(xbar.periphery().combine(&raw).unwrap().data(), want.data());
+        }
+        let mismatched =
+            ReadoutImage::new(&Tensor::zeros(&[3, 50]), Some(xbar.grid()), xbar.device());
+        assert!(matches!(mismatched, Err(MappingError::Shape(_))));
     }
 
     #[test]

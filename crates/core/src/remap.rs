@@ -21,9 +21,10 @@
 //! shift `δ = c·x_h` and the fault disappears entirely; for ACM the
 //! general solution diffuses the stuck-cell discrepancy along the ladder
 //! of adjacent columns. The convex problem is solved by projected
-//! Gauss–Seidel warm-started from the clamped null shift, and whatever
-//! error remains is reported in a [`RemapReport`] rather than silently
-//! ignored.
+//! Gauss–Seidel warm-started from the clamped null shift; a column whose
+//! solve ends above the error of leaving it alone is left alone, so no
+//! column ever ends worse than the naive programming. Whatever error
+//! remains is reported in a [`RemapReport`] rather than silently ignored.
 
 use xbar_device::{ConductanceRange, FaultMap};
 use xbar_tensor::{linalg, Tensor};
@@ -193,7 +194,9 @@ pub fn remap_for_faults(
             continue;
         }
         report.columns_affected += 1;
-        report.residual_before += weight_norm_sq(&delta);
+        // The as-is error: healthy cells left where they are.
+        let as_is = weight_norm_sq(&delta);
+        report.residual_before += as_is;
 
         // Warm start from the classical null shift: the single scalar c
         // minimising the stuck-cell mismatch along x_h, clamped per cell
@@ -246,7 +249,18 @@ pub fn remap_for_faults(
             }
         }
 
-        report.residual_after += weight_norm_sq(&delta);
+        // The warm-started solve can stop above the as-is error; leaving
+        // the column untouched is then the better remap.
+        let mut after = weight_norm_sq(&delta);
+        if after > as_is {
+            for (d, &f) in delta.iter_mut().zip(&fixed) {
+                if !f {
+                    *d = 0.0;
+                }
+            }
+            after = as_is;
+        }
+        report.residual_after += after;
         if delta
             .iter()
             .zip(&fixed)
@@ -368,6 +382,56 @@ mod tests {
         let (_, report) = remap_for_faults(&m, &p, &map, range()).unwrap();
         assert!(report.residual_after() < report.residual_before() * 0.6);
         assert!(report.error_reduction() > 0.4);
+    }
+
+    #[test]
+    fn a_column_the_solve_cannot_improve_is_left_as_is() {
+        // One stuck-on cell at the top of an 11-output ACM column on the
+        // 4-bit grid: the warm-started solve used to stop at a weight
+        // error of 0.93377, above the 0.93333 of leaving the column alone.
+        let p = PeripheryMatrix::acm(11);
+        let codes = [1u8, 15, 9, 13, 7, 9, 3, 5, 3, 1, 8, 4];
+        let m = Tensor::from_vec(
+            codes.iter().map(|&c| f32::from(c) / 15.0).collect(),
+            &[12, 1],
+        )
+        .unwrap();
+        let mut map = FaultMap::pristine(12, 1);
+        map.set(0, 0, FaultKind::StuckAtGMax);
+        let (out, report) = remap_for_faults(&m, &p, &map, range()).unwrap();
+        assert_eq!(report.residual_after(), report.residual_before());
+        assert_eq!(report.columns_shifted(), 0);
+        assert_eq!(out.at(&[0, 0]), 1.0, "stuck target holds forced value");
+        assert_eq!(&out.data()[1..], &m.data()[1..], "healthy cells untouched");
+    }
+
+    #[test]
+    fn no_single_fault_column_ends_worse_than_as_is() {
+        // Random single-fault columns on the 4-bit grid, for every
+        // standard periphery: the remap may never add weight error.
+        let mut rng = xbar_tensor::rng::XorShiftRng::new(408);
+        for trial in 0..3000 {
+            let n_out = 2 + (rng.next_u64() % 15) as usize;
+            let p = match trial % 3 {
+                0 => PeripheryMatrix::acm(n_out),
+                1 => PeripheryMatrix::bias_column(n_out),
+                _ => PeripheryMatrix::double_element(n_out),
+            };
+            let nd = p.n_dev();
+            let m = Tensor::from_fn(&[nd, 1], |_| (rng.next_u64() % 16) as f32 / 15.0);
+            let mut map = FaultMap::pristine(nd, 1);
+            let kind = if rng.next_u64().is_multiple_of(2) {
+                FaultKind::StuckAtGMin
+            } else {
+                FaultKind::StuckAtGMax
+            };
+            map.set((rng.next_u64() % nd as u64) as usize, 0, kind);
+            let (_, report) = remap_for_faults(&m, &p, &map, range()).unwrap();
+            assert!(
+                report.residual_after() <= report.residual_before(),
+                "trial {trial}: {report:?}"
+            );
+        }
     }
 
     #[test]

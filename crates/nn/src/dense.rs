@@ -394,6 +394,43 @@ mod tests {
     }
 
     #[test]
+    fn quantized_forward_returns_typed_errors_for_bad_widths_and_values() {
+        use xbar_core::MappingError;
+        let mut r = rng();
+        let mut layers = vec![
+            dense_signed(8, 3, &mut r).unwrap(),
+            dense_mapped(
+                8,
+                3,
+                Mapping::Acm,
+                DeviceConfig::quantized_linear(8),
+                &mut r,
+            )
+            .unwrap(),
+        ];
+        let x = rand_input(&mut r, &[2, 8]);
+        let mut nan = x.clone();
+        nan.data_mut()[5] = f32::NAN;
+        for fc in &mut layers {
+            for act_bits in [0, 8] {
+                let mode = QuantReadout {
+                    act_bits,
+                    ..QuantReadout::default()
+                };
+                assert!(matches!(
+                    fc.forward_quantized(&x, &mode),
+                    Err(NnError::Mapping(MappingError::Unsupported { .. }))
+                ));
+            }
+            assert!(matches!(
+                fc.forward_quantized(&nan, &QuantReadout::default()),
+                Err(NnError::Mapping(MappingError::NonFiniteInput { .. }))
+            ));
+            assert!(fc.forward_quantized(&x, &QuantReadout::default()).is_ok());
+        }
+    }
+
+    #[test]
     fn backward_without_forward_is_state_error() {
         let mut r = rng();
         let mut fc = dense_signed(3, 2, &mut r).unwrap();

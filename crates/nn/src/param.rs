@@ -2,9 +2,9 @@
 //! the paper's `W = S · M` factorization.
 
 use xbar_core::{
-    checksum_residual, magnitude_permutation, quantized_raw_batch, remap_for_faults, HealthAction,
-    HealthMonitor, Mapping, PeripheryMatrix, QuantReadout, RepairAttempt, RepairPolicy,
-    RepairStage, ScrubReport, TileGrid, TileHealth,
+    checksum_residual, magnitude_permutation, remap_for_faults, HealthAction, HealthMonitor,
+    Mapping, PeripheryMatrix, QuantReadout, ReadoutImage, RepairAttempt, RepairPolicy, RepairStage,
+    ScrubReport, TileGrid, TileHealth,
 };
 use xbar_device::{ConductanceRange, DeviceConfig, FaultMap};
 use xbar_tensor::rng::XorShiftRng;
@@ -32,6 +32,20 @@ struct ScrubState {
     /// `clamp(q(M) + shift)` elementwise, so a compensation decided at
     /// repair time keeps tracking the trained conductances.
     shift: Tensor,
+}
+
+/// The weight side of a parameter's int8 forward, derived from the
+/// weights it serves: built by the first
+/// [`MappedParam::forward_quantized`] after a weight change, dropped by
+/// every method that changes them, and never checkpointed.
+#[derive(Debug, Clone)]
+enum Int8Image {
+    /// Crossbar-mapped weights: the readout image of the served
+    /// conductances.
+    Mapped(ReadoutImage),
+    /// Baseline weights: per-row symmetric 8-bit codes for the digital
+    /// int8 GEMM.
+    Signed(QuantizedTensor),
 }
 
 /// How a layer's weights are realised.
@@ -119,6 +133,9 @@ pub struct MappedParam {
     /// Online self-healing state; `Some` iff mapped with an active
     /// lifetime fault model.
     scrub: Option<ScrubState>,
+    /// The int8 forward's weight side for the weights currently served;
+    /// `None` until the next [`MappedParam::forward_quantized`].
+    int8: Option<Int8Image>,
 }
 
 impl MappedParam {
@@ -177,6 +194,7 @@ impl MappedParam {
                     alpha: 1.0,
                     update_rng,
                     scrub: None,
+                    int8: None,
                 })
             }
             WeightKind::Mapped(mapping) => {
@@ -269,6 +287,7 @@ impl MappedParam {
                     alpha,
                     update_rng,
                     scrub,
+                    int8: None,
                 })
             }
         }
@@ -449,7 +468,7 @@ impl MappedParam {
     /// Int8 inference forward `X (batch × n_in) → Y (batch × n_out)`.
     ///
     /// * **Mapped** weights run the crossbar's ADC-exact integer readout
-    ///   ([`quantized_raw_batch`]): activations quantize to
+    ///   ([`ReadoutImage::raw_batch`]): activations quantize to
     ///   `mode.act_bits`, conductances (the quantized shadow, or the
     ///   variation override while one is active) are read on the device
     ///   state grid, each tile's column sums digitize through `mode.adc`,
@@ -461,48 +480,41 @@ impl MappedParam {
     ///   ([`qmatmul_nt`]): per-row symmetric 8-bit weights against affine
     ///   activations.
     ///
-    /// Both paths accumulate exactly in i32, so the output is bitwise
-    /// identical for any thread count.
+    /// The weight side of either path (the [`ReadoutImage`], or the
+    /// symmetric weights) is built on the first call after a weight change
+    /// and reused until the next one, so repeated reads of one programmed
+    /// array only pay for the activations. Both paths accumulate exactly in
+    /// i32, so the output is bitwise identical for any thread count.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::State`] if a mapped parameter's device has no
-    /// quantizer or more than 8 bits (centered state codes must fit i8),
-    /// or a shape error on input mismatch.
-    pub fn forward_quantized(&self, x: &Tensor, mode: &QuantReadout) -> Result<Tensor, NnError> {
+    /// Returns a shape error on input mismatch, and [`NnError::Mapping`]
+    /// if a mapped parameter's device has no quantizer or more than 8
+    /// bits (centered state codes must fit i8), `mode.act_bits` is outside
+    /// `1..=7`, or `x` holds NaN or ±Inf.
+    pub fn forward_quantized(
+        &mut self,
+        x: &Tensor,
+        mode: &QuantReadout,
+    ) -> Result<Tensor, NnError> {
         if x.ndim() != 2 || x.shape()[1] != self.n_in {
             return Err(NnError::Shape(xbar_tensor::ShapeError::new(
                 "forward_quantized",
                 format!("expected (batch, {}), got {:?}", self.n_in, x.shape()),
             )));
         }
-        match self.kind {
-            WeightKind::Signed => {
-                let w = match &self.variation_override {
-                    Some(noisy) => noisy,
-                    None => &self.shadow,
-                };
+        if self.int8.is_none() {
+            self.int8 = Some(self.int8_image()?);
+        }
+        match self.int8.as_ref().expect("filled above") {
+            Int8Image::Signed(qw) => {
+                mode.check_input(x)?;
                 let qx =
                     QuantizedTensor::quantize_affine_with_range(x, mode.act_bits, mode.act_range);
-                let qw = QuantizedTensor::quantize_symmetric_per_row(w, 8);
-                Ok(qmatmul_nt(&qx, &qw))
+                Ok(qmatmul_nt(&qx, qw))
             }
-            WeightKind::Mapped(_) => {
-                let q = self.device.quantizer_opt().ok_or_else(|| {
-                    NnError::State("quantized inference needs a quantized device (bits ≤ 8)".into())
-                })?;
-                if q.bits() > 8 {
-                    return Err(NnError::State(format!(
-                        "device bit width {} exceeds 8; the integer readout stores \
-                         centered state codes in i8",
-                        q.bits()
-                    )));
-                }
-                let g = match &self.variation_override {
-                    Some(noisy) => noisy.clone(),
-                    None => self.quantized_shadow(),
-                };
-                let raw = quantized_raw_batch(&g, self.grid.as_ref(), &q, mode, x);
+            Int8Image::Mapped(image) => {
+                let raw = image.raw_batch(mode, x)?;
                 let s = self
                     .periphery
                     .as_ref()
@@ -510,6 +522,28 @@ impl MappedParam {
                 Ok(s.combine(&raw)?.scale(self.alpha))
             }
         }
+    }
+
+    /// Builds the int8 forward's weight side from the weights currently
+    /// served.
+    fn int8_image(&self) -> Result<Int8Image, NnError> {
+        Ok(match self.kind {
+            WeightKind::Signed => {
+                let w = self.variation_override.as_ref().unwrap_or(&self.shadow);
+                Int8Image::Signed(QuantizedTensor::quantize_symmetric_per_row(w, 8))
+            }
+            WeightKind::Mapped(_) => {
+                let served;
+                let g = match &self.variation_override {
+                    Some(noisy) => noisy,
+                    None => {
+                        served = self.quantized_shadow();
+                        &served
+                    }
+                };
+                Int8Image::Mapped(ReadoutImage::new(g, self.grid.as_ref(), &self.device)?)
+            }
+        })
     }
 
     /// Accumulates the gradient of the loss with respect to the *logical*
@@ -604,6 +638,7 @@ impl MappedParam {
     /// nonlinear [`xbar_device::UpdateModel`] — routed element-wise through the pulse
     /// transfer curve.
     pub fn apply_update(&mut self, lr: f32) {
+        self.int8 = None;
         match self.kind {
             WeightKind::Signed => {
                 let g = self.grad.clone();
@@ -673,12 +708,13 @@ impl MappedParam {
                 // Equivalent per-element noise in logical units.
                 let sigma = sigma_frac * range.span() * self.alpha;
                 let noise = Tensor::from_fn(self.shadow.shape(), |_| rng.normal_with(0.0, sigma));
-                self.variation_override =
-                    Some(self.shadow.add(&noise).expect("same-shape add cannot fail"));
+                self.serve(Some(
+                    self.shadow.add(&noise).expect("same-shape add cannot fail"),
+                ));
             }
             WeightKind::Mapped(_) => {
                 let targets = self.quantized_shadow();
-                self.variation_override = Some(var.sample_tensor(&targets, range, rng));
+                self.serve(Some(var.sample_tensor(&targets, range, rng)));
             }
         }
         // A fresh variation draw starts from the pristine array.
@@ -773,7 +809,7 @@ impl MappedParam {
             self.device
                 .programming()
                 .program_tensor(&targets, &var, range, Some(&map), rng);
-        self.variation_override = Some(programmed);
+        self.serve(Some(programmed));
         self.fault_map = Some(map);
         Ok((prog_report, remap_report))
     }
@@ -819,7 +855,7 @@ impl MappedParam {
             }
         };
         grid.apply_parasitics(&mut conductances, &device, faults);
-        self.variation_override = Some(conductances);
+        self.serve(Some(conductances));
         Ok(())
     }
 
@@ -840,15 +876,22 @@ impl MappedParam {
             self.shadow.shape(),
             "override shape must match the stored parameter"
         );
-        self.variation_override = Some(conductances);
+        self.serve(Some(conductances));
         self.fault_map = None;
     }
 
     /// Removes any variation override (returns to ideal quantized
     /// inference).
     pub fn clear_variation(&mut self) {
-        self.variation_override = None;
+        self.serve(None);
         self.fault_map = None;
+    }
+
+    /// Makes forward passes read `conductances` (`None`: the quantized
+    /// shadow) and drops the int8 image of the array served before.
+    fn serve(&mut self, conductances: Option<Tensor>) {
+        self.variation_override = conductances;
+        self.int8 = None;
     }
 
     /// Whether a variation override is active.
@@ -1048,7 +1091,7 @@ impl MappedParam {
         let flat = monitor.to_flat();
         let flat_len = flat.len();
         scrub.health = Tensor::from_vec(flat, &[flat_len]).expect("len matches");
-        self.variation_override = Some(served);
+        self.serve(Some(served));
         self.fault_map = Some(faults);
         Ok(Some(report))
     }
@@ -1101,7 +1144,7 @@ impl MappedParam {
                 tile_idx += 1;
             }
         }
-        self.variation_override = Some(served);
+        self.serve(Some(served));
         self.fault_map = Some(faults);
     }
 
@@ -1178,6 +1221,9 @@ impl MappedParam {
     /// and any variation override are transient and excluded (see
     /// [`crate::Layer::visit_state`]).
     pub fn visit_state(&mut self, prefix: &str, visitor: &mut dyn crate::StateVisitor) {
+        // The visitor may overwrite any tensor below (a checkpoint
+        // restore), so the int8 image cannot be trusted afterwards.
+        self.int8 = None;
         visitor.tensor(&format!("{prefix}shadow"), &mut self.shadow);
         visitor.rng(&format!("{prefix}update_rng"), &mut self.update_rng);
         // The Perm row order is part of the trained state: the shadow rows
@@ -2086,6 +2132,169 @@ mod tests {
         restore_state(&mut other, &snapshot).unwrap();
         let got = other.forward(&x, false).unwrap();
         assert_eq!(got.data(), want.data(), "scrub restore must be bitwise");
+    }
+
+    /// The int8 forward of `p` on `x`, as bits.
+    fn int8_bits(p: &mut MappedParam, x: &Tensor) -> Vec<u32> {
+        let y = p
+            .forward_quantized(x, &QuantReadout::with_adc_bits(8))
+            .unwrap();
+        y.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Saves every state component of `src` and restores it into `dst`,
+    /// through the same visitor hook a checkpoint uses.
+    fn checkpoint_into(dst: &mut MappedParam, src: &mut MappedParam) {
+        /// Records each visited component, or, once `restoring`, writes
+        /// the recorded ones back in visit order.
+        #[derive(Default)]
+        struct Snapshot {
+            tensors: std::collections::VecDeque<Tensor>,
+            rngs: std::collections::VecDeque<XorShiftRng>,
+            restoring: bool,
+        }
+        impl crate::StateVisitor for Snapshot {
+            fn tensor(&mut self, _: &str, value: &mut Tensor) {
+                if self.restoring {
+                    *value = self
+                        .tensors
+                        .pop_front()
+                        .expect("one saved tensor per visit");
+                } else {
+                    self.tensors.push_back(value.clone());
+                }
+            }
+            fn rng(&mut self, _: &str, value: &mut XorShiftRng) {
+                if self.restoring {
+                    *value = self.rngs.pop_front().expect("one saved stream per visit");
+                } else {
+                    self.rngs.push_back(value.clone());
+                }
+            }
+        }
+        let mut snapshot = Snapshot::default();
+        src.visit_state("", &mut snapshot);
+        snapshot.restoring = true;
+        dst.visit_state("", &mut snapshot);
+    }
+
+    /// A large SGD step: moves every trainable conductance by several
+    /// states.
+    fn big_update(p: &mut MappedParam, rng: &mut XorShiftRng) {
+        let g = Tensor::rand_uniform(&[p.n_out(), p.n_in()], -20.0, 20.0, rng);
+        p.zero_grad();
+        p.accumulate_grad(&g).unwrap();
+        p.apply_update(0.05);
+    }
+
+    /// A weight change applied to both arms of the invalidation test.
+    type Mutation = fn(&mut MappedParam, &mut XorShiftRng);
+
+    #[test]
+    fn every_weight_change_drops_the_int8_image() {
+        use xbar_device::{DriftModel, FaultModel, LineResistanceModel};
+        let nothing: Mutation = |_, _| {};
+        // (name, set-up before the clone, the change, mapped weights only)
+        let cases: [(&str, Mutation, Mutation, bool); 9] = [
+            ("apply_update", nothing, big_update, false),
+            (
+                "apply_variation",
+                nothing,
+                |p, rng| p.apply_variation(0.1, rng),
+                false,
+            ),
+            (
+                "apply_faults",
+                nothing,
+                |p, rng| {
+                    p.apply_faults(FaultModel::uniform(0.1), 0.02, true, rng)
+                        .unwrap();
+                },
+                true,
+            ),
+            (
+                "apply_parasitics",
+                nothing,
+                |p, _| {
+                    p.apply_parasitics(LineResistanceModel::new(0.01), DriftModel::none())
+                        .unwrap();
+                },
+                true,
+            ),
+            (
+                "set_inference_override",
+                nothing,
+                |p, rng| {
+                    let g = Tensor::rand_uniform(p.shadow().shape(), 0.0, 1.0, rng);
+                    p.set_inference_override(g);
+                },
+                false,
+            ),
+            (
+                "clear_variation",
+                |p, rng| p.apply_variation(0.1, rng),
+                |p, _| p.clear_variation(),
+                false,
+            ),
+            (
+                "scrub_tick",
+                nothing,
+                |p, _| {
+                    p.scrub_tick(true, &RepairPolicy::default()).unwrap();
+                },
+                true,
+            ),
+            (
+                "checkpoint restore",
+                nothing,
+                |p, rng| {
+                    let mut trained = p.clone();
+                    big_update(&mut trained, rng);
+                    checkpoint_into(p, &mut trained);
+                },
+                false,
+            ),
+            (
+                "checkpoint restore of a scrubbed array",
+                nothing,
+                |p, _| {
+                    let mut aged = p.clone();
+                    aged.scrub_tick(true, &RepairPolicy::default()).unwrap();
+                    checkpoint_into(p, &mut aged);
+                },
+                true,
+            ),
+        ];
+        let w = he_init(12, 20, 170);
+        let x = Tensor::rand_uniform(&[4, 20], -1.0, 1.0, &mut XorShiftRng::new(171));
+        let kinds = std::iter::once(WeightKind::Signed).chain(Mapping::ALL.map(WeightKind::Mapped));
+        for kind in kinds {
+            for (name, prepare, mutate, mapped_only) in cases {
+                if mapped_only && kind == WeightKind::Signed {
+                    continue;
+                }
+                let mut warm =
+                    MappedParam::from_signed(&w, kind, lifetime_device(0.05, 26)).unwrap();
+                if kind != WeightKind::Signed {
+                    assert!(warm.tile_grid().unwrap().num_tiles() > 1);
+                }
+                prepare(&mut warm, &mut XorShiftRng::new(172));
+                let mut cold = warm.clone();
+                let before = int8_bits(&mut warm, &x);
+                mutate(&mut warm, &mut XorShiftRng::new(173));
+                mutate(&mut cold, &mut XorShiftRng::new(173));
+                let after = int8_bits(&mut cold, &x);
+                assert_eq!(
+                    int8_bits(&mut warm, &x),
+                    after,
+                    "{kind:?} {name}: stale int8 image"
+                );
+                assert_ne!(
+                    after, before,
+                    "{kind:?} {name}: the change must reach the readout"
+                );
+            }
+        }
     }
 
     #[test]

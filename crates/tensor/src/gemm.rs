@@ -425,6 +425,9 @@ mod tests {
 
     #[test]
     fn blocked_paths_match_f64_reference() {
+        // Blocked shapes tune on first use and record into the global tune
+        // cache; hold its test lock so no cache test's file sees them.
+        let _g = crate::tune::test_support::guard();
         // Sizes chosen to exercise the blocked path with full tiles,
         // remainder rows, remainder columns and multiple KC blocks.
         for &(m, k, n) in &[(64, 64, 64), (65, 300, 17), (33, 257, 48), (128, 512, 16)] {

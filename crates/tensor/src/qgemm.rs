@@ -369,6 +369,9 @@ mod tests {
 
     #[test]
     fn qgemm_nt_serial_parallel_bitwise() {
+        // A blocked shape tunes on first use and records into the global
+        // tune cache; hold its test lock so no cache test's file sees it.
+        let _g = crate::tune::test_support::guard();
         let (m, k, n) = (130, 70, 40);
         let (a, b) = fill(m, k, n);
         let mut serial = vec![0i32; m * n];

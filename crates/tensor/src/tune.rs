@@ -372,7 +372,9 @@ pub(crate) mod test_support {
     //! Shared lock serializing tests that mutate the global tune state.
     use std::sync::Mutex;
 
-    /// Tests touching [`super::reload_from`] must hold this.
+    /// Tests touching [`super::reload_from`] must hold this, and so must
+    /// tests that tune a blocked shape: a measured selection is saved to
+    /// whatever cache file another test has configured.
     pub static TUNE_TEST_LOCK: Mutex<()> = Mutex::new(());
 
     /// Grabs the lock even if a prior test panicked while holding it.
