@@ -19,6 +19,10 @@ cargo test -q --workspace ${CI_FEATURES:-}
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (warnings are errors)"
+# Catches broken and private intra-doc links, which cargo test does not.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> bench_kernels --smoke (parity + train throughput + BENCH_kernels.json)"
 # Tiny sizes; asserts serial==parallel bitwise on every entry — including
 # the train_step arm, which trains the smoke MLP data-parallel (shards=4)
@@ -33,7 +37,14 @@ grep -q '"name": "quant_mvm"' BENCH_kernels.json
 grep -q '"gbps": ' BENCH_kernels.json
 grep -q '"parity": true' BENCH_kernels.json
 ! grep -q '"parity": false' BENCH_kernels.json
-echo "    train_step + quantized arms recorded with serial/parallel parity"
+# Every GEMM entry (fp32 and int8) names the routine it dispatched to.
+grep -q '"routine": "' BENCH_kernels.json
+if grep -E '"kind": "(matmul|matmul_tn|matmul_nt|qmatmul)"' BENCH_kernels.json \
+    | grep -v -q '"routine": "'; then
+    echo "a GEMM entry in BENCH_kernels.json records no routine"
+    exit 1
+fi
+echo "    train_step + quantized arms recorded with serial/parallel parity and routines"
 
 echo "==> scheduler gate (sched_bag parity + modeled 4-lane speedup >= 1.2x)"
 # The heterogeneous task-bag entry must be present with all three arms
@@ -153,34 +164,6 @@ sort "$SWEEP_TMP/par-full.jsonl" > "$SWEEP_TMP/par-full.sorted"
 sort "$SWEEP_TMP/par-j.jsonl" > "$SWEEP_TMP/par-j.sorted"
 cmp "$SWEEP_TMP/par-full.sorted" "$SWEEP_TMP/par-j.sorted"
 echo "    parasitic grid output + journal byte-identical across kill/resume"
-
-echo "==> autotune dispatch gate (cold/warm tune cache + static fallback)"
-# Smoke bench twice against a throwaway tune cache: the cold run must
-# measure and persist every blocked shape class, the warm run must serve
-# them all from the file without re-measuring; both must report per-entry
-# routine names and serial/parallel parity. A third run with
-# XBAR_AUTOTUNE=0 must pin the static table — dispatch never changes bits,
-# so parity holds in all three configurations.
-XBAR_THREADS=4 XBAR_TUNE_CACHE="$SWEEP_TMP/tune.json" \
-    cargo run --release -p xbar-bench --bin bench_kernels -- --smoke \
-    --out "$SWEEP_TMP/bench-cold.json"
-grep -q '"routine": "' "$SWEEP_TMP/bench-cold.json"
-grep -q '"tune_source": "measured"' "$SWEEP_TMP/bench-cold.json"
-grep -q '"parity": true' "$SWEEP_TMP/bench-cold.json"
-! grep -q '"parity": false' "$SWEEP_TMP/bench-cold.json"
-test -s "$SWEEP_TMP/tune.json"
-XBAR_THREADS=4 XBAR_TUNE_CACHE="$SWEEP_TMP/tune.json" \
-    cargo run --release -p xbar-bench --bin bench_kernels -- --smoke \
-    --out "$SWEEP_TMP/bench-warm.json"
-grep -q '"tune_source": "cached"' "$SWEEP_TMP/bench-warm.json"
-! grep -q '"tune_source": "measured"' "$SWEEP_TMP/bench-warm.json"
-! grep -q '"parity": false' "$SWEEP_TMP/bench-warm.json"
-XBAR_THREADS=4 XBAR_AUTOTUNE=0 \
-    cargo run --release -p xbar-bench --bin bench_kernels -- --smoke \
-    --out "$SWEEP_TMP/bench-static.json"
-grep -q '"tune_source": "static"' "$SWEEP_TMP/bench-static.json"
-! grep -q '"parity": false' "$SWEEP_TMP/bench-static.json"
-echo "    routine dispatch: cold measured, warm cached, static fallback — parity on all"
 
 echo "==> self-healing gate (detect/repair/quarantine events + digital fallback parity)"
 # A short lifetime-fault scrub cycle on a trained tiny LeNet: the fault

@@ -37,38 +37,10 @@ fn run(args: Args) -> Result<(), BenchError> {
     let out_path = args.get_str("out", "BENCH_kernels.json");
 
     eprintln!(
-        "bench_kernels: mode={} threads={} simd={} autotune={}",
+        "bench_kernels: mode={} threads={} simd={}",
         mode.tag(),
         xbar_tensor::backend::threads(),
-        xbar_tensor::simd_active(),
-        xbar_tensor::tune::autotune_enabled()
-    );
-    match xbar_tensor::tune::cache_path() {
-        Some(path) => eprintln!("tune cache: {}", path.display()),
-        None => eprintln!("tune cache: none (XBAR_TUNE_CACHE unset; selections stay in-process)"),
-    }
-    if let Some(err) = xbar_tensor::tune::load_error() {
-        eprintln!("tune cache unusable, static table in effect: {err}");
-    }
-
-    // Resolve every suite shape before timing so cold-tune measurement
-    // cost lands in the tune pass, not in the measured arms.
-    for (name, sel) in kernel_bench::tune_pass(mode) {
-        let tune_ms = sel
-            .tune_ms
-            .map_or_else(String::new, |ms| format!(" tune_ms={ms:.3}"));
-        eprintln!(
-            "tune: {name:<24} {} -> {} [{}]{}",
-            sel.key,
-            sel.routine,
-            sel.source.tag(),
-            tune_ms
-        );
-    }
-    let tuned = xbar_tensor::scratch::stats();
-    eprintln!(
-        "scratch pool after tune pass: {} hits / {} misses, {} buffers ({} B) parked",
-        tuned.hits, tuned.misses, tuned.cached_buffers, tuned.cached_bytes
+        xbar_tensor::simd_active()
     );
 
     let report = kernel_bench::run(mode);
@@ -79,9 +51,6 @@ fn run(args: Args) -> Result<(), BenchError> {
         "scratch pool (main thread): {} hits / {} misses, {} buffers ({} B) parked",
         scratch.hits, scratch.misses, scratch.cached_buffers, scratch.cached_bytes
     );
-    if let Some(err) = xbar_tensor::tune::save_error() {
-        eprintln!("warning: tune cache not persisted: {err}");
-    }
 
     std::fs::write(&out_path, report.to_json())
         .map_err(|e| BenchError::io(out_path.clone(), &e))?;

@@ -27,7 +27,7 @@ use std::time::Instant;
 use xbar_core::{CrossbarArray, Mapping};
 use xbar_device::DeviceConfig;
 use xbar_tensor::rng::XorShiftRng;
-use xbar_tensor::{backend, dispatch, linalg, simd_active, tune, Tensor};
+use xbar_tensor::{backend, dispatch, linalg, simd_active, Tensor};
 
 /// Benchmark scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,21 +73,13 @@ pub struct Entry {
     pub parallel_ms: f64,
     /// Paired serial/parallel ratio: the median of per-rep
     /// `serial/parallel` quotients from interleaved arm sampling (see
-    /// [`time_arms_ms`]). More drift-robust than the quotient of the two
+    /// `time_arms_ms`). More drift-robust than the quotient of the two
     /// best-of times, whose minima may come from different noise windows.
     pub vs_serial: Option<f64>,
     /// Whether the parallel result was bitwise identical to serial.
     pub parity: bool,
     /// Registry name of the dispatched GEMM routine (GEMM entries only).
     pub routine: Option<&'static str>,
-    /// How the routine was selected: `"measured"` on a cold tune,
-    /// `"cached"` from a warm `XBAR_TUNE_CACHE`, `"static"` under
-    /// `XBAR_AUTOTUNE=0`, `"small"` for sub-threshold shapes.
-    pub tune_source: Option<&'static str>,
-    /// Wall-clock cost of the measurement pass behind the selection
-    /// (milliseconds) — what a warm-cache run skips. Absent for
-    /// static/small selections.
-    pub tune_ms: Option<f64>,
     /// Heap `(allocations, bytes)` of one naive evaluation, when the
     /// counting allocator is installed (see [`crate::alloc_count`]).
     pub naive_allocs: Option<(u64, u64)>,
@@ -142,8 +134,6 @@ pub struct Report {
     pub threads: usize,
     /// Whether the SIMD micro-kernel was active.
     pub simd: bool,
-    /// Whether autotuned dispatch was enabled (`XBAR_AUTOTUNE != "0"`).
-    pub autotune: bool,
     /// All measured entries.
     pub entries: Vec<Entry>,
 }
@@ -157,7 +147,6 @@ impl Report {
         s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode.tag()));
         s.push_str(&format!("  \"threads\": {},\n", self.threads));
         s.push_str(&format!("  \"simd\": {},\n", self.simd));
-        s.push_str(&format!("  \"autotune\": {},\n", self.autotune));
         s.push_str("  \"entries\": [\n");
         for (i, e) in self.entries.iter().enumerate() {
             s.push_str("    {");
@@ -206,12 +195,6 @@ impl Report {
             if let Some(routine) = e.routine {
                 s.push_str(&format!("\"routine\": \"{routine}\", "));
             }
-            if let Some(source) = e.tune_source {
-                s.push_str(&format!("\"tune_source\": \"{source}\", "));
-            }
-            if let Some(tune_ms) = e.tune_ms {
-                s.push_str(&format!("\"tune_ms\": {tune_ms:.3}, "));
-            }
             s.push_str(&format!("\"parity\": {}", e.parity));
             s.push_str(if i + 1 == self.entries.len() {
                 "}\n"
@@ -238,9 +221,7 @@ impl Report {
             let allocs = e
                 .parallel_allocs
                 .map_or_else(String::new, |(a, b)| format!("  {a} allocs/{b} B"));
-            let routine = e.routine.map_or_else(String::new, |r| {
-                format!("  [{r}/{}]", e.tune_source.unwrap_or("?"))
-            });
+            let routine = e.routine.map_or_else(String::new, |r| format!("  [{r}]"));
             s.push_str(&format!(
                 "  {:<24} {:>18}  {:8.3} ms  {:7.2} GF/s  x{} vs naive  x{:.2} vs serial  parity={}{}{}\n",
                 e.name,
@@ -464,10 +445,7 @@ fn gemm_entry(
     let naive_allocs = arm_allocs(|| naive(&a, &b));
     backend::force_serial(false);
     let parallel_allocs = arm_allocs(|| run(&a, &b));
-    // The parity runs above already resolved (and, on a cold cache,
-    // measured) this shape class, so this lookup reports the selection
-    // the timed arms actually dispatched to.
-    let sel = selection_for_kind(kind, m, k, n);
+    let routine = selection_for_kind(kind, m, k, n);
     Entry {
         name: name.to_string(),
         kind,
@@ -479,9 +457,7 @@ fn gemm_entry(
         parallel_ms,
         vs_serial: Some(vs_serial),
         parity,
-        routine: Some(sel.routine),
-        tune_source: Some(sel.source.tag()),
-        tune_ms: sel.tune_ms,
+        routine: Some(routine),
         naive_allocs,
         serial_allocs,
         parallel_allocs,
@@ -532,7 +508,7 @@ fn qmatmul_entry(name: &str, m: usize, k: usize, n: usize, reps: usize, seed: u6
     backend::force_serial(true);
     let serial_allocs = arm_allocs(run);
     backend::force_serial(false);
-    let sel = dispatch::q_selection_for(m, k, n);
+    let routine = dispatch::q_selection_for(m, k, n);
     Entry {
         name: name.to_string(),
         kind: "qmatmul",
@@ -545,9 +521,7 @@ fn qmatmul_entry(name: &str, m: usize, k: usize, n: usize, reps: usize, seed: u6
         parallel_ms,
         vs_serial: Some(vs_serial),
         parity,
-        routine: Some(sel.routine),
-        tune_source: Some(sel.source.tag()),
-        tune_ms: sel.tune_ms,
+        routine: Some(routine),
         naive_allocs,
         serial_allocs,
         parallel_allocs,
@@ -556,15 +530,20 @@ fn qmatmul_entry(name: &str, m: usize, k: usize, n: usize, reps: usize, seed: u6
     }
 }
 
-/// Resolves the dispatch selection for a GEMM kind/shape (triggers a
-/// cold tune on a cache miss, exactly like the kernels themselves).
-fn selection_for_kind(kind: &str, m: usize, k: usize, n: usize) -> dispatch::Selection {
-    let (trans_a, trans_b) = match kind {
+/// The `(trans_a, trans_b)` flags of a GEMM kind.
+fn transposes(kind: &str) -> (bool, bool) {
+    match kind {
         "matmul" => (false, false),
         "matmul_tn" => (true, false),
         "matmul_nt" => (false, true),
         other => unreachable!("unknown GEMM kind {other}"),
-    };
+    }
+}
+
+/// Registry name of the routine the dispatch shape rule runs for a GEMM
+/// kind/shape.
+fn selection_for_kind(kind: &str, m: usize, k: usize, n: usize) -> &'static str {
+    let (trans_a, trans_b) = transposes(kind);
     dispatch::selection_for(trans_a, trans_b, m, k, n)
 }
 
@@ -601,8 +580,6 @@ fn e2e_entry<T: PartialEq>(
         vs_serial: Some(vs_serial),
         parity,
         routine: None,
-        tune_source: None,
-        tune_ms: None,
         naive_allocs: None,
         serial_allocs,
         parallel_allocs,
@@ -883,8 +860,6 @@ fn train_step_entry(mode: Mode, reps: usize) -> Entry {
         vs_serial: Some(vs_serial),
         parity,
         routine: None,
-        tune_source: None,
-        tune_ms: None,
         naive_allocs,
         serial_allocs,
         parallel_allocs,
@@ -1026,8 +1001,6 @@ fn sched_bag_entry(mode: Mode, reps: usize) -> Entry {
         vs_serial: Some(vs_serial),
         parity,
         routine: None,
-        tune_source: None,
-        tune_ms: None,
         naive_allocs: None,
         serial_allocs: None,
         parallel_allocs: None,
@@ -1036,9 +1009,7 @@ fn sched_bag_entry(mode: Mode, reps: usize) -> Entry {
     }
 }
 
-/// The GEMM shapes of the suite as `(name, kind, m, k, n, seed)` rows,
-/// shared by [`run`] and [`tune_pass`] so the tune pass resolves exactly
-/// the classes the timed suite dispatches.
+/// The GEMM shapes of the suite as `(name, kind, m, k, n, seed)` rows.
 pub fn gemm_shapes(mode: Mode) -> Vec<(&'static str, &'static str, usize, usize, usize, u64)> {
     // The 256³ square is measured in BOTH modes: it carries the repo's
     // headline acceptance number, and smoke runs overwrite the JSON.
@@ -1066,18 +1037,6 @@ pub fn gemm_shapes(mode: Mode) -> Vec<(&'static str, &'static str, usize, usize,
         }
     }
     shapes
-}
-
-/// Resolves the selector once for every suite GEMM shape, so cold-tune
-/// measurement cost lands here instead of inside the timed arms. Returns
-/// `(entry name, selection)` rows for reporting; callers typically print
-/// `scratch::stats()` afterwards since tuning runs through the same
-/// scratch pool as the kernels.
-pub fn tune_pass(mode: Mode) -> Vec<(&'static str, dispatch::Selection)> {
-    gemm_shapes(mode)
-        .into_iter()
-        .map(|(name, kind, m, k, n, _)| (name, selection_for_kind(kind, m, k, n)))
-        .collect()
 }
 
 /// Runs the benchmark suite at `mode` scale.
@@ -1251,7 +1210,6 @@ pub fn run(mode: Mode) -> Report {
         mode,
         threads: backend::threads(),
         simd: simd_active(),
-        autotune: tune::autotune_enabled(),
         entries,
     }
 }
@@ -1271,10 +1229,11 @@ mod tests {
         for e in &report.entries {
             let is_gemm = matches!(e.kind, "matmul" | "matmul_tn" | "matmul_nt" | "qmatmul");
             assert_eq!(e.routine.is_some(), is_gemm, "{}", e.name);
-            assert_eq!(e.tune_source.is_some(), is_gemm, "{}", e.name);
             if e.kind == "qmatmul" {
                 assert!(
-                    dispatch::q_routine_by_name(e.routine.unwrap()).is_some(),
+                    dispatch::q_routines()
+                        .iter()
+                        .any(|r| Some(r.name()) == e.routine),
                     "{} dispatched an unregistered int8 routine",
                     e.name
                 );
@@ -1323,24 +1282,23 @@ mod tests {
         assert!(json.contains("\"bench\": \"kernels\""));
         assert!(json.contains("matmul_square_256"));
         assert!(json.contains("speedup_vs_serial"));
-        assert!(json.contains("\"autotune\": "));
         assert!(json.contains("\"routine\": \""));
-        assert!(json.contains("\"tune_source\": \""));
         assert!(json.contains("\"gbps\": "));
         assert!(json.contains("\"modeled_speedup\": "));
         assert!(!report.summary().is_empty());
     }
 
     #[test]
-    fn tune_pass_covers_every_gemm_shape() {
-        let selections = tune_pass(Mode::Smoke);
-        assert_eq!(selections.len(), gemm_shapes(Mode::Smoke).len());
-        for (name, sel) in &selections {
-            assert!(!sel.key.is_empty(), "{name} has no shape-class key");
-            assert!(
-                xbar_tensor::dispatch::routine_by_name(sel.routine).is_some(),
-                "{name} resolved an unregistered routine"
-            );
+    fn every_gemm_shape_selects_a_supporting_routine() {
+        for mode in [Mode::Smoke, Mode::Full] {
+            for (name, kind, m, k, n, _) in gemm_shapes(mode) {
+                let (trans_a, trans_b) = transposes(kind);
+                let routine = selection_for_kind(kind, m, k, n);
+                assert!(
+                    dispatch::candidate_names(trans_a, trans_b, m, k, n).contains(&routine),
+                    "{name} selected {routine}, which does not support it"
+                );
+            }
         }
     }
 

@@ -29,8 +29,7 @@ pub mod kernel_bench;
 pub mod output;
 pub mod sweep;
 
-// The canonical JSON value moved down into `xbar-tensor` so the GEMM
-// autotune cache (`xbar_tensor::tune`) can share the deterministic
-// renderer/parser; the path `xbar_bench::json` is preserved for existing
-// callers (sweep journal, result files).
+// The canonical JSON value lives in `xbar-tensor`; the path
+// `xbar_bench::json` is preserved for existing callers (sweep journal,
+// result files).
 pub use xbar_tensor::json;

@@ -1,6 +1,7 @@
 //! Parallel compute backend: a dependency-free persistent work-stealing
-//! scheduler (mechanism in [`crate::sched`]) plus the data-parallel
-//! helpers every hot kernel in the workspace is written against.
+//! scheduler (its mechanism lives in the private `sched` module) plus
+//! the data-parallel helpers every hot kernel in the workspace is
+//! written against.
 //!
 //! Every hot kernel in the workspace (GEMM, im2col, pooling, Monte-Carlo
 //! trial fan-out, per-tile MVM, sharded gradient reduction, the sweep

@@ -5,8 +5,7 @@
 //! building blocks — packing, micro-kernels, the small-problem streaming
 //! kernels and the SIMD feature gate — while [`crate::dispatch`] owns the
 //! *routing*: which registered routine runs a given problem shape, picked
-//! by a static heuristic table or the persistent autotune cache
-//! ([`crate::tune`]).
+//! by a fixed rule on the shape.
 //!
 //! The blocked path follows the classic pack-and-tile scheme:
 //!
@@ -16,18 +15,17 @@
 //!   confines all transposed/strided access to the packing step;
 //! * A blocks are packed to row-major `rows × KC`, again hiding the TN
 //!   stride from the inner loop;
-//! * the micro-kernel updates an `MRT × NR` register tile, with an
+//! * the micro-kernel updates an `MR × NR` register tile, with an
 //!   AVX2+FMA variant selected at runtime (scalar fallback elsewhere,
-//!   `XBAR_SIMD=0` forces the fallback). The tile height `MRT` is a const
-//!   generic: per output element the accumulation is still one sequential
-//!   pass over the depth block into a private accumulator, so the tile
-//!   shape affects throughput only, never the bitwise result.
+//!   `XBAR_SIMD=0` forces the fallback). Per output element the
+//!   accumulation is one sequential pass over the depth block into a
+//!   private accumulator.
 //!
 //! Sub-threshold problems use simple serial kernels (`ikj` streaming
 //! loops; four-way unrolled dot products for NT) where packing overhead
 //! would dominate. The small/blocked boundary depends only on the problem
-//! size, never on thread count or tuning state, preserving the
-//! determinism contract (see `dispatch` for the full argument).
+//! size, never on thread count, preserving the determinism contract (see
+//! `dispatch` for the full argument).
 
 use std::sync::OnceLock;
 
@@ -35,7 +33,7 @@ use std::sync::OnceLock;
 pub(crate) const KC: usize = 256;
 /// Panel width in columns; the micro-kernel's register-tile width.
 pub(crate) const NR: usize = 16;
-/// Reference micro-kernel register-tile height in rows.
+/// Micro-kernel register-tile height in rows.
 pub(crate) const MR: usize = 4;
 /// Rows per parallel chunk — the classic unit of row-range parallelism.
 pub(crate) const MC: usize = 64;
@@ -44,7 +42,7 @@ pub(crate) const MC: usize = 64;
 /// columns) skip the blocked machinery. This boundary is part of the
 /// numeric contract: the small kernels accumulate in a different order
 /// than the blocked ones, so the class split must be a fixed function of
-/// the problem size alone (never of tuning state).
+/// the problem size alone.
 pub(crate) const SMALL_MACS: usize = 16 * 1024;
 
 /// Whether the AVX2+FMA micro-kernel is in use. False on non-x86_64
@@ -153,7 +151,7 @@ pub(crate) fn pack_b(
     let _ = k;
 }
 
-/// Runs the `MRT`-row micro-kernel over one packed panel, picking the
+/// Runs the `MR`-row micro-kernel over one packed panel, picking the
 /// AVX2+FMA variant when `simd` is set.
 ///
 /// `pa` holds the A rows with leading dimension `astride` — `KC` for
@@ -163,7 +161,7 @@ pub(crate) fn pack_b(
 /// that changes), so skipping the pack is bitwise-invariant. `panel` is
 /// one packed `KC × NR` B panel, `oc` the output chunk (`rows × n`).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn microkernel<const MRT: usize>(
+pub(crate) fn microkernel(
     pa: &[f32],
     astride: usize,
     panel: &[f32],
@@ -178,22 +176,20 @@ pub(crate) fn microkernel<const MRT: usize>(
     #[cfg(target_arch = "x86_64")]
     if simd {
         // SAFETY: `simd` is only true when AVX2+FMA were detected.
-        unsafe { kern_avx2::<MRT>(pa, astride, panel, oc, rows, kc, n, j0, nr) };
+        unsafe { kern_avx2(pa, astride, panel, oc, rows, kc, n, j0, nr) };
         return;
     }
     let _ = simd;
-    kern_scalar::<MRT>(pa, astride, panel, oc, rows, kc, n, j0, nr);
+    kern_scalar(pa, astride, panel, oc, rows, kc, n, j0, nr);
 }
 
-/// Portable micro-kernel: `MRT`-row register tiles over one packed panel.
+/// Portable micro-kernel: `MR`-row register tiles over one packed panel.
 ///
 /// Per output element the accumulation is a single in-order pass over
 /// `pp = 0..kc` into a private accumulator, followed by one add into the
-/// output — independent of `MRT`, which only changes how many rows share
-/// a register tile. Every `MRT` therefore produces bitwise-identical
-/// results.
+/// output.
 #[allow(clippy::too_many_arguments)]
-fn kern_scalar<const MRT: usize>(
+fn kern_scalar(
     pa: &[f32],
     astride: usize,
     panel: &[f32],
@@ -205,8 +201,8 @@ fn kern_scalar<const MRT: usize>(
     nr: usize,
 ) {
     let mut i = 0;
-    while i + MRT <= rows {
-        let mut acc = [[0f32; NR]; MRT];
+    while i + MR <= rows {
+        let mut acc = [[0f32; NR]; MR];
         for pp in 0..kc {
             let pb = &panel[pp * NR..pp * NR + NR];
             for (mi, row) in acc.iter_mut().enumerate() {
@@ -222,7 +218,7 @@ fn kern_scalar<const MRT: usize>(
                 *o += v;
             }
         }
-        i += MRT;
+        i += MR;
     }
     while i < rows {
         let arow = &pa[i * astride..i * astride + kc];
@@ -242,15 +238,11 @@ fn kern_scalar<const MRT: usize>(
 }
 
 /// AVX2+FMA micro-kernel; same tile structure as [`kern_scalar`] with the
-/// `NR`-wide accumulators held in two `__m256` registers per row. The
-/// per-element FMA sequence over `pp` is identical for every `MRT`, so
-/// tile height never changes the bitwise result (it only trades register
-/// pressure against FMA-port utilisation: `MRT = 6` keeps 12 accumulator
-/// registers live versus 8 at the reference `MRT = 4`).
+/// `NR`-wide accumulators held in two `__m256` registers per row.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
-unsafe fn kern_avx2<const MRT: usize>(
+unsafe fn kern_avx2(
     pa: &[f32],
     astride: usize,
     panel: &[f32],
@@ -263,19 +255,19 @@ unsafe fn kern_avx2<const MRT: usize>(
 ) {
     use std::arch::x86_64::*;
     let mut i = 0;
-    while i + MRT <= rows {
-        let mut acc: [[__m256; 2]; MRT] = [[_mm256_setzero_ps(); 2]; MRT];
+    while i + MR <= rows {
+        let mut acc: [[__m256; 2]; MR] = [[_mm256_setzero_ps(); 2]; MR];
         for pp in 0..kc {
             let pb = panel.as_ptr().add(pp * NR);
             let b0 = _mm256_loadu_ps(pb);
             let b1 = _mm256_loadu_ps(pb.add(8));
-            for mi in 0..MRT {
+            for mi in 0..MR {
                 let av = _mm256_set1_ps(*pa.get_unchecked((i + mi) * astride + pp));
                 acc[mi][0] = _mm256_fmadd_ps(av, b0, acc[mi][0]);
                 acc[mi][1] = _mm256_fmadd_ps(av, b1, acc[mi][1]);
             }
         }
-        for mi in 0..MRT {
+        for mi in 0..MR {
             let mut tmp = [0f32; NR];
             _mm256_storeu_ps(tmp.as_mut_ptr(), acc[mi][0]);
             _mm256_storeu_ps(tmp.as_mut_ptr().add(8), acc[mi][1]);
@@ -284,7 +276,7 @@ unsafe fn kern_avx2<const MRT: usize>(
                 *o += v;
             }
         }
-        i += MRT;
+        i += MR;
     }
     while i < rows {
         let mut a0 = _mm256_setzero_ps();
@@ -425,9 +417,6 @@ mod tests {
 
     #[test]
     fn blocked_paths_match_f64_reference() {
-        // Blocked shapes tune on first use and record into the global tune
-        // cache; hold its test lock so no cache test's file sees them.
-        let _g = crate::tune::test_support::guard();
         // Sizes chosen to exercise the blocked path with full tiles,
         // remainder rows, remainder columns and multiple KC blocks.
         for &(m, k, n) in &[(64, 64, 64), (65, 300, 17), (33, 257, 48), (128, 512, 16)] {
@@ -455,58 +444,6 @@ mod tests {
         assert!(out.iter().all(|&v| v == 0.0));
         gemm(false, false, &[], &b, &mut out[..0], 0, 3, 4);
         gemm(false, false, &a, &[], &mut out[..0], 4, 3, 0);
-    }
-
-    #[test]
-    fn microkernel_tile_height_is_bitwise_invariant() {
-        // The register-tile height MRT only regroups rows; each output
-        // element's accumulation order is unchanged, so every MRT must
-        // agree bit for bit (this is what licenses the packed_wide and
-        // double_buffered routines).
-        let (rows, kc, n) = (13, 96, 23);
-        let mut rng = XorShiftRng::new(0x5151);
-        let a = Tensor::rand_normal(&[rows, KC], 0.0, 1.0, &mut rng);
-        let b = Tensor::rand_normal(&[KC, NR], 0.0, 1.0, &mut rng);
-        let mut panel = [0f32; KC * NR];
-        pack_b(false, b.data(), &mut panel, 0, kc, 0, NR.min(n), KC, NR);
-        let run = |simd: bool, wide: bool| {
-            let mut oc = vec![0f32; rows * n];
-            if wide {
-                microkernel::<6>(
-                    a.data(),
-                    KC,
-                    &panel,
-                    &mut oc,
-                    rows,
-                    kc,
-                    n,
-                    0,
-                    NR.min(n),
-                    simd,
-                );
-            } else {
-                microkernel::<4>(
-                    a.data(),
-                    KC,
-                    &panel,
-                    &mut oc,
-                    rows,
-                    kc,
-                    n,
-                    0,
-                    NR.min(n),
-                    simd,
-                );
-            }
-            oc
-        };
-        for simd in [false, simd_active()] {
-            let narrow = run(simd, false);
-            let wide = run(simd, true);
-            for (x, y) in narrow.iter().zip(&wide) {
-                assert_eq!(x.to_bits(), y.to_bits(), "simd={simd}");
-            }
-        }
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! A minimal, dependency-free JSON value with a *deterministic* renderer.
 //!
-//! Shared by the GEMM autotune cache ([`crate::tune`]) and, downstream,
-//! by the `xbar-bench` sweep journal and result files (re-exported there
-//! as `xbar_bench::json`). Both need byte-level comparability: an
-//! interrupted-and-resumed sweep has to produce output identical to an
-//! uninterrupted one (`cmp` in CI), and a tune-cache file must round-trip
-//! byte-identically across load/save. Two properties make that hold:
+//! Used downstream by the `xbar-bench` sweep journal and result files
+//! (re-exported there as `xbar_bench::json`) and by the end-to-end
+//! benchmark's result line. The journal needs byte-level comparability:
+//! an interrupted-and-resumed sweep has to produce output identical to
+//! an uninterrupted one (`cmp` in CI). Two properties make that hold:
 //!
 //! * Rendering is canonical — object keys keep insertion order, numbers
 //!   use Rust's shortest-round-trip `f64` formatting, strings escape the

@@ -12,10 +12,10 @@
 //!   parallel kernel is bitwise identical to its serial execution;
 //! * [`linalg`] — cache-blocked, SIMD-accelerated, row-parallel matrix
 //!   multiplication kernels (plain, transposed operands, and GEMV);
-//! * [`dispatch`] — autotuned GEMM routine registry and per-shape
-//!   selector (every routine bitwise-identical within its class);
-//! * [`tune`] — the persistent autotune cache behind `XBAR_TUNE_CACHE` /
-//!   `XBAR_AUTOTUNE`;
+//! * [`dispatch`] — GEMM routine registry and the shape rule that picks
+//!   one per problem (every routine bitwise-identical within its class);
+//! * [`tune`] — the routine-selection count the end-to-end benchmark
+//!   reports (always 0: nothing is tuned at run time);
 //! * [`json`] — dependency-free canonical JSON (shared with the bench
 //!   sweep journal downstream);
 //! * [`conv`] — `im2col`/`col2im` based 2-D convolution and pooling

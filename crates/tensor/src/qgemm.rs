@@ -1,7 +1,7 @@
 //! Fixed-point GEMM kernels: `u8 × i8 → i32`, NT layout.
 //!
-//! These are the integer counterparts of the f32 engine in
-//! [`crate::gemm`]: `out[i·n + j] = Σ_p a[i·k + p] · b[j·k + p]` with `a`
+//! These are the integer counterparts of the crate's f32 GEMM engine:
+//! `out[i·n + j] = Σ_p a[i·k + p] · b[j·k + p]` with `a`
 //! an `m × k` row-major matrix of *unsigned* codes and `b` an `n × k`
 //! row-major matrix of *signed* codes. The NT (row-dot-row) layout is the
 //! one every quantized consumer produces naturally: activations ×
@@ -18,14 +18,12 @@
 //! **Determinism.** All arithmetic is exact integer arithmetic, so every
 //! kernel — scalar or SIMD, any blocking, any thread count — produces
 //! bitwise-identical output. Routine selection (see the `q_*` half of
-//! [`crate::dispatch`]) is therefore free to pick purely on speed, and
-//! the serial ≡ parallel contract of the f32 path holds trivially here.
+//! `dispatch`) is therefore free to pick purely on speed, and the
+//! serial ≡ parallel contract of the f32 path holds trivially here.
 //!
 //! **Accumulator width.** `|acc| ≤ k · 127 · 128`, so i32 is exact for
 //! `k ≤ 2^31 / 2^14 = 2^17`. [`QGEMM_MAX_K`] names the bound; callers
 //! stay far below it (crossbar tiles are ≤ a few hundred rows).
-
-use crate::backend;
 
 /// Largest value allowed in the unsigned `a` operand (7-bit codes).
 pub const QGEMM_A_MAX: u8 = 127;
@@ -34,11 +32,11 @@ pub const QGEMM_A_MAX: u8 = 127;
 /// operand contract.
 pub const QGEMM_MAX_K: usize = 1 << 17;
 
-/// Row-chunk granularity for the parallel integer routines. A fixed
-/// constant (not tuned): chunk boundaries cannot change results here,
-/// but keeping them shape-only preserves the backend's reproducibility
-/// idiom.
-pub(crate) const QMC: usize = 64;
+/// Row-chunk granularity of the parallel `maddubs` kernel. A fixed
+/// constant: chunk boundaries cannot change results here, but keeping
+/// them shape-only preserves the backend's reproducibility idiom.
+#[cfg(target_arch = "x86_64")]
+const QMC: usize = 64;
 
 /// Quantized NT GEMM entry point: resolves a routine through the
 /// quantized half of the dispatch registry and runs it.
@@ -86,55 +84,15 @@ pub(crate) fn qk_rowdot(a: &[u8], b: &[i8], out: &mut [i32], m: usize, k: usize,
     }
 }
 
-/// Runs `body(first_row, rows_out)` over [`QMC`]-row chunks of the
-/// output, in parallel. `rows_out` is the chunk's `rows × n` slice.
-fn par_row_chunks(out: &mut [i32], n: usize, body: impl Fn(usize, &mut [i32]) + Sync) {
-    backend::parallel_chunks_mut(out, QMC * n, |ci, chunk| body(ci * QMC, chunk));
-}
-
-/// Scalar register-blocked kernel, parallel over row chunks: 2 rows × 4
-/// columns per inner tile so each loaded `a` row feeds four dots and each
-/// `b` row two — the same reuse structure the SIMD kernel uses, in plain
-/// integer scalar code the autovectorizer handles well.
-pub(crate) fn qk_blocked(a: &[u8], b: &[i8], out: &mut [i32], _m: usize, k: usize, n: usize) {
-    par_row_chunks(out, n, |i0, chunk| {
-        let rows = chunk.len() / n;
-        let mut i = 0;
-        while i < rows {
-            let ir = (rows - i).min(2);
-            let mut j = 0;
-            while j < n {
-                let jr = (n - j).min(4);
-                let mut acc = [[0i32; 4]; 2];
-                for p in 0..k {
-                    for (r, accr) in acc.iter_mut().enumerate().take(ir) {
-                        let av = a[(i0 + i + r) * k + p] as i32;
-                        for (c, av_acc) in accr.iter_mut().enumerate().take(jr) {
-                            *av_acc += av * b[(j + c) * k + p] as i32;
-                        }
-                    }
-                }
-                for r in 0..ir {
-                    for c in 0..jr {
-                        chunk[(i + r) * n + (j + c)] = acc[r][c];
-                    }
-                }
-                j += jr;
-            }
-            i += ir;
-        }
-    });
-}
-
-/// AVX2 `maddubs` kernel, parallel over row chunks. Only reachable when
-/// [`crate::gemm::simd_active`] is true (the dispatch `supports` gate),
-/// which implies AVX2 was detected at runtime.
+/// AVX2 `maddubs` kernel, parallel over `QMC`-row chunks of the output.
+/// Only reachable when [`crate::simd_active`] is true (the dispatch
+/// `supports` gate), which implies AVX2 was detected at runtime.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn qk_maddubs(a: &[u8], b: &[i8], out: &mut [i32], _m: usize, k: usize, n: usize) {
-    par_row_chunks(out, n, |i0, chunk| {
+    crate::backend::parallel_chunks_mut(out, QMC * n, |ci, chunk| {
         let rows = chunk.len() / n;
         // SAFETY: `supports` gating guarantees AVX2 is available.
-        unsafe { maddubs_block(a, b, chunk, i0, rows, k, n) };
+        unsafe { maddubs_block(a, b, chunk, ci * QMC, rows, k, n) };
     });
 }
 
@@ -158,6 +116,9 @@ unsafe fn maddubs_block(
 ) {
     use std::arch::x86_64::*;
 
+    // The last `k % 32` bytes of each dot go through `dot_u8i8` on the
+    // tail slices, which LLVM vectorizes: an element-indexed tail loop is
+    // slow enough to make shallow depths (k = 16, 48) lose to `q_rowdot`.
     let kv = k - k % 32;
     // Full 2×4 tiles run the fixed-bound kernel below; remainder rows and
     // columns fall back to a generic edge loop. The split matters: with
@@ -256,12 +217,10 @@ unsafe fn maddubs_block(
             ],
         ];
         for (r, row) in sums.iter().enumerate() {
+            let ar = &a[(i0 + i + r) * k..][..k];
             for (c, &partial) in row.iter().enumerate() {
-                let mut s = partial;
-                for q in kv..k {
-                    s += a[(i0 + i + r) * k + q] as i32 * b[(j + c) * k + q] as i32;
-                }
-                out[(i + r) * n + (j + c)] = s;
+                let tail = dot_u8i8(&ar[kv..], &b[(j + c) * k..][kv..k]);
+                out[(i + r) * n + (j + c)] = partial + tail;
             }
         }
     }
@@ -298,19 +257,18 @@ unsafe fn maddubs_block(
                     );
                     p += 32;
                 }
-                let mut s = hsum_epi32(acc);
-                for q in kv..k {
-                    s += a[(i0 + i + r) * k + q] as i32 * b[(j + c) * k + q] as i32;
-                }
-                out[(i + r) * n + (j + c)] = s;
+                let tail = dot_u8i8(&a[(i0 + i + r) * k..][kv..k], &b[(j + c) * k..][kv..k]);
+                out[(i + r) * n + (j + c)] = hsum_epi32(acc) + tail;
             }
         }
     }
 }
 
+/// Never selected off x86_64 (`simd_active` is false there); kept so the
+/// registry compiles on every target.
 #[cfg(not(target_arch = "x86_64"))]
 pub(crate) fn qk_maddubs(a: &[u8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize) {
-    qk_blocked(a, b, out, m, k, n);
+    qk_rowdot(a, b, out, m, k, n);
 }
 
 #[cfg(test)]
@@ -333,15 +291,14 @@ mod tests {
             (7, 33, 9),
             (16, 64, 16),
             (13, 100, 21),
+            (32, 16, 72),
+            (32, 48, 128),
         ] {
             let (a, b) = fill(m, k, n);
             let mut reference = vec![0i32; m * n];
             qk_rowdot(&a, &b, &mut reference, m, k, n);
-            let mut got = vec![0i32; m * n];
-            qk_blocked(&a, &b, &mut got, m, k, n);
-            assert_eq!(got, reference, "qk_blocked {m}x{k}x{n}");
             if crate::gemm::simd_active() {
-                got.fill(0);
+                let mut got = vec![0i32; m * n];
                 qk_maddubs(&a, &b, &mut got, m, k, n);
                 assert_eq!(got, reference, "qk_maddubs {m}x{k}x{n}");
             }
@@ -369,9 +326,6 @@ mod tests {
 
     #[test]
     fn qgemm_nt_serial_parallel_bitwise() {
-        // A blocked shape tunes on first use and records into the global
-        // tune cache; hold its test lock so no cache test's file sees it.
-        let _g = crate::tune::test_support::guard();
         let (m, k, n) = (130, 70, 40);
         let (a, b) = fill(m, k, n);
         let mut serial = vec![0i32; m * n];

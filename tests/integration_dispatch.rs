@@ -1,32 +1,9 @@
-//! Integration suite for the autotuned GEMM dispatch layer: every
-//! registered routine must be bitwise-identical to the reference on
-//! every problem it supports, a warm tune cache must reproduce the cold
-//! run exactly, and a corrupt/truncated cache file must degrade to the
-//! static table with a typed error — never a panic.
-//!
-//! The tune cache is process-global state, so every test here holds
-//! `TUNE_LOCK` and restores the env-driven default (`reload_from(None,
-//! true)`) before releasing it.
+//! Integration suite for the GEMM dispatch layer: every registered
+//! routine must be bitwise-identical to the reference on every problem
+//! it supports.
 
-use std::fs;
-use std::path::PathBuf;
-use std::sync::Mutex;
-
-use xbar_tensor::dispatch::{self, Source};
+use xbar_tensor::dispatch;
 use xbar_tensor::rng::XorShiftRng;
-use xbar_tensor::{linalg, tune, Tensor};
-
-/// Serializes tests that swap the process-wide tune-cache state.
-static TUNE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Per-test temp cache path (pid-scoped so parallel `cargo test`
-/// processes never collide).
-fn temp_cache(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "xbar-dispatch-it-{}-{tag}.json",
-        std::process::id()
-    ))
-}
 
 /// Deterministic operand data: non-trivial values with mixed signs.
 fn operand(len: usize, seed: u64) -> Vec<f32> {
@@ -71,7 +48,6 @@ fn run_all_candidates(
 
 #[test]
 fn every_candidate_routine_is_bitwise_identical_on_every_shape() {
-    let _g = TUNE_LOCK.lock().unwrap();
     for &(m, k, n) in &SHAPES {
         for (ta, tb) in [(false, false), (true, false), (false, true)] {
             let runs = run_all_candidates(ta, tb, m, k, n);
@@ -89,109 +65,4 @@ fn every_candidate_routine_is_bitwise_identical_on_every_shape() {
             }
         }
     }
-    tune::reload_from(None, true).unwrap();
-}
-
-#[test]
-fn warm_cache_run_is_bitwise_identical_to_cold() {
-    let _g = TUNE_LOCK.lock().unwrap();
-    let path = temp_cache("warm");
-    let _ = fs::remove_file(&path);
-    tune::reload_from(Some(&path), true).unwrap();
-
-    let (m, k, n) = (128, 96, 80);
-    let a = Tensor::from_vec(operand(m * k, 41), &[m, k]).unwrap();
-    let b = Tensor::from_vec(operand(k * n, 43), &[k, n]).unwrap();
-
-    // Cold: the first blocked-class selection measures and records.
-    let cold_sel = dispatch::selection_for(false, false, m, k, n);
-    assert_eq!(cold_sel.source, Source::Measured);
-    let cold = linalg::matmul(&a, &b).unwrap();
-    assert!(path.exists(), "cold run must persist the tune cache");
-
-    // Warm: a fresh load from the file serves the same routine as
-    // cached, and the product is bitwise identical.
-    let loaded = tune::reload_from(Some(&path), true).unwrap();
-    assert!(loaded >= 1, "warm load must see the cold run's entries");
-    let warm_sel = dispatch::selection_for(false, false, m, k, n);
-    assert_eq!(warm_sel.source, Source::Cached);
-    assert_eq!(warm_sel.routine, cold_sel.routine);
-    let warm = linalg::matmul(&a, &b).unwrap();
-    assert_eq!(
-        warm.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        cold.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-    );
-
-    tune::reload_from(None, true).unwrap();
-    let _ = fs::remove_file(&path);
-}
-
-#[test]
-fn corrupt_cache_falls_back_to_static_table_with_typed_error() {
-    let _g = TUNE_LOCK.lock().unwrap();
-    let cases: [(&str, &str); 3] = [
-        ("garbage", "not json at all {{{"),
-        // A valid prefix cut mid-write, as a crashed non-atomic writer
-        // would leave behind.
-        (
-            "truncated",
-            "{\"version\": 1, \"entries\": [{\"key\": \"nn:m64",
-        ),
-        ("version", "{\"version\": 99, \"entries\": []}"),
-    ];
-    for (tag, body) in cases {
-        let path = temp_cache(tag);
-        fs::write(&path, body).unwrap();
-        let err = tune::reload_from(Some(&path), true)
-            .expect_err("loading a bad cache file must report an error");
-        match tag {
-            "version" => assert!(matches!(err, tune::TuneError::Version { .. }), "{err}"),
-            _ => assert!(
-                matches!(
-                    err,
-                    tune::TuneError::Parse { .. } | tune::TuneError::Schema { .. }
-                ),
-                "{err}"
-            ),
-        }
-        // The selector must keep working on the static table, and the
-        // bad file must be left in place for inspection, not clobbered.
-        let sel = dispatch::selection_for(false, false, 128, 96, 80);
-        assert_eq!(sel.source, Source::Static);
-        let a = Tensor::from_vec(operand(64 * 96, 47), &[64, 96]).unwrap();
-        let b = Tensor::from_vec(operand(96 * 32, 53), &[96, 32]).unwrap();
-        let c = linalg::matmul(&a, &b).unwrap();
-        assert_eq!(c.shape(), &[64, 32]);
-        assert_eq!(fs::read_to_string(&path).unwrap(), body);
-        let _ = fs::remove_file(&path);
-    }
-    tune::reload_from(None, true).unwrap();
-}
-
-#[test]
-fn disabled_autotune_matches_enabled_bitwise() {
-    let _g = TUNE_LOCK.lock().unwrap();
-    let (m, k, n) = (96, 128, 72);
-    let a = Tensor::from_vec(operand(m * k, 61), &[m, k]).unwrap();
-    let bt = Tensor::from_vec(operand(k * n, 67), &[n, k]).unwrap();
-
-    tune::reload_from(None, true).unwrap();
-    let tuned = linalg::matmul_nt(&a, &bt).unwrap();
-
-    tune::reload_from(None, false).unwrap();
-    assert_eq!(
-        dispatch::selection_for(false, true, m, k, n).source,
-        Source::Static
-    );
-    let static_run = linalg::matmul_nt(&a, &bt).unwrap();
-
-    assert_eq!(
-        static_run
-            .data()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect::<Vec<_>>(),
-        tuned.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-    );
-    tune::reload_from(None, true).unwrap();
 }
