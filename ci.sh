@@ -36,7 +36,10 @@ grep -q '"name": "qmatmul_square_256"' BENCH_kernels.json
 grep -q '"name": "quant_mvm"' BENCH_kernels.json
 grep -q '"gbps": ' BENCH_kernels.json
 grep -q '"parity": true' BENCH_kernels.json
-! grep -q '"parity": false' BENCH_kernels.json
+if grep -q '"parity": false' BENCH_kernels.json; then
+    echo "an entry in BENCH_kernels.json lost serial/parallel parity"
+    exit 1
+fi
 # Every GEMM entry (fp32 and int8) names the routine it dispatched to.
 grep -q '"routine": "' BENCH_kernels.json
 if grep -E '"kind": "(matmul|matmul_tn|matmul_nt|qmatmul)"' BENCH_kernels.json \

@@ -508,41 +508,16 @@ impl Parasitics {
     }
 }
 
-/// Evaluates one `(bits, sigma)` cell of the Fig. 6 experiment on
-/// already-trained `nets` (from [`train_mapped_nets`]): mean inference
-/// accuracy over `samples` Monte-Carlo variation draws per mapping, no
-/// fine-tuning. Deterministic given `(setup.seed, bits, sigma, samples)` —
-/// the per-sample RNG streams are derived from those alone, so a cell can
-/// be retried or recomputed in any order with bitwise-identical results.
-///
-/// # Errors
-///
-/// Propagates evaluation errors.
-pub fn run_variation_cell(
-    setup: &Setup,
-    nets: &[Sequential],
-    bits: u8,
-    sigma: f32,
-    samples: usize,
-    data: &DatasetPair,
-) -> Result<VariationPoint, NnError> {
-    run_variation_cell_parasitic(
-        setup,
-        nets,
-        bits,
-        sigma,
-        Parasitics::default(),
-        samples,
-        data,
-    )
-}
-
-/// [`run_variation_cell`] on the enlarged grid: each Monte-Carlo chip is
-/// additionally loaded with IR-drop line resistance and read after
-/// `t_drift` of conductance drift (per-chip ν stream from
-/// [`drift_model`]). At the degenerate `Parasitics::default()` point the
-/// parasitic pass is a guaranteed no-op and the cell is bitwise identical
-/// to the classic Fig. 6 cell.
+/// Evaluates one `(bits, sigma, parasitics)` cell of the Fig. 6
+/// experiment on already-trained `nets` (from [`train_mapped_nets`]):
+/// mean inference accuracy over `samples` Monte-Carlo variation draws per
+/// mapping, no fine-tuning. Each chip is also loaded with IR-drop line
+/// resistance and read after `t_drift` of conductance drift (per-chip ν
+/// stream from [`drift_model`]); at the degenerate
+/// `Parasitics::default()` point that pass is a guaranteed no-op.
+/// Deterministic given `(setup.seed, bits, sigma, par, samples)` — the
+/// per-sample RNG streams are derived from those alone, so a cell can be
+/// retried or recomputed in any order with bitwise-identical results.
 ///
 /// # Errors
 ///
@@ -628,7 +603,15 @@ pub fn run_variation_sweep(
     for &b in bits {
         let nets = train_mapped_nets(setup, b, &data)?;
         for &sigma in sigmas {
-            out.push(run_variation_cell(setup, &nets, b, sigma, samples, &data)?);
+            out.push(run_variation_cell_parasitic(
+                setup,
+                &nets,
+                b,
+                sigma,
+                Parasitics::default(),
+                samples,
+                &data,
+            )?);
         }
     }
     Ok(out)
@@ -659,42 +642,15 @@ pub struct FaultPoint {
 }
 
 /// Runs the fault-injection experiment: trains one `mapping`-mapped
-/// network at `bits` precision, then for every (stuck-at rate, σ) cell
-/// programs the trained conductances onto `samples` randomly defective
-/// chips — once naively and once with fault-aware null-space remapping —
-/// and reports the mean inference accuracy of each arm. Both arms of a
-/// sample share the same defect pattern, so the comparison is paired.
-///
-/// # Errors
-///
-/// Propagates training/evaluation errors.
-pub fn run_fault_sweep(
-    setup: &Setup,
-    mapping: Mapping,
-    bits: u8,
-    rates: &[f32],
-    sigmas: &[f32],
-    samples: usize,
-) -> Result<Vec<FaultPoint>, NnError> {
-    run_fault_sweep_parasitic(
-        setup,
-        mapping,
-        bits,
-        rates,
-        sigmas,
-        &[Parasitics::default()],
-        samples,
-    )
-}
-
-/// [`run_fault_sweep`] on the enlarged grid: every `(rate, parasitics,
-/// σ)` cell programs the trained conductances onto `samples` defective
-/// chips, then loads each chip with IR-drop line resistance and reads it
-/// after `t_drift` of conductance drift (stuck cells are frozen and do
-/// not drift). Both arms of a sample share the defect pattern *and* the
-/// parasitic state, so the naive-vs-remapped comparison stays paired. At
-/// the degenerate `Parasitics::default()` point each cell is bitwise
-/// identical to the classic [`run_fault_sweep`] cell.
+/// network at `bits` precision, then for every `(rate, parasitics, σ)`
+/// cell programs the trained conductances onto `samples` randomly
+/// defective chips — once naively and once with fault-aware null-space
+/// remapping — loads each chip with IR-drop line resistance, reads it
+/// after `t_drift` of conductance drift (stuck cells are frozen and do not
+/// drift), and reports the mean inference accuracy of each arm. Both arms
+/// of a sample share the defect pattern *and* the parasitic state, so the
+/// comparison stays paired. `&[Parasitics::default()]` gives the classic
+/// parasitic-free sweep.
 ///
 /// # Errors
 ///
@@ -1076,7 +1032,16 @@ mod tests {
         // (R_line = 0, t = 0) every cell reproduces the classic sweep's
         // accuracies bit for bit.
         let setup = tiny_setup(NetKind::Lenet);
-        let classic = run_fault_sweep(&setup, Mapping::Acm, 4, &[0.02], &[0.0, 0.1], 2).unwrap();
+        let classic = run_fault_sweep_parasitic(
+            &setup,
+            Mapping::Acm,
+            4,
+            &[0.02],
+            &[0.0, 0.1],
+            &[Parasitics::default()],
+            2,
+        )
+        .unwrap();
         let enlarged = run_fault_sweep_parasitic(
             &setup,
             Mapping::Acm,

@@ -1122,11 +1122,11 @@ pub fn run(mode: Mode) -> Report {
     }
 
     // E2E: tile-granular crossbar inference. The same weights programmed
-    // monolithically and across a grid of physical tiles must agree (the
+    // on one array and across a grid of physical tiles must agree (the
     // per-group decomposition is exact on an ideal device); the timed arm
     // is the tiled forward, whose per-tile MVMs fan out on the pool.
     {
-        use xbar_core::{TileShape, TiledCrossbar};
+        use xbar_core::TileShape;
         let (n_out, n_in, batch, tile) = match mode {
             Mode::Smoke => (16, 32, 8, TileShape::new(8, 8)),
             Mode::Full => (128, 256, 64, TileShape::new(64, 64)),
@@ -1136,7 +1136,8 @@ pub fn run(mode: Mode) -> Report {
         let x = Tensor::rand_uniform(&[batch, n_in], -1.0, 1.0, &mut rng);
         let dev = DeviceConfig::ideal();
         let mono = CrossbarArray::program_signed(&w, Mapping::Acm, dev, &mut rng).unwrap();
-        let tiled = TiledCrossbar::program_signed(&w, Mapping::Acm, dev, tile, &mut rng).unwrap();
+        let tiled_dev = dev.with_tile_shape(Some(tile));
+        let tiled = CrossbarArray::program_signed(&w, Mapping::Acm, tiled_dev, &mut rng).unwrap();
         let mono_out = mono.forward(&x).unwrap();
         let tiled_out = tiled.forward(&x).unwrap();
         assert!(
@@ -1163,7 +1164,7 @@ pub fn run(mode: Mode) -> Report {
     // order), and the quantized output must track the fp32 readout of the
     // same programmed device on the identically quantized input.
     {
-        use xbar_core::{QuantReadout, TileShape, TiledCrossbar};
+        use xbar_core::{QuantReadout, TileShape};
         use xbar_tensor::QuantizedTensor;
         let (n_out, n_in, batch, tile) = match mode {
             Mode::Smoke => (16, 32, 8, TileShape::new(8, 8)),
@@ -1172,8 +1173,8 @@ pub fn run(mode: Mode) -> Report {
         let mut rng = XorShiftRng::new(47);
         let w = Tensor::rand_uniform(&[n_out, n_in], -0.02, 0.02, &mut rng);
         let x = Tensor::rand_uniform(&[batch, n_in], -1.0, 1.0, &mut rng);
-        let dev = DeviceConfig::quantized_linear(4);
-        let tiled = TiledCrossbar::program_signed(&w, Mapping::Acm, dev, tile, &mut rng).unwrap();
+        let dev = DeviceConfig::quantized_linear(4).with_tile_shape(Some(tile));
+        let tiled = CrossbarArray::program_signed(&w, Mapping::Acm, dev, &mut rng).unwrap();
         let qmode = QuantReadout::default();
         let q_out = tiled.forward_quantized(&x, &qmode).unwrap();
         let x_deq = QuantizedTensor::quantize_affine(&x, qmode.act_bits).dequantize();

@@ -40,10 +40,10 @@
 
 use xbar_device::{DeviceConfig, FaultMap, LifetimeFaultModel, ProgrammingReport, VariationModel};
 use xbar_tensor::rng::XorShiftRng;
-use xbar_tensor::{backend, linalg, Tensor};
+use xbar_tensor::{linalg, Tensor};
 
-use crate::tiling::{block, cols_slice, write_block};
-use crate::{remap_for_faults, ColGroup, MappingError, PeripheryMatrix, TileGrid, TiledCrossbar};
+use crate::tiling::raw_batch;
+use crate::{remap_for_faults, ColGroup, CrossbarArray, MappingError, PeripheryMatrix, TileGrid};
 
 /// Health state of one physical tile, as tracked by the
 /// [`HealthMonitor`]'s per-tile state machine.
@@ -460,7 +460,7 @@ pub fn checksum_residual(physical: &Tensor, targets: &Tensor) -> f32 {
     worst
 }
 
-/// A [`TiledCrossbar`] wrapped with the full self-healing loop: lifetime
+/// A [`CrossbarArray`] wrapped with the full self-healing loop: lifetime
 /// fault arrivals, per-tile checksum detection, staged repair, and exact
 /// digital fallback for quarantined tiles.
 ///
@@ -472,15 +472,15 @@ pub fn checksum_residual(physical: &Tensor, targets: &Tensor) -> f32 {
 /// # Example
 ///
 /// ```
-/// use xbar_core::{Mapping, RepairPolicy, SelfHealingCrossbar, TiledCrossbar};
+/// use xbar_core::{CrossbarArray, Mapping, RepairPolicy, SelfHealingCrossbar};
 /// use xbar_device::{DeviceConfig, LifetimeFaultModel, TileShape};
 /// use xbar_tensor::{rng::XorShiftRng, Tensor};
 ///
 /// # fn main() -> Result<(), xbar_core::MappingError> {
 /// let mut rng = XorShiftRng::new(9);
 /// let w = Tensor::rand_uniform(&[12, 24], -0.02, 0.02, &mut rng);
-/// let tiled = TiledCrossbar::program_signed(
-///     &w, Mapping::Acm, DeviceConfig::ideal(), TileShape::new(8, 8), &mut rng)?;
+/// let device = DeviceConfig::ideal().with_tile_shape(Some(TileShape::new(8, 8)));
+/// let tiled = CrossbarArray::program_signed(&w, Mapping::Acm, device, &mut rng)?;
 /// let lifetime = LifetimeFaultModel::new(0.001, 7).unwrap();
 /// let mut healing = SelfHealingCrossbar::new(&tiled, lifetime, RepairPolicy::default());
 /// let report = healing.scrub()?;
@@ -517,7 +517,7 @@ impl SelfHealingCrossbar {
     /// the wrapper's [`SelfHealingCrossbar::forward`] is bitwise
     /// identical to the reference's.
     pub fn new(
-        reference: &TiledCrossbar,
+        reference: &CrossbarArray,
         lifetime: LifetimeFaultModel,
         policy: RepairPolicy,
     ) -> Self {
@@ -578,23 +578,11 @@ impl SelfHealingCrossbar {
         linalg::matmul(self.periphery.matrix(), &self.served).map_err(MappingError::from)
     }
 
-    fn tile_faults(&self, g: &ColGroup, r0: usize, rl: usize) -> FaultMap {
-        let mut tf = FaultMap::pristine(g.dev_len, rl);
-        for (row, col, kind) in self.faults.iter_stuck() {
-            if (g.dev_start..g.dev_start + g.dev_len).contains(&row) && (r0..r0 + rl).contains(&col)
-            {
-                tf.set(row - g.dev_start, col - r0, kind);
-            }
-        }
-        tf
-    }
-
     /// The local stencil of one column group, extracted from the
     /// block-diagonal layer periphery (so any folded-in `Perm` row order
     /// is preserved).
     fn group_periphery(&self, g: &ColGroup) -> Result<PeripheryMatrix, MappingError> {
-        PeripheryMatrix::try_new(block(
-            self.periphery.matrix(),
+        PeripheryMatrix::try_new(self.periphery.matrix().block(
             g.out_start,
             g.out_len,
             g.dev_start,
@@ -647,8 +635,8 @@ impl SelfHealingCrossbar {
         let col_groups = self.grid.col_groups().to_vec();
         for &(r0, rl) in &row_blocks {
             for g in &col_groups {
-                let phys = block(&self.physical, g.dev_start, g.dev_len, r0, rl);
-                let tgt = block(&self.targets, g.dev_start, g.dev_len, r0, rl);
+                let phys = self.physical.block(g.dev_start, g.dev_len, r0, rl);
+                let tgt = self.targets.block(g.dev_start, g.dev_len, r0, rl);
                 let residual = checksum_residual(&phys, &tgt);
                 match self.monitor.observe(tile_idx, residual, self.epoch) {
                     HealthAction::Detected => report.detections += 1,
@@ -672,8 +660,8 @@ impl SelfHealingCrossbar {
         for &(r0, rl) in &row_blocks {
             for g in &col_groups {
                 if self.monitor.state(tile_idx) == TileHealth::Quarantined {
-                    let ideal_block = block(&self.ideal, g.dev_start, g.dev_len, r0, rl);
-                    write_block(&mut self.served, g.dev_start, r0, &ideal_block);
+                    let ideal_block = self.ideal.block(g.dev_start, g.dev_len, r0, rl);
+                    self.served.write_block(g.dev_start, r0, &ideal_block);
                 }
                 tile_idx += 1;
             }
@@ -699,24 +687,22 @@ impl SelfHealingCrossbar {
         report: &mut ScrubReport,
     ) -> Result<RepairAttempt, MappingError> {
         let range = self.device.range();
-        let tf = self.tile_faults(g, r0, rl);
-        let before = block(&self.physical, g.dev_start, g.dev_len, r0, rl);
-        let residual_before = checksum_residual(
-            &before,
-            &block(&self.targets, g.dev_start, g.dev_len, r0, rl),
-        );
+        let tf = self.faults.block(g.dev_start, g.dev_len, r0, rl);
+        let before = self.physical.block(g.dev_start, g.dev_len, r0, rl);
+        let residual_before =
+            checksum_residual(&before, &self.targets.block(g.dev_start, g.dev_len, r0, rl));
 
         // Stage-specific target revision.
         let (tile_targets, weight_residual) = match stage {
-            RepairStage::Reprogram => (block(&self.targets, g.dev_start, g.dev_len, r0, rl), None),
+            RepairStage::Reprogram => (self.targets.block(g.dev_start, g.dev_len, r0, rl), None),
             RepairStage::Remap => {
-                let base = block(&self.targets, g.dev_start, g.dev_len, r0, rl);
+                let base = self.targets.block(g.dev_start, g.dev_len, r0, rl);
                 let p = self.group_periphery(g)?;
                 let (shifted, rr) = remap_for_faults(&base, &p, &tf, range)?;
                 (shifted, Some(rr.residual_after()))
             }
             RepairStage::FullRemap => {
-                let base = block(&self.ideal, g.dev_start, g.dev_len, r0, rl);
+                let base = self.ideal.block(g.dev_start, g.dev_len, r0, rl);
                 let p = self.group_periphery(g)?;
                 let (shifted, rr) = remap_for_faults(&base, &p, &tf, range)?;
                 (shifted, Some(rr.residual_after()))
@@ -735,8 +721,8 @@ impl SelfHealingCrossbar {
                 &mut scrub_rng,
             );
         report.exhausted_cells += prog_report.num_unconverged();
-        write_block(&mut self.targets, g.dev_start, r0, &tile_targets);
-        write_block(&mut self.physical, g.dev_start, r0, &programmed);
+        self.targets.write_block(g.dev_start, r0, &tile_targets);
+        self.physical.write_block(g.dev_start, r0, &programmed);
 
         let residual_after = checksum_residual(&programmed, &tile_targets);
         let healed = match weight_residual {
@@ -749,8 +735,8 @@ impl SelfHealingCrossbar {
         if state == TileHealth::Quarantined {
             // Reset the tile's intent to pristine so the digital fallback
             // and any later diagnostics agree on what it should compute.
-            let ideal_block = block(&self.ideal, g.dev_start, g.dev_len, r0, rl);
-            write_block(&mut self.targets, g.dev_start, r0, &ideal_block);
+            let ideal_block = self.ideal.block(g.dev_start, g.dev_len, r0, rl);
+            self.targets.write_block(g.dev_start, r0, &ideal_block);
         }
         Ok(RepairAttempt {
             epoch: self.epoch,
@@ -769,43 +755,6 @@ impl SelfHealingCrossbar {
     pub fn inject_soft_error(&mut self, row: usize, col: usize, value: f32) {
         *self.physical.at_mut(&[row, col]) = value;
         *self.served.at_mut(&[row, col]) = value;
-    }
-
-    /// Raw accumulated column outputs over the served conductances —
-    /// the exact per-tile fan-out of [`TiledCrossbar`], run over the
-    /// self-healed view.
-    fn raw_batch(&self, x: &Tensor) -> Tensor {
-        let batch = x.shape()[0];
-        let nd = self.grid.nd_total();
-        let mut items = Vec::with_capacity(self.grid.num_tiles());
-        for &(r0, rl) in self.grid.row_blocks() {
-            for g in self.grid.col_groups() {
-                items.push(((r0, rl), *g));
-            }
-        }
-        // Same journal-ordered commit as [`TiledCrossbar::raw_batch`]:
-        // per-tile tasks on the pool, accumulation in submission order.
-        let mut raw = Tensor::zeros(&[batch, nd]);
-        let raw_data = raw.data_mut();
-        backend::ordered_stream(
-            items,
-            |_, ((r0, rl), g)| {
-                let x_block = cols_slice(x, r0, rl);
-                let m_block = block(&self.served, g.dev_start, g.dev_len, r0, rl);
-                let partial = linalg::matmul_nt(&x_block, &m_block)
-                    .expect("tile dimensions agree by construction");
-                (g, partial)
-            },
-            |_, (g, partial)| {
-                for b in 0..batch {
-                    let dst = &mut raw_data[b * nd + g.dev_start..b * nd + g.dev_start + g.dev_len];
-                    for (d, &p) in dst.iter_mut().zip(&partial.data()[b * g.dev_len..]) {
-                        *d += p;
-                    }
-                }
-            },
-        );
-        raw
     }
 
     /// Batched signed MVM over the self-healed array: quarantined tiles'
@@ -832,8 +781,8 @@ impl SelfHealingCrossbar {
                 op: "self-healing forward",
             });
         }
-        let raw = self.raw_batch(x);
-        self.periphery.combine(&raw)
+        self.periphery
+            .combine(&raw_batch(&self.grid, &self.served, x))
     }
 
     /// Like [`SelfHealingCrossbar::forward`], but also returns the ABFT
@@ -867,12 +816,12 @@ impl SelfHealingCrossbar {
         let mut residuals = Vec::with_capacity(self.grid.num_tiles());
         for &(r0, rl) in self.grid.row_blocks() {
             for g in self.grid.col_groups() {
-                let x_block = cols_slice(x, r0, rl);
-                let m_block = block(&self.served, g.dev_start, g.dev_len, r0, rl);
+                let x_block = x.block(0, batch, r0, rl);
+                let m_block = self.served.block(g.dev_start, g.dev_len, r0, rl);
                 let partial = linalg::matmul_nt(&x_block, &m_block)
                     .expect("tile dimensions agree by construction");
                 // Checksum of the *expected* block: c[i] = Σ_d targets[d, i].
-                let t_block = block(&self.targets, g.dev_start, g.dev_len, r0, rl);
+                let t_block = self.targets.block(g.dev_start, g.dev_len, r0, rl);
                 let mut checksum = vec![0.0f32; rl];
                 for d in 0..g.dev_len {
                     for (i, c) in checksum.iter_mut().enumerate() {
@@ -910,18 +859,13 @@ mod tests {
     use super::*;
     use crate::Mapping;
     use xbar_device::{LifetimeFaultModel, TileShape};
+    use xbar_tensor::backend;
 
-    fn reference(mapping: Mapping) -> TiledCrossbar {
+    fn reference(mapping: Mapping) -> CrossbarArray {
         let mut r = XorShiftRng::new(404);
         let w = Tensor::rand_uniform(&[12, 24], -0.02, 0.02, &mut r);
-        TiledCrossbar::program_signed(
-            &w,
-            mapping,
-            DeviceConfig::ideal(),
-            TileShape::new(8, 8),
-            &mut r,
-        )
-        .unwrap()
+        let device = DeviceConfig::ideal().with_tile_shape(Some(TileShape::new(8, 8)));
+        CrossbarArray::program_signed(&w, mapping, device, &mut r).unwrap()
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //! * [`decompose`]/[`compose`] — constructive per-mapping decompositions
 //!   plus a generic Gaussian-elimination solver for *any* valid `S`;
 //! * [`CrossbarArray`] — a behavioural crossbar simulator that programs
-//!   `M` through a [`xbar_device::DeviceConfig`] (quantization +
-//!   variation) and evaluates signed MVMs;
+//!   `M` through a [`xbar_device::DeviceConfig`] (quantization,
+//!   variation, faults, parasitics) onto the [`TileGrid`] of the device's
+//!   tile bound — one array when it has none — and evaluates signed MVMs;
 //! * [`remap_for_faults`] — fault-aware remapping: stuck-at defects are
 //!   absorbed into the null-space slack of `W = S·M` (shifting a column by
 //!   `c·x_h` changes no weight), with the unabsorbable residual reported;
@@ -83,7 +84,7 @@ pub use mapping::{Mapping, ParseMappingError};
 pub use periphery::PeripheryMatrix;
 pub use quantized::{QuantReadout, ReadoutImage};
 pub use remap::{remap_for_faults, RemapReport};
-pub use tiling::{ColGroup, TileGrid, TiledCrossbar};
+pub use tiling::{ColGroup, TileGrid};
 // Re-exported from `xbar_device` (where the physical array bound lives)
 // so existing `xbar_core::TileShape` callers keep compiling.
 pub use xbar_device::TileShape;

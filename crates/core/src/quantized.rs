@@ -42,7 +42,7 @@ use xbar_tensor::{scratch, Tensor};
 
 use crate::crossbar::CrossbarArray;
 use crate::error::MappingError;
-use crate::tiling::{TileGrid, TiledCrossbar};
+use crate::tiling::TileGrid;
 
 /// The operation the readout's errors name.
 const OP: &str = "forward_quantized";
@@ -172,7 +172,7 @@ pub struct ReadoutImage {
 
 impl ReadoutImage {
     /// Reads `conductances (N_D × N_I)` on `device`'s state grid and packs
-    /// them per tile of `grid` (`None`: the whole array is one tile).
+    /// them per tile of `grid` (an untiled array is its 1×1 grid).
     /// Conductances that sit off-grid (variation, drift, IR drop) snap to
     /// the nearest state — the read discretization a digital readout
     /// cannot avoid.
@@ -181,16 +181,16 @@ impl ReadoutImage {
     ///
     /// [`MappingError::Unsupported`] if the device has no quantizer or
     /// more than 8 bits, or `N_I` exceeds [`QGEMM_MAX_K`]; a shape error
-    /// if `conductances` is not 2-D or disagrees with `grid`.
+    /// if `conductances` is not the `(N_D × N_I)` shape of `grid`.
     pub fn new(
         conductances: &Tensor,
-        grid: Option<&TileGrid>,
+        grid: &TileGrid,
         device: &DeviceConfig,
     ) -> Result<Self, MappingError> {
         let q = readout_quantizer(device)?;
         let shape = conductances.shape();
-        let grid_shape = grid.map(|g| [g.nd_total(), g.n_in()]);
-        if shape.len() != 2 || grid_shape.is_some_and(|gs| gs != shape) {
+        let grid_shape = [grid.nd_total(), grid.n_in()];
+        if shape != grid_shape {
             return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
                 OP,
                 format!("conductances {shape:?} do not match the tile grid {grid_shape:?}"),
@@ -203,24 +203,16 @@ impl ReadoutImage {
                 reason: format!("input width {k} exceeds the exact-i32 bound {QGEMM_MAX_K}"),
             });
         }
-        // One tile per grid cell; the degenerate monolithic grid is a
-        // single full-array tile.
-        let spans: Vec<(usize, usize, usize, usize)> = match grid {
-            Some(g) => g
-                .row_blocks()
-                .iter()
-                .flat_map(|&(r0, rl)| {
-                    g.col_groups()
-                        .iter()
-                        .map(move |cg| (r0, rl, cg.dev_start, cg.dev_len))
-                })
-                .collect(),
-            None => vec![(0, k, 0, nd)],
-        };
         let half = 1i32 << (q.bits() - 1);
         let g = conductances.data();
-        let tiles = spans
-            .into_iter()
+        let tiles = grid
+            .row_blocks()
+            .iter()
+            .flat_map(|&(r0, rl)| {
+                grid.col_groups()
+                    .iter()
+                    .map(move |cg| (r0, rl, cg.dev_start, cg.dev_len))
+            })
             .map(|(r0, rl, d0, dl)| {
                 let mut codes = Vec::with_capacity(dl * rl);
                 for j in d0..d0 + dl {
@@ -358,10 +350,13 @@ impl ReadoutImage {
 
 impl CrossbarArray {
     /// Batched signed MVM through the integer readout:
-    /// `X (batch × N_I) → Y (batch × N_O)`, with activations quantized to
-    /// `mode.act_bits`, conductances read on the device state grid, and
-    /// each column sum digitized by `mode.adc`. Builds a fresh
-    /// [`ReadoutImage`] per call. Bitwise identical for any thread count.
+    /// `X (batch × N_I) → Y (batch × N_O)`, tile by tile. Activations
+    /// quantize to `mode.act_bits`, conductances are read on the device
+    /// state grid, each grid tile runs its own int8 GEMM and ADC (ranged
+    /// for the tile's row depth), digitized partial sums accumulate as
+    /// integers across row blocks, and the per-group periphery combines
+    /// the result. Builds a fresh [`ReadoutImage`] per call. Bitwise
+    /// identical for any thread count.
     ///
     /// # Errors
     ///
@@ -371,32 +366,7 @@ impl CrossbarArray {
         x: &Tensor,
         mode: &QuantReadout,
     ) -> Result<Tensor, MappingError> {
-        let image = ReadoutImage::new(self.effective_conductances(), None, self.device())?;
-        self.periphery().combine(&image.raw_batch(mode, x)?)
-    }
-}
-
-impl TiledCrossbar {
-    /// Batched signed MVM through the integer readout, tile by tile:
-    /// each grid tile runs its own int8 GEMM and ADC (ranged for the
-    /// tile's row depth), digitized partial sums accumulate as integers
-    /// across row blocks, and the per-group periphery combines the
-    /// result. Builds a fresh [`ReadoutImage`] per call. Bitwise identical
-    /// for any thread count.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReadoutImage::new`] and [`ReadoutImage::raw_batch`].
-    pub fn forward_quantized(
-        &self,
-        x: &Tensor,
-        mode: &QuantReadout,
-    ) -> Result<Tensor, MappingError> {
-        let image = ReadoutImage::new(
-            self.effective_conductances(),
-            Some(self.grid()),
-            self.device(),
-        )?;
+        let image = ReadoutImage::new(self.effective_conductances(), self.grid(), self.device())?;
         self.periphery().combine(&image.raw_batch(mode, x)?)
     }
 }
@@ -422,43 +392,36 @@ mod tests {
 
     #[test]
     fn monolithic_readout_matches_f32_on_the_quantized_input() {
-        let mut rng = XorShiftRng::new(42);
-        let w = rand_tensor(&mut rng, &[11, 37], -0.05, 0.05);
-        let xbar =
-            CrossbarArray::program_signed(&w, Mapping::Acm, ideal_device(6), &mut rng).unwrap();
-        let x = rand_tensor(&mut rng, &[5, 37], -1.0, 1.0);
-        let mode = QuantReadout::default();
-        let got = xbar.forward_quantized(&x, &mode).unwrap();
-        // The same product through the fp32 path, fed the dequantized
-        // activations the integer path actually sees: identical math,
-        // integer-exact vs f32 accumulation.
-        let x_dq = QuantizedTensor::quantize_affine(&x, mode.act_bits).dequantize();
-        let want = xbar.forward(&x_dq).unwrap();
-        for (&g, &e) in got.data().iter().zip(want.data()) {
-            assert!((g - e).abs() <= 1e-4 + 1e-3 * e.abs(), "{g} vs {e}");
-        }
+        readout_matches_f32_on_the_quantized_input(None);
     }
 
     #[test]
     fn tiled_readout_matches_f32_on_the_quantized_input() {
-        let mut rng = XorShiftRng::new(7);
-        let w = rand_tensor(&mut rng, &[20, 50], -0.04, 0.04);
-        let xbar = TiledCrossbar::program_signed(
-            &w,
-            Mapping::Acm,
-            ideal_device(6),
-            TileShape::new(16, 16),
-            &mut rng,
-        )
-        .unwrap();
-        assert!(xbar.num_tiles() > 1);
-        let x = rand_tensor(&mut rng, &[4, 50], -1.0, 1.0);
-        let mode = QuantReadout::default();
-        let got = xbar.forward_quantized(&x, &mode).unwrap();
-        let x_dq = QuantizedTensor::quantize_affine(&x, mode.act_bits).dequantize();
-        let want = xbar.forward(&x_dq).unwrap();
-        for (&g, &e) in got.data().iter().zip(want.data()) {
-            assert!((g - e).abs() <= 1e-4 + 1e-3 * e.abs(), "{g} vs {e}");
+        readout_matches_f32_on_the_quantized_input(Some(TileShape::new(8, 8)));
+    }
+
+    fn readout_matches_f32_on_the_quantized_input(tile: Option<TileShape>) {
+        // (seed, weights, weight bound, batch) of two layers.
+        for (seed, [n_out, n_in], lim, batch) in [(42, [11, 37], 0.05, 5), (7, [20, 50], 0.04, 4)] {
+            let mut rng = XorShiftRng::new(seed);
+            let w = rand_tensor(&mut rng, &[n_out, n_in], -lim, lim);
+            let dev = ideal_device(6).with_tile_shape(tile);
+            let xbar = CrossbarArray::program_signed(&w, Mapping::Acm, dev, &mut rng).unwrap();
+            assert_eq!(xbar.num_tiles() > 1, tile.is_some());
+            let x = rand_tensor(&mut rng, &[batch, n_in], -1.0, 1.0);
+            let mode = QuantReadout::default();
+            let got = xbar.forward_quantized(&x, &mode).unwrap();
+            // The same product through the fp32 path, fed the
+            // dequantized activations the integer path actually sees:
+            // identical math, integer-exact vs f32 accumulation.
+            let x_dq = QuantizedTensor::quantize_affine(&x, mode.act_bits).dequantize();
+            let want = xbar.forward(&x_dq).unwrap();
+            for (&g, &e) in got.data().iter().zip(want.data()) {
+                assert!(
+                    (g - e).abs() <= 1e-4 + 1e-3 * e.abs(),
+                    "{tile:?}: {g} vs {e}"
+                );
+            }
         }
     }
 
@@ -466,14 +429,8 @@ mod tests {
     fn readout_is_bitwise_identical_serial_vs_parallel() {
         let mut rng = XorShiftRng::new(99);
         let w = rand_tensor(&mut rng, &[24, 60], -0.3, 0.3);
-        let xbar = TiledCrossbar::program_signed(
-            &w,
-            Mapping::BiasColumn,
-            ideal_device(5),
-            TileShape::new(16, 16),
-            &mut rng,
-        )
-        .unwrap();
+        let dev = ideal_device(5).with_tile_shape(Some(TileShape::new(16, 16)));
+        let xbar = CrossbarArray::program_signed(&w, Mapping::BiasColumn, dev, &mut rng).unwrap();
         let x = rand_tensor(&mut rng, &[6, 60], -1.0, 1.0);
         let mode = QuantReadout::with_adc_bits(8);
         let parallel = xbar.forward_quantized(&x, &mode).unwrap();
@@ -577,20 +534,10 @@ mod tests {
     fn an_image_reads_every_batch_like_a_fresh_one() {
         let mut rng = XorShiftRng::new(6);
         let w = rand_tensor(&mut rng, &[20, 50], -0.04, 0.04);
-        let xbar = TiledCrossbar::program_signed(
-            &w,
-            Mapping::Acm,
-            ideal_device(6),
-            TileShape::new(16, 16),
-            &mut rng,
-        )
-        .unwrap();
-        let image = ReadoutImage::new(
-            xbar.effective_conductances(),
-            Some(xbar.grid()),
-            xbar.device(),
-        )
-        .unwrap();
+        let dev = ideal_device(6).with_tile_shape(Some(TileShape::new(16, 16)));
+        let xbar = CrossbarArray::program_signed(&w, Mapping::Acm, dev, &mut rng).unwrap();
+        let image =
+            ReadoutImage::new(xbar.effective_conductances(), xbar.grid(), xbar.device()).unwrap();
         let mode = QuantReadout::with_adc_bits(6);
         for _ in 0..3 {
             let x = rand_tensor(&mut rng, &[4, 50], -1.0, 1.0);
@@ -598,8 +545,7 @@ mod tests {
             let want = xbar.forward_quantized(&x, &mode).unwrap();
             assert_eq!(xbar.periphery().combine(&raw).unwrap().data(), want.data());
         }
-        let mismatched =
-            ReadoutImage::new(&Tensor::zeros(&[3, 50]), Some(xbar.grid()), xbar.device());
+        let mismatched = ReadoutImage::new(&Tensor::zeros(&[3, 50]), xbar.grid(), xbar.device());
         assert!(matches!(mismatched, Err(MappingError::Shape(_))));
     }
 

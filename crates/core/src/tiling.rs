@@ -15,20 +15,16 @@
 //! Tiling interacts with the mapping: the column count being split is the
 //! mapping's `N_D`, so DE fits `cols/2` outputs per tile against BC/ACM's
 //! `cols − 1` — the physical origin of Table I's area gap.
-//! [`TileGrid`] exposes the grid so system-level models can count arrays,
-//! and [`TiledCrossbar`] mirrors the full [`crate::CrossbarArray`] API
-//! (programming reports, fault maps, fault-aware remapping, Monte-Carlo
-//! resampling) with every operation applied tile-locally.
+//! [`TileGrid`] exposes the grid so system-level models can count arrays.
+//! [`crate::CrossbarArray`] lays every array out on the grid of its
+//! device's tile bound and applies every operation (programming, fault
+//! sampling, fault-aware remapping, Monte-Carlo resampling, reads)
+//! tile-locally; a device with no tile bound gives the 1×1 grid.
 
-use xbar_device::{DeviceConfig, FaultMap, ProgrammingReport, TileShape};
-use xbar_tensor::rng::XorShiftRng;
+use xbar_device::TileShape;
 use xbar_tensor::{backend, linalg, Tensor};
 
-use crate::crossbar::permute_rows;
-use crate::{
-    decompose, magnitude_permutation, remap_for_faults, Mapping, MappingError, PeripheryMatrix,
-    RemapReport,
-};
+use crate::{decompose, Mapping, MappingError, PeripheryMatrix};
 
 /// One column-group of a [`TileGrid`]: a contiguous run of logical
 /// outputs whose device columns (including any local reference column)
@@ -276,9 +272,8 @@ impl TileGrid {
         }
         let mut m = Tensor::zeros(&[self.nd_total(), self.n_in]);
         for g in &self.col_groups {
-            let w_group = rows_slice(w, g.out_start, g.out_len);
-            let m_group = decompose(&w_group, self.mapping, range)?;
-            write_rows(&mut m, g.dev_start, &m_group);
+            let w_group = w.block(g.out_start, g.out_len, 0, self.n_in);
+            m.write_block(g.dev_start, 0, &decompose(&w_group, self.mapping, range)?);
         }
         Ok(m)
     }
@@ -314,672 +309,69 @@ impl TileGrid {
         if !line.is_none() {
             for &(r0, rl) in self.row_blocks() {
                 for g in self.col_groups() {
-                    let mut tile_block = block(conductances, g.dev_start, g.dev_len, r0, rl);
+                    let mut tile_block = conductances.block(g.dev_start, g.dev_len, r0, rl);
                     line.apply_tile(&mut tile_block);
-                    write_block(conductances, g.dev_start, r0, &tile_block);
+                    conductances.write_block(g.dev_start, r0, &tile_block);
                 }
             }
         }
     }
 }
 
-/// Copies rows `[start, start + len)` of a 2-D tensor into a new tensor.
-pub(crate) fn rows_slice(t: &Tensor, start: usize, len: usize) -> Tensor {
-    let cols = t.shape()[1];
-    Tensor::from_vec(
-        t.data()[start * cols..(start + len) * cols].to_vec(),
-        &[len, cols],
-    )
-    .expect("slice length matches shape")
-}
-
-/// Copies columns `[start, start + len)` of a 2-D tensor into a new tensor.
-pub(crate) fn cols_slice(t: &Tensor, start: usize, len: usize) -> Tensor {
-    let (rows, cols) = (t.shape()[0], t.shape()[1]);
-    let mut out = Tensor::zeros(&[rows, len]);
-    for r in 0..rows {
-        let src = &t.data()[r * cols + start..r * cols + start + len];
-        out.data_mut()[r * len..(r + 1) * len].copy_from_slice(src);
-    }
-    out
-}
-
-/// Extracts the `(r0..r0+rl, c0..c0+cl)` block of a 2-D tensor.
-pub(crate) fn block(t: &Tensor, r0: usize, rl: usize, c0: usize, cl: usize) -> Tensor {
-    let cols = t.shape()[1];
-    let mut out = Tensor::zeros(&[rl, cl]);
-    for r in 0..rl {
-        let src = &t.data()[(r0 + r) * cols + c0..(r0 + r) * cols + c0 + cl];
-        out.data_mut()[r * cl..(r + 1) * cl].copy_from_slice(src);
-    }
-    out
-}
-
-/// Writes `src` into `dst` starting at row `r0` (full-width rows).
-pub(crate) fn write_rows(dst: &mut Tensor, r0: usize, src: &Tensor) {
-    let cols = dst.shape()[1];
-    debug_assert_eq!(cols, src.shape()[1]);
-    let n = src.len();
-    dst.data_mut()[r0 * cols..r0 * cols + n].copy_from_slice(src.data());
-}
-
-/// Writes `src` into the `(r0.., c0..)` block of `dst`.
-pub(crate) fn write_block(dst: &mut Tensor, r0: usize, c0: usize, src: &Tensor) {
-    let cols = dst.shape()[1];
-    let (srl, scl) = (src.shape()[0], src.shape()[1]);
-    for r in 0..srl {
-        dst.data_mut()[(r0 + r) * cols + c0..(r0 + r) * cols + c0 + scl]
-            .copy_from_slice(&src.data()[r * scl..(r + 1) * scl]);
-    }
-}
-
-/// Composes the parasitic read non-idealities onto the stacked programmed
-/// conductances: drift first (cell state decays in place; stuck cells are
-/// physically frozen and do not drift), then line-resistance attenuation
-/// applied *tile-locally* — each physical array has its own wire runs, so
-/// the IR drop restarts at every tile boundary. Drift coordinates are the
-/// global stacked `(row, col)`, making the decay a pure function of the
-/// cell's position in the layer regardless of the tile grid. Returns a
-/// plain copy when both models are off.
-fn effective_tiled(
-    programmed: &Tensor,
-    device: &DeviceConfig,
-    faults: &FaultMap,
-    grid: &TileGrid,
-) -> Tensor {
-    let mut eff = programmed.clone();
-    grid.apply_parasitics(&mut eff, device, faults);
-    eff
-}
-
-/// A signed MVM engine built from a grid of physical crossbar tiles.
-///
-/// Semantically equivalent to [`crate::CrossbarArray`] and exposing the
-/// same API surface (batched `forward`, fault maps, programming reports,
-/// fault-aware remapping, Monte-Carlo resampling), but respecting a
-/// physical tile size: each tile holds one sub-block of the stacked
-/// conductance matrix and is dealt its own stuck-at defects, programmed
-/// through its own write-verify pass, and remapped against its own local
-/// periphery stencil — as separate chips would be. Batched MVMs fan the
-/// per-tile partial products across the compute pool and accumulate them
-/// in fixed tile order, so results are bitwise identical to serial
-/// execution.
-///
-/// # Example
-///
-/// ```
-/// use xbar_core::{Mapping, TiledCrossbar};
-/// use xbar_device::{DeviceConfig, TileShape};
-/// use xbar_tensor::{rng::XorShiftRng, Tensor};
-///
-/// # fn main() -> Result<(), xbar_core::MappingError> {
-/// let mut rng = XorShiftRng::new(5);
-/// let w = Tensor::rand_uniform(&[20, 50], -0.01, 0.01, &mut rng);
-/// let tiled = TiledCrossbar::program_signed(
-///     &w, Mapping::Acm, DeviceConfig::ideal(), TileShape::new(16, 16), &mut rng)?;
-/// // ceil(50/16) row blocks x ceil(20/15) column groups.
-/// assert_eq!(tiled.tile_grid(), (4, 2));
-/// let x = Tensor::rand_uniform(&[50], -1.0, 1.0, &mut rng);
-/// let y = tiled.mvm_signed(&x)?;
-/// assert_eq!(y.len(), 20);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct TiledCrossbar {
-    grid: TileGrid,
-    periphery: PeripheryMatrix,
-    device: DeviceConfig,
-    tile: TileShape,
-    /// Ideal (post-quantization, pre-variation, post-remap) conductance
-    /// targets, stacked `(nd_total, n_in)`.
-    targets: Tensor,
-    /// Realised conductances after per-tile programming.
-    programmed: Tensor,
-    /// What the read path sees: `programmed` composed with conductance
-    /// drift (global stacked coordinates) and per-tile line-resistance
-    /// attenuation. Equal to `programmed` when both parasitics are off.
-    effective: Tensor,
-    /// The stuck-at defects all tiles were dealt, in the stacked frame.
-    faults: FaultMap,
-    /// Merged outcome of the most recent per-tile programming passes.
-    report: ProgrammingReport,
-}
-
-impl TiledCrossbar {
-    /// Decomposes `W (N_O × N_I)` under `mapping` and programs the
-    /// conductances across a grid of `tile`-sized arrays through
-    /// `device`, tile by tile.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the decomposition fails or the tile is too
-    /// narrow for `mapping`.
-    pub fn program_signed(
-        w: &Tensor,
-        mapping: Mapping,
-        device: DeviceConfig,
-        tile: TileShape,
-        rng: &mut XorShiftRng,
-    ) -> Result<Self, MappingError> {
-        let grid = Self::grid_for(w, mapping, tile)?;
-        let m = grid.decompose(w, device.range())?;
-        Self::program_inner(&m, grid, device, tile, false, rng).map(|(xbar, _)| xbar)
-    }
-
-    /// Like [`TiledCrossbar::program_signed`], but absorbs each tile's
-    /// sampled stuck-at faults into its local periphery's null-space
-    /// slack before programming (see [`remap_for_faults`]); the returned
-    /// [`RemapReport`] merges the per-tile reports.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the decomposition fails.
-    pub fn program_signed_remapped(
-        w: &Tensor,
-        mapping: Mapping,
-        device: DeviceConfig,
-        tile: TileShape,
-        rng: &mut XorShiftRng,
-    ) -> Result<(Self, RemapReport), MappingError> {
-        let grid = Self::grid_for(w, mapping, tile)?;
-        let m = grid.decompose(w, device.range())?;
-        Self::program_inner(&m, grid, device, tile, true, rng)
-            .map(|(xbar, report)| (xbar, report.expect("remap requested")))
-    }
-
-    /// Programs an explicit stacked non-negative conductance matrix
-    /// `M (nd_total × N_I)` — the path used after training, where the
-    /// trainer owns `M` directly. The logical output count is inferred
-    /// from the row count, `mapping` and `tile`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `M` is negative anywhere, exceeds the device
-    /// range, or its row count is inconsistent with `mapping` and `tile`.
-    pub fn program_conductances(
-        m: &Tensor,
-        mapping: Mapping,
-        device: DeviceConfig,
-        tile: TileShape,
-        rng: &mut XorShiftRng,
-    ) -> Result<Self, MappingError> {
-        let grid = Self::grid_for_conductances(m, mapping, tile)?;
-        Self::program_inner(m, grid, device, tile, false, rng).map(|(xbar, _)| xbar)
-    }
-
-    /// Like [`TiledCrossbar::program_conductances`], but fault-aware:
-    /// each tile's frozen cells are compensated by shifting its healthy
-    /// cells along the local periphery's null direction.
-    ///
-    /// # Errors
-    ///
-    /// Same validation as [`TiledCrossbar::program_conductances`].
-    pub fn program_conductances_remapped(
-        m: &Tensor,
-        mapping: Mapping,
-        device: DeviceConfig,
-        tile: TileShape,
-        rng: &mut XorShiftRng,
-    ) -> Result<(Self, RemapReport), MappingError> {
-        let grid = Self::grid_for_conductances(m, mapping, tile)?;
-        Self::program_inner(m, grid, device, tile, true, rng)
-            .map(|(xbar, report)| (xbar, report.expect("remap requested")))
-    }
-
-    fn grid_for(w: &Tensor, mapping: Mapping, tile: TileShape) -> Result<TileGrid, MappingError> {
-        if w.ndim() != 2 {
-            return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
-                "tiled program_signed",
-                format!("expected 2-D weights, got {:?}", w.shape()),
-            )));
+/// Raw accumulated column outputs `X · Gᵀ (batch × N_D)` of a batch
+/// `X (batch × N_I)` read through the tiles of `grid`, where
+/// `conductances` is the stacked `(N_D × N_I)` matrix the tiles hold. Each
+/// tile's partial product is a pool task; the partial products are
+/// summed digitally across grid rows on the calling thread in submission
+/// order, so the result is bitwise identical at any thread count and
+/// under any steal interleaving. Callers check the input shape.
+pub(crate) fn raw_batch(grid: &TileGrid, conductances: &Tensor, x: &Tensor) -> Tensor {
+    let batch = x.shape()[0];
+    let nd = grid.nd_total();
+    let mut items = Vec::with_capacity(grid.num_tiles());
+    for &(r0, rl) in grid.row_blocks() {
+        for g in grid.col_groups() {
+            items.push(((r0, rl), *g));
         }
-        TileGrid::new(w.shape()[0], w.shape()[1], mapping, Some(tile))
     }
-
-    fn grid_for_conductances(
-        m: &Tensor,
-        mapping: Mapping,
-        tile: TileShape,
-    ) -> Result<TileGrid, MappingError> {
-        if m.ndim() != 2 {
-            return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
-                "tiled program_conductances",
-                format!("expected 2-D conductance matrix, got {:?}", m.shape()),
-            )));
-        }
-        let nd = m.shape()[0];
-        let cap = TileGrid::outputs_per_tile(mapping, tile)?;
-        let n_out = match mapping {
-            Mapping::DoubleElement => {
-                if !nd.is_multiple_of(2) || nd == 0 {
-                    return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
-                        "tiled program_conductances",
-                        format!("DE needs a positive even device-column count, got {nd}"),
-                    )));
+    let mut raw = Tensor::zeros(&[batch, nd]);
+    let raw_data = raw.data_mut();
+    backend::ordered_stream(
+        items,
+        |_, ((r0, rl), g)| {
+            let x_block = x.block(0, batch, r0, rl);
+            let m_block = conductances.block(g.dev_start, g.dev_len, r0, rl);
+            let partial = linalg::matmul_nt(&x_block, &m_block)
+                .expect("tile dimensions agree by construction");
+            (g, partial)
+        },
+        |_, (g, partial)| {
+            for b in 0..batch {
+                let dst = &mut raw_data[b * nd + g.dev_start..b * nd + g.dev_start + g.dev_len];
+                for (d, &p) in dst.iter_mut().zip(&partial.data()[b * g.dev_len..]) {
+                    *d += p;
                 }
-                nd / 2
             }
-            Mapping::BiasColumn | Mapping::Acm | Mapping::Perm => {
-                // nd = n_out + ceil(n_out / cap) is strictly increasing in
-                // n_out, so the group count k with nd = n_out + k is
-                // unique when it exists.
-                (1..nd)
-                    .map(|k| nd - k)
-                    .find(|&n_out| n_out.div_ceil(cap) == nd - n_out)
-                    .ok_or_else(|| {
-                        MappingError::Shape(xbar_tensor::ShapeError::new(
-                            "tiled program_conductances",
-                            format!(
-                                "{nd} device columns are inconsistent with {mapping} on {tile} tiles"
-                            ),
-                        ))
-                    })?
-            }
-        };
-        TileGrid::new(n_out, m.shape()[1], mapping, Some(tile))
-    }
-
-    fn program_inner(
-        m: &Tensor,
-        grid: TileGrid,
-        device: DeviceConfig,
-        tile: TileShape,
-        remap: bool,
-        rng: &mut XorShiftRng,
-    ) -> Result<(Self, Option<RemapReport>), MappingError> {
-        if !m.data().iter().all(|v| v.is_finite()) {
-            return Err(MappingError::NonFiniteInput {
-                op: "tiled program_conductances",
-            });
-        }
-        let range = device.range();
-        if m.min() < range.g_min() - 1e-6 || m.max() > range.g_max() + 1e-6 {
-            return Err(MappingError::NotRepresentable {
-                mapping: grid.mapping().tag(),
-                detail: format!(
-                    "conductances [{}, {}] outside device range [{}, {}]",
-                    m.min(),
-                    m.max(),
-                    range.g_min(),
-                    range.g_max()
-                ),
-            });
-        }
-        let (nd, n_in) = (grid.nd_total(), grid.n_in());
-        debug_assert_eq!(m.shape(), [nd, n_in]);
-        // Snap to the device's programmable states (as one array would);
-        // every per-tile stage below starts from the snapped targets.
-        let mut snapped = m.map(|g| device.snap(g));
-        let mut targets = Tensor::zeros(&[nd, n_in]);
-        let mut programmed = Tensor::zeros(&[nd, n_in]);
-        let mut faults = FaultMap::pristine(nd, n_in);
-        let mut report = ProgrammingReport::default();
-        let mut remap_report: Option<RemapReport> = None;
-        // Per-group local stencils, reused across the grid rows.
-        let mut peripheries: Vec<PeripheryMatrix> = grid
-            .col_groups()
-            .iter()
-            .map(|g| grid.mapping().periphery(g.out_len))
-            .collect();
-        // Perm: each group derives its physical row order from the
-        // *pre-snap* conductances over the full input width (so every row
-        // block of the group agrees on one order), folds the inverse into
-        // the group's local stencil, and rearranges the group's snapped
-        // rows into physical order. The stable descending sort keeps the
-        // group's all-mid reference row in the last position.
-        if grid.mapping() == Mapping::Perm {
-            let mid = range.midpoint();
-            for (g, periphery) in grid.col_groups().iter().zip(peripheries.iter_mut()) {
-                let m_group = rows_slice(m, g.dev_start, g.dev_len);
-                let perm = magnitude_permutation(&m_group, mid);
-                *periphery = periphery.permuted(&perm);
-                let snapped_group = rows_slice(&snapped, g.dev_start, g.dev_len);
-                write_rows(
-                    &mut snapped,
-                    g.dev_start,
-                    &permute_rows(&snapped_group, &perm),
-                );
-            }
-        }
-        // Deterministic tile order: row blocks outer, column groups inner.
-        // Each tile is an independent physical array: it draws its own
-        // defect pattern and runs its own write-verify pass.
-        for &(r0, rl) in grid.row_blocks() {
-            for (g, periphery) in grid.col_groups().iter().zip(&peripheries) {
-                let mut tile_targets = block(&snapped, g.dev_start, g.dev_len, r0, rl);
-                let tile_faults = device.faults().sample_map(g.dev_len, rl, rng);
-                if remap {
-                    let (shifted, tile_remap) =
-                        remap_for_faults(&tile_targets, periphery, &tile_faults, range)?;
-                    tile_targets = shifted;
-                    remap_report = Some(match remap_report {
-                        Some(acc) => acc.merge(&tile_remap),
-                        None => tile_remap,
-                    });
-                }
-                let (tile_programmed, tile_report) = device.programming().program_tensor(
-                    &tile_targets,
-                    &device.variation(),
-                    range,
-                    Some(&tile_faults),
-                    rng,
-                );
-                write_block(&mut targets, g.dev_start, r0, &tile_targets);
-                write_block(&mut programmed, g.dev_start, r0, &tile_programmed);
-                for (row, col, kind) in tile_faults.iter_stuck() {
-                    faults.set(g.dev_start + row, r0 + col, kind);
-                }
-                report.merge(tile_report, g.dev_start, r0);
-            }
-        }
-        // Block-diagonal over the (possibly permuted) per-group stencils;
-        // identical to `grid.periphery()` for the non-permuted mappings.
-        let periphery = PeripheryMatrix::block_diagonal(&peripheries);
-        let effective = effective_tiled(&programmed, &device, &faults, &grid);
-        Ok((
-            Self {
-                grid,
-                periphery,
-                device,
-                tile,
-                targets,
-                programmed,
-                effective,
-                faults,
-                report,
-            },
-            remap_report,
-        ))
-    }
-
-    /// The mapping in use.
-    pub fn mapping(&self) -> Mapping {
-        self.grid.mapping()
-    }
-
-    /// The device model.
-    pub fn device(&self) -> &DeviceConfig {
-        &self.device
-    }
-
-    /// The block-diagonal layer-level periphery.
-    pub fn periphery(&self) -> &PeripheryMatrix {
-        &self.periphery
-    }
-
-    /// The physical tile shape.
-    pub fn tile_shape(&self) -> TileShape {
-        self.tile
-    }
-
-    /// The tile layout.
-    pub fn grid(&self) -> &TileGrid {
-        &self.grid
-    }
-
-    /// Grid dimensions `(row blocks, column groups)`.
-    pub fn tile_grid(&self) -> (usize, usize) {
-        self.grid.grid()
-    }
-
-    /// Total number of physical arrays.
-    pub fn num_tiles(&self) -> usize {
-        self.grid.num_tiles()
-    }
-
-    /// Number of logical inputs.
-    pub fn n_in(&self) -> usize {
-        self.grid.n_in()
-    }
-
-    /// Number of signed outputs.
-    pub fn n_out(&self) -> usize {
-        self.grid.n_out()
-    }
-
-    /// Total device columns across all column groups.
-    pub fn n_dev(&self) -> usize {
-        self.grid.nd_total()
-    }
-
-    /// Total synapse elements across all tiles (occupied cells).
-    pub fn num_elements(&self) -> usize {
-        self.programmed.len()
-    }
-
-    /// The realised conductances (stacked `(n_dev, n_in)`).
-    pub fn conductances(&self) -> &Tensor {
-        &self.programmed
-    }
-
-    /// The conductances the read path sees: [`TiledCrossbar::conductances`]
-    /// composed with drift and per-tile line-resistance attenuation. Equal
-    /// to the programmed matrix when both parasitic models are off.
-    pub fn effective_conductances(&self) -> &Tensor {
-        &self.effective
-    }
-
-    /// The ideal conductance targets (after quantization and any remap,
-    /// before variation).
-    pub fn targets(&self) -> &Tensor {
-        &self.targets
-    }
-
-    /// The effective signed weight matrix `S · G` realised by the grid,
-    /// including the parasitic read non-idealities.
-    pub fn effective_weights(&self) -> Tensor {
-        linalg::matmul(self.periphery.matrix(), &self.effective)
-            .expect("periphery and conductances are dimension-checked at construction")
-    }
-
-    /// The stuck-at defects all tiles were dealt, in the stacked
-    /// conductance-matrix frame.
-    pub fn fault_map(&self) -> &FaultMap {
-        &self.faults
-    }
-
-    /// Merged outcome of the per-tile programming passes.
-    pub fn programming_report(&self) -> &ProgrammingReport {
-        &self.report
-    }
-
-    /// Returns a typed error if any tile's last programming pass left a
-    /// cell out of tolerance.
-    ///
-    /// # Errors
-    ///
-    /// [`MappingError::ProgrammingFailed`] with the unconverged-cell count
-    /// and worst residual.
-    pub fn require_converged(&self) -> Result<(), MappingError> {
-        if self.report.all_converged() {
-            Ok(())
-        } else {
-            Err(MappingError::ProgrammingFailed {
-                unconverged: self.report.num_unconverged(),
-                worst_residual: self.report.worst_residual(),
-            })
-        }
-    }
-
-    /// Re-programs every tile around the stored targets, modelling a
-    /// fresh multi-chip module written with the same weights. Each tile's
-    /// defect pattern is part of its chip, so it is kept; variation (and
-    /// write-verify retries) are re-drawn tile by tile in grid order.
-    pub fn resample_variation(&mut self, rng: &mut XorShiftRng) {
-        let mut programmed = Tensor::zeros(self.targets.shape());
-        let mut report = ProgrammingReport::default();
-        for &(r0, rl) in self.grid.row_blocks() {
-            for g in self.grid.col_groups() {
-                let tile_targets = block(&self.targets, g.dev_start, g.dev_len, r0, rl);
-                let mut tile_faults = FaultMap::pristine(g.dev_len, rl);
-                for (row, col, kind) in self.faults.iter_stuck() {
-                    if (g.dev_start..g.dev_start + g.dev_len).contains(&row)
-                        && (r0..r0 + rl).contains(&col)
-                    {
-                        tile_faults.set(row - g.dev_start, col - r0, kind);
-                    }
-                }
-                let (tile_programmed, tile_report) = self.device.programming().program_tensor(
-                    &tile_targets,
-                    &self.device.variation(),
-                    self.device.range(),
-                    Some(&tile_faults),
-                    rng,
-                );
-                write_block(&mut programmed, g.dev_start, r0, &tile_programmed);
-                report.merge(tile_report, g.dev_start, r0);
-            }
-        }
-        self.programmed = programmed;
-        self.effective = effective_tiled(&self.programmed, &self.device, &self.faults, &self.grid);
-        self.report = report;
-    }
-
-    /// Raw accumulated column outputs for a batch `X (batch × N_I)`:
-    /// per-tile partial products fanned across the compute pool, then
-    /// summed digitally across grid rows in fixed tile order (bitwise
-    /// identical to serial execution).
-    fn raw_batch(&self, x: &Tensor) -> Tensor {
-        let batch = x.shape()[0];
-        let nd = self.grid.nd_total();
-        let mut items = Vec::with_capacity(self.grid.num_tiles());
-        for &(r0, rl) in self.grid.row_blocks() {
-            for g in self.grid.col_groups() {
-                items.push(((r0, rl), *g));
-            }
-        }
-        // One task per tile; partial products are committed (accumulated)
-        // in submission order on the calling thread via the ordered
-        // stream, so the reduction over row blocks is bitwise identical
-        // at any thread count and under any steal interleaving.
-        let mut raw = Tensor::zeros(&[batch, nd]);
-        let raw_data = raw.data_mut();
-        backend::ordered_stream(
-            items,
-            |_, ((r0, rl), g)| {
-                let x_block = cols_slice(x, r0, rl);
-                let m_block = block(&self.effective, g.dev_start, g.dev_len, r0, rl);
-                let partial = linalg::matmul_nt(&x_block, &m_block)
-                    .expect("tile dimensions agree by construction");
-                (g, partial)
-            },
-            |_, (g, partial)| {
-                for b in 0..batch {
-                    let dst = &mut raw_data[b * nd + g.dev_start..b * nd + g.dev_start + g.dev_len];
-                    for (d, &p) in dst.iter_mut().zip(&partial.data()[b * g.dev_len..]) {
-                        *d += p;
-                    }
-                }
-            },
-        );
-        raw
-    }
-
-    /// Raw analog column outputs for a 1-D input of length `n_in()` —
-    /// what the ADCs digitize across all tiles, before the periphery
-    /// combine, accumulated digitally across grid rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error on input-length mismatch, or
-    /// [`MappingError::NonFiniteInput`] if `x` contains NaN/Inf.
-    pub fn mvm_raw(&self, x: &Tensor) -> Result<Tensor, MappingError> {
-        if x.ndim() != 1 || x.len() != self.grid.n_in() {
-            return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
-                "tiled mvm",
-                format!(
-                    "expected 1-D input of length {}, got {:?}",
-                    self.grid.n_in(),
-                    x.shape()
-                ),
-            )));
-        }
-        if !x.data().iter().all(|v| v.is_finite()) {
-            return Err(MappingError::NonFiniteInput { op: "mvm_raw" });
-        }
-        let x2 = Tensor::from_vec(x.data().to_vec(), &[1, x.len()]).expect("reshape to batch 1");
-        let raw = self.raw_batch(&x2);
-        Ok(
-            Tensor::from_vec(raw.data().to_vec(), &[self.grid.nd_total()])
-                .expect("flatten batch 1"),
-        )
-    }
-
-    /// Signed MVM through the tile grid: each tile produces partial
-    /// column currents; partial sums accumulate digitally across tile
-    /// rows, then the per-group periphery combine produces the signed
-    /// outputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if `x` is not 1-D of length `n_in()`.
-    pub fn mvm_signed(&self, x: &Tensor) -> Result<Tensor, MappingError> {
-        let raw = self.mvm_raw(x)?;
-        linalg::matvec(self.periphery.matrix(), &raw).map_err(MappingError::from)
-    }
-
-    /// Batched signed MVM: `X (batch × N_I) → Y (batch × N_O)`, with the
-    /// per-tile partial products fanned across the compute pool.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if `x` is not `(batch, n_in())`, or
-    /// [`MappingError::NonFiniteInput`] if `x` contains NaN/Inf.
-    pub fn forward(&self, x: &Tensor) -> Result<Tensor, MappingError> {
-        if x.ndim() != 2 || x.shape()[1] != self.grid.n_in() {
-            return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
-                "tiled forward",
-                format!(
-                    "expected (batch, {}) input, got {:?}",
-                    self.grid.n_in(),
-                    x.shape()
-                ),
-            )));
-        }
-        if !x.data().iter().all(|v| v.is_finite()) {
-            return Err(MappingError::NonFiniteInput { op: "forward" });
-        }
-        let raw = self.raw_batch(x);
-        self.periphery.combine(&raw)
-    }
-
-    /// Monte-Carlo fan-out: evaluates `trials` freshly re-programmed
-    /// copies of this grid on the same batch `X (batch × N_I)`. Trial `t`
-    /// behaves exactly like
-    /// `{ let mut c = self.clone(); c.resample_variation(&mut rng.fork(t)); c.forward(x) }`
-    /// run serially in trial order — per-trial RNG streams are forked
-    /// from `rng` up front, so the returned outputs are bitwise identical
-    /// for any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first trial's error on input-shape or
-    /// non-finite-input failures (all trials share `x`).
-    pub fn variation_trials(
-        &self,
-        x: &Tensor,
-        trials: usize,
-        rng: &mut XorShiftRng,
-    ) -> Result<Vec<Tensor>, MappingError> {
-        let trial_rngs: Vec<XorShiftRng> = (0..trials).map(|t| rng.fork(t as u64)).collect();
-        backend::parallel_map(trial_rngs, |_, mut trial_rng| {
-            let mut chip = self.clone();
-            chip.resample_variation(&mut trial_rng);
-            chip.forward(x)
-        })
-        .into_iter()
-        .collect()
-    }
+        },
+    );
+    raw
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crossbar::tests as twins;
     use crate::CrossbarArray;
+    use xbar_device::DeviceConfig;
+    use xbar_tensor::rng::XorShiftRng;
 
     fn rng() -> XorShiftRng {
         XorShiftRng::new(171)
+    }
+
+    /// `device` bounded to `rows × cols` tiles.
+    fn on_tiles(device: DeviceConfig, rows: usize, cols: usize) -> DeviceConfig {
+        device.with_tile_shape(Some(TileShape::new(rows, cols)))
     }
 
     #[test]
@@ -990,11 +382,10 @@ mod tests {
         for mapping in Mapping::ALL {
             let mono =
                 CrossbarArray::program_signed(&w, mapping, DeviceConfig::ideal(), &mut r).unwrap();
-            let tiled = TiledCrossbar::program_signed(
+            let tiled = CrossbarArray::program_signed(
                 &w,
                 mapping,
-                DeviceConfig::ideal(),
-                TileShape::new(8, 8),
+                on_tiles(DeviceConfig::ideal(), 8, 8),
                 &mut r,
             )
             .unwrap();
@@ -1014,11 +405,10 @@ mod tests {
         for mapping in Mapping::ALL {
             let mono =
                 CrossbarArray::program_signed(&w, mapping, DeviceConfig::ideal(), &mut r).unwrap();
-            let tiled = TiledCrossbar::program_signed(
+            let tiled = CrossbarArray::program_signed(
                 &w,
                 mapping,
-                DeviceConfig::ideal(),
-                TileShape::new(8, 8),
+                on_tiles(DeviceConfig::ideal(), 8, 8),
                 &mut r,
             )
             .unwrap();
@@ -1035,14 +425,8 @@ mod tests {
         let mut r = rng();
         let w = Tensor::rand_uniform(&[40, 70], -0.01, 0.01, &mut r);
         let x = Tensor::rand_uniform(&[9, 70], -1.0, 1.0, &mut r);
-        let tiled = TiledCrossbar::program_signed(
-            &w,
-            Mapping::Acm,
-            DeviceConfig::ideal(),
-            TileShape::new(16, 16),
-            &mut r,
-        )
-        .unwrap();
+        let dev = on_tiles(DeviceConfig::ideal(), 16, 16);
+        let tiled = CrossbarArray::program_signed(&w, Mapping::Acm, dev, &mut r).unwrap();
         backend::force_serial(true);
         let serial = tiled.forward(&x).unwrap();
         backend::force_serial(false);
@@ -1056,14 +440,8 @@ mod tests {
         let w = Tensor::rand_uniform(&[20, 50], -0.01, 0.01, &mut r);
         // ACM on 16x16 tiles: 15 outputs per group -> ceil(20/15) = 2
         // groups; ceil(50/16) = 4 row blocks.
-        let t = TiledCrossbar::program_signed(
-            &w,
-            Mapping::Acm,
-            DeviceConfig::ideal(),
-            TileShape::new(16, 16),
-            &mut r,
-        )
-        .unwrap();
+        let dev = on_tiles(DeviceConfig::ideal(), 16, 16);
+        let t = CrossbarArray::program_signed(&w, Mapping::Acm, dev, &mut r).unwrap();
         assert_eq!(t.tile_grid(), (4, 2));
         assert_eq!(t.num_tiles(), 8);
         assert_eq!(t.n_in(), 50);
@@ -1076,30 +454,19 @@ mod tests {
     #[test]
     fn de_needs_more_tiles_than_acm() {
         let mut r = rng();
+        let dev = DeviceConfig::ideal().with_tile_shape(Some(TileShape::standard()));
         let w = Tensor::rand_uniform(&[60, 100], -0.002, 0.002, &mut r);
         let tiles = |mapping| {
-            TiledCrossbar::program_signed(
-                &w,
-                mapping,
-                DeviceConfig::ideal(),
-                TileShape::standard(),
-                &mut XorShiftRng::new(1),
-            )
-            .unwrap()
-            .num_tiles()
+            CrossbarArray::program_signed(&w, mapping, dev, &mut XorShiftRng::new(1))
+                .unwrap()
+                .num_tiles()
         };
         assert!(tiles(Mapping::DoubleElement) >= tiles(Mapping::Acm));
         let w2 = Tensor::rand_uniform(&[100, 100], -0.002, 0.002, &mut r);
         let tiles2 = |mapping| {
-            TiledCrossbar::program_signed(
-                &w2,
-                mapping,
-                DeviceConfig::ideal(),
-                TileShape::standard(),
-                &mut XorShiftRng::new(2),
-            )
-            .unwrap()
-            .num_tiles()
+            CrossbarArray::program_signed(&w2, mapping, dev, &mut XorShiftRng::new(2))
+                .unwrap()
+                .num_tiles()
         };
         // DE fits 64 outputs per 128-wide tile -> 2 groups; ACM fits 127 -> 1.
         assert_eq!(tiles2(Mapping::DoubleElement), 2 * tiles2(Mapping::Acm));
@@ -1109,15 +476,12 @@ mod tests {
     fn quantization_and_variation_apply_per_tile() {
         let mut r = rng();
         let w = Tensor::rand_uniform(&[8, 20], -0.02, 0.02, &mut r);
-        let dev = DeviceConfig::quantized_linear(4).with_variation_sigma(0.05);
-        let tiled = TiledCrossbar::program_signed(
-            &w,
-            Mapping::DoubleElement,
-            dev,
-            TileShape::new(8, 8),
-            &mut r,
-        )
-        .unwrap();
+        let dev = on_tiles(
+            DeviceConfig::quantized_linear(4).with_variation_sigma(0.05),
+            8,
+            8,
+        );
+        let tiled = CrossbarArray::program_signed(&w, Mapping::DoubleElement, dev, &mut r).unwrap();
         let x = Tensor::ones(&[20]);
         // Must still approximate the ideal result. Per-output noise std is
         // ~sigma*sqrt(2*n_in) ~ 0.32, so 1.0 is a ~3-sigma bound on the
@@ -1128,69 +492,6 @@ mod tests {
     }
 
     #[test]
-    fn per_tile_fault_maps_and_programming_reports_merge() {
-        use xbar_device::FaultModel;
-        let mut r = rng();
-        let w = Tensor::rand_uniform(&[12, 24], -0.02, 0.02, &mut r);
-        let dev = DeviceConfig::ideal().with_faults(FaultModel::uniform(0.05));
-        let tiled =
-            TiledCrossbar::program_signed(&w, Mapping::Acm, dev, TileShape::new(8, 8), &mut r)
-                .unwrap();
-        let stuck = tiled.fault_map().num_stuck();
-        assert!(stuck > 0, "5% rate across the grid should hit");
-        assert_eq!(tiled.programming_report().num_stuck(), stuck);
-        assert_eq!(
-            tiled.programming_report().total_cells(),
-            tiled.num_elements()
-        );
-        assert!(tiled.require_converged().is_ok());
-        // Frozen cells hold their forced value in the stacked frame.
-        let range = dev.range();
-        for (row, col, kind) in tiled.fault_map().iter_stuck() {
-            assert_eq!(
-                tiled.conductances().at(&[row, col]),
-                kind.forced_value(range)
-            );
-        }
-    }
-
-    #[test]
-    fn tile_local_remap_recovers_weight_accuracy() {
-        use xbar_device::FaultModel;
-        let mut r = rng();
-        let w = Tensor::rand_uniform(&[12, 24], -0.02, 0.02, &mut r);
-        let dev = DeviceConfig::ideal().with_faults(FaultModel::uniform(0.02));
-        let naive = TiledCrossbar::program_signed(
-            &w,
-            Mapping::Acm,
-            dev,
-            TileShape::new(8, 8),
-            &mut XorShiftRng::new(5),
-        )
-        .unwrap();
-        let (remapped, report) = TiledCrossbar::program_signed_remapped(
-            &w,
-            Mapping::Acm,
-            dev,
-            TileShape::new(8, 8),
-            &mut XorShiftRng::new(5),
-        )
-        .unwrap();
-        // Same seed -> same per-tile defect deal.
-        assert_eq!(naive.fault_map(), remapped.fault_map());
-        assert!(naive.fault_map().num_stuck() > 0);
-        let err = |xb: &TiledCrossbar| xb.effective_weights().sub(&w).unwrap().norm_sq().sqrt();
-        assert!(
-            err(&remapped) < err(&naive) * 0.5,
-            "remapped error {} vs naive {}",
-            err(&remapped),
-            err(&naive)
-        );
-        assert!(report.residual_after() <= report.residual_before());
-        assert_eq!(report.stuck_cells(), naive.fault_map().num_stuck());
-    }
-
-    #[test]
     fn remap_never_crosses_tile_boundaries() {
         use xbar_device::FaultModel;
         // A fault in one tile must leave every fault-free tile region's
@@ -1198,20 +499,13 @@ mod tests {
         // faulty remapped grid against the same grid with no fault model.
         let mut r = rng();
         let w = Tensor::rand_uniform(&[12, 8], -0.02, 0.02, &mut r);
-        let clean = TiledCrossbar::program_signed(
+        let dev = on_tiles(DeviceConfig::ideal(), 8, 8);
+        let clean =
+            CrossbarArray::program_signed(&w, Mapping::Acm, dev, &mut XorShiftRng::new(7)).unwrap();
+        let (remapped, _) = CrossbarArray::program_signed_remapped(
             &w,
             Mapping::Acm,
-            DeviceConfig::ideal(),
-            TileShape::new(8, 8),
-            &mut XorShiftRng::new(7),
-        )
-        .unwrap();
-        let dev = DeviceConfig::ideal().with_faults(FaultModel::uniform(0.04));
-        let (remapped, _) = TiledCrossbar::program_signed_remapped(
-            &w,
-            Mapping::Acm,
-            dev,
-            TileShape::new(8, 8),
+            dev.with_faults(FaultModel::uniform(0.04)),
             &mut XorShiftRng::new(7),
         )
         .unwrap();
@@ -1238,109 +532,21 @@ mod tests {
     }
 
     #[test]
-    fn resample_keeps_fault_pattern_but_redraws_noise() {
-        use xbar_device::FaultModel;
-        let mut r = rng();
-        let w = Tensor::rand_uniform(&[10, 20], -0.02, 0.02, &mut r);
-        let dev = DeviceConfig::ideal()
-            .with_faults(FaultModel::uniform(0.05))
-            .with_variation_sigma(0.05);
-        let mut tiled =
-            TiledCrossbar::program_signed(&w, Mapping::Acm, dev, TileShape::new(8, 8), &mut r)
-                .unwrap();
-        let map_before = tiled.fault_map().clone();
-        let prog_before = tiled.conductances().clone();
-        let targets_before = tiled.targets().clone();
-        tiled.resample_variation(&mut r);
-        assert_eq!(
-            tiled.fault_map(),
-            &map_before,
-            "defects belong to the chips"
-        );
-        assert!(tiled.targets().all_close(&targets_before, 0.0));
-        assert!(!tiled.conductances().all_close(&prog_before, 1e-7));
-        for (row, col, kind) in tiled.fault_map().iter_stuck() {
-            assert_eq!(
-                tiled.conductances().at(&[row, col]),
-                kind.forced_value(dev.range())
-            );
-        }
-    }
-
-    #[test]
-    fn variation_trials_match_serial_resample_loop() {
-        let mut r = rng();
-        let w = Tensor::rand_uniform(&[10, 20], -0.02, 0.02, &mut r);
-        let dev = DeviceConfig::quantized_linear(4).with_variation_sigma(0.05);
-        let tiled =
-            TiledCrossbar::program_signed(&w, Mapping::Acm, dev, TileShape::new(8, 8), &mut r)
-                .unwrap();
-        let x = Tensor::rand_uniform(&[3, 20], -1.0, 1.0, &mut r);
-        let mut rng_a = XorShiftRng::new(99);
-        let got = tiled.variation_trials(&x, 4, &mut rng_a).unwrap();
-        assert_eq!(got.len(), 4);
-        let mut rng_b = XorShiftRng::new(99);
-        let forks: Vec<_> = (0..4u64).map(|t| rng_b.fork(t)).collect();
-        for (t, mut fr) in forks.into_iter().enumerate() {
-            let mut chip = tiled.clone();
-            chip.resample_variation(&mut fr);
-            let want = chip.forward(&x).unwrap();
-            assert_eq!(got[t].data(), want.data(), "trial {t}");
-        }
-        assert!(!got[0].all_close(&got[1], 1e-7));
-        assert_eq!(rng_a.next_u64(), rng_b.next_u64());
-    }
-
-    #[test]
     fn program_conductances_infers_output_count() {
         let mut r = rng();
         let w = Tensor::rand_uniform(&[13, 10], -0.02, 0.02, &mut r);
+        let dev = on_tiles(DeviceConfig::ideal(), 8, 8);
         for mapping in Mapping::ALL {
-            let grid = TileGrid::new(13, 10, mapping, Some(TileShape::new(8, 8))).unwrap();
-            let m = grid.decompose(&w, DeviceConfig::ideal().range()).unwrap();
-            let tiled = TiledCrossbar::program_conductances(
-                &m,
-                mapping,
-                DeviceConfig::ideal(),
-                TileShape::new(8, 8),
-                &mut r,
-            )
-            .unwrap();
+            let grid = TileGrid::new(13, 10, mapping, dev.tile_shape()).unwrap();
+            let m = grid.decompose(&w, dev.range()).unwrap();
+            let tiled = CrossbarArray::program_conductances(&m, mapping, dev, &mut r).unwrap();
             assert_eq!(tiled.n_out(), 13, "{mapping}");
             assert!(tiled.effective_weights().all_close(&w, 1e-4), "{mapping}");
         }
         // An inconsistent stacked row count is rejected (ACM on 8-wide
         // tiles: nd = n_out + ceil(n_out/7); nd = 9 has no solution).
         let bad = Tensor::zeros(&[9, 10]);
-        assert!(TiledCrossbar::program_conductances(
-            &bad,
-            Mapping::Acm,
-            DeviceConfig::ideal(),
-            TileShape::new(8, 8),
-            &mut r,
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn rejects_bad_input_length() {
-        let mut r = rng();
-        let w = Tensor::rand_uniform(&[4, 10], -0.05, 0.05, &mut r);
-        let t = TiledCrossbar::program_signed(
-            &w,
-            Mapping::Acm,
-            DeviceConfig::ideal(),
-            TileShape::new(4, 4),
-            &mut r,
-        )
-        .unwrap();
-        assert!(t.mvm_signed(&Tensor::zeros(&[11])).is_err());
-        assert!(t.forward(&Tensor::zeros(&[2, 11])).is_err());
-        let bad = Tensor::from_vec(vec![f32::NAN; 10], &[10]).unwrap();
-        assert!(matches!(
-            t.mvm_raw(&bad),
-            Err(MappingError::NonFiniteInput { .. })
-        ));
+        assert!(CrossbarArray::program_conductances(&bad, Mapping::Acm, dev, &mut r).is_err());
     }
 
     #[test]
@@ -1374,9 +580,9 @@ mod tests {
             let m = grid.decompose(&w, range).unwrap();
             assert_eq!(m.shape(), [grid.nd_total(), 6]);
             for g in grid.col_groups() {
-                let w_group = rows_slice(&w, g.out_start, g.out_len);
+                let w_group = w.block(g.out_start, g.out_len, 0, 6);
                 let m_group = decompose(&w_group, mapping, range).unwrap();
-                let got = rows_slice(&m, g.dev_start, g.dev_len);
+                let got = m.block(g.dev_start, g.dev_len, 0, 6);
                 assert!(got.all_close(&m_group, 0.0), "{mapping}");
             }
         }
@@ -1389,27 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn tiled_parasitics_off_effective_is_bitwise_programmed() {
-        let mut r = rng();
-        let w = Tensor::rand_uniform(&[12, 30], -0.02, 0.02, &mut r);
-        for mapping in Mapping::ALL {
-            let tiled = TiledCrossbar::program_signed(
-                &w,
-                mapping,
-                DeviceConfig::quantized_linear(4).with_variation_sigma(0.03),
-                TileShape::new(8, 8),
-                &mut r,
-            )
-            .unwrap();
-            assert_eq!(
-                tiled.effective_conductances().data(),
-                tiled.conductances().data(),
-                "{mapping}: parasitics off must be a pure pass-through"
-            );
-        }
-    }
-
-    #[test]
     fn tiled_line_resistance_restarts_at_tile_boundaries() {
         use xbar_device::LineResistanceModel;
         // The same layer split over smaller tiles has shorter wire runs,
@@ -1419,43 +604,17 @@ mod tests {
         let x = Tensor::ones(&[30]);
         let dev = DeviceConfig::ideal().with_line_resistance(LineResistanceModel::new(0.01));
         let ideal = linalg::matvec(&w, &x).unwrap();
-        let err = |tile: TileShape| {
-            let t = TiledCrossbar::program_signed(&w, Mapping::Acm, dev, tile, &mut rng()).unwrap();
+        let err = |tile: usize| {
+            let t = CrossbarArray::program_signed(
+                &w,
+                Mapping::Acm,
+                on_tiles(dev, tile, tile),
+                &mut rng(),
+            )
+            .unwrap();
             t.mvm_signed(&x).unwrap().sub(&ideal).unwrap().abs_max()
         };
-        assert!(err(TileShape::new(8, 8)) < err(TileShape::new(128, 128)));
-    }
-
-    #[test]
-    fn tiled_perm_sorts_each_group_and_stays_exact() {
-        let mut r = rng();
-        let w = Tensor::rand_uniform(&[13, 21], -0.02, 0.02, &mut r);
-        let tiled = TiledCrossbar::program_signed(
-            &w,
-            Mapping::Perm,
-            DeviceConfig::ideal(),
-            TileShape::new(8, 8),
-            &mut r,
-        )
-        .unwrap();
-        assert!(tiled.effective_weights().all_close(&w, 1e-4));
-        // Within every column-group the physical rows are in descending
-        // mid-deviation order.
-        let mid = tiled.device().range().midpoint();
-        let n_in = tiled.n_in();
-        for g in tiled.grid().col_groups() {
-            let dev: Vec<f32> = (g.dev_start..g.dev_start + g.dev_len)
-                .map(|j| {
-                    tiled.conductances().data()[j * n_in..(j + 1) * n_in]
-                        .iter()
-                        .map(|&v| (v - mid).abs())
-                        .sum()
-                })
-                .collect();
-            for pair in dev.windows(2) {
-                assert!(pair[0] >= pair[1] - 1e-6, "group not sorted: {dev:?}");
-            }
-        }
+        assert!(err(8) < err(128));
     }
 
     #[test]
@@ -1463,29 +622,62 @@ mod tests {
         use xbar_device::FaultModel;
         let mut r = rng();
         let w = Tensor::rand_uniform(&[12, 24], -0.02, 0.02, &mut r);
-        let dev = DeviceConfig::ideal().with_faults(FaultModel::uniform(0.02));
-        let naive = TiledCrossbar::program_signed(
+        let dev = on_tiles(
+            DeviceConfig::ideal().with_faults(FaultModel::uniform(0.02)),
+            8,
+            8,
+        );
+        let naive = CrossbarArray::program_signed(&w, Mapping::Perm, dev, &mut XorShiftRng::new(5))
+            .unwrap();
+        let (remapped, report) = CrossbarArray::program_signed_remapped(
             &w,
             Mapping::Perm,
             dev,
-            TileShape::new(8, 8),
-            &mut XorShiftRng::new(5),
-        )
-        .unwrap();
-        let (remapped, report) = TiledCrossbar::program_signed_remapped(
-            &w,
-            Mapping::Perm,
-            dev,
-            TileShape::new(8, 8),
             &mut XorShiftRng::new(5),
         )
         .unwrap();
         assert!(naive.fault_map().num_stuck() > 0);
-        let err = |xb: &TiledCrossbar| xb.effective_weights().sub(&w).unwrap().norm_sq().sqrt();
+        let err = |xb: &CrossbarArray| xb.effective_weights().sub(&w).unwrap().norm_sq().sqrt();
         assert!(
             err(&remapped) < err(&naive),
             "null-space slack survives the permutation"
         );
         assert!(report.residual_after() <= report.residual_before());
+    }
+
+    // Twins of the untiled tests in `crossbar.rs`, on a grid of 8×8 tiles.
+    #[test]
+    fn rejects_bad_input_length() {
+        twins::rejects_bad_input_length_on(Some(TileShape::new(8, 8)));
+    }
+
+    #[test]
+    fn per_tile_fault_maps_and_programming_reports_merge() {
+        twins::fault_model_freezes_cells_through_programming_on(Some(TileShape::new(8, 8)));
+    }
+
+    #[test]
+    fn tile_local_remap_recovers_weight_accuracy() {
+        twins::remapped_programming_recovers_weight_accuracy_on(Some(TileShape::new(8, 8)));
+    }
+
+    #[test]
+    fn resample_keeps_fault_pattern_but_redraws_noise() {
+        twins::resample_keeps_fault_pattern_but_redraws_noise_on(Some(TileShape::new(8, 8)));
+    }
+
+    #[test]
+    fn variation_trials_match_serial_resample_loop() {
+        twins::variation_trials_match_serial_resample_loop_on(Some(TileShape::new(8, 8)));
+    }
+
+    #[test]
+    fn tiled_parasitics_off_effective_is_bitwise_programmed() {
+        twins::parasitics_off_effective_is_bitwise_programmed_on(Some(TileShape::new(8, 8)));
+    }
+
+    #[test]
+    fn tiled_perm_sorts_each_group_and_stays_exact() {
+        twins::perm_places_large_magnitude_rows_near_the_driver_on(Some(TileShape::new(8, 8)));
     }
 }

@@ -1,13 +1,13 @@
 //! Property-based tests of tile-granular execution: for any weight
-//! shape, tile shape, and mapping, the tiled crossbar agrees with the
-//! monolithic reference array.
+//! shape, tile shape, and mapping, an array on a tiled device agrees with
+//! the same array on an untiled one.
 
 // Entire file is proptest-driven; compiled only with the non-default
 // `slow-proptests` feature (the proptest dep is unavailable offline).
 #![cfg(feature = "slow-proptests")]
 
 use proptest::prelude::*;
-use xbar_core::{CrossbarArray, Mapping, TileGrid, TiledCrossbar};
+use xbar_core::{CrossbarArray, Mapping, TileGrid};
 use xbar_device::{DeviceConfig, TileShape};
 use xbar_tensor::rng::XorShiftRng;
 use xbar_tensor::Tensor;
@@ -43,7 +43,9 @@ proptest! {
         let mut r1 = XorShiftRng::new(7);
         let mono = CrossbarArray::program_signed(&w, mapping, dev, &mut r1).unwrap();
         let mut r2 = XorShiftRng::new(7);
-        let tiled = TiledCrossbar::program_signed(&w, mapping, dev, tile, &mut r2).unwrap();
+        let tiled =
+            CrossbarArray::program_signed(&w, mapping, dev.with_tile_shape(Some(tile)), &mut r2)
+                .unwrap();
 
         let mono_out = mono.forward(&x).unwrap();
         let tiled_out = tiled.forward(&x).unwrap();

@@ -226,6 +226,25 @@ impl FaultMap {
             .filter_map(move |(i, f)| f.map(|k| (i / cols, i % cols, k)))
     }
 
+    /// The sub-map of the `rows × cols` block whose top-left cell is
+    /// `(r0, c0)`, in block-local coordinates — the defects of one tile of
+    /// a stacked conductance matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block runs past the map's edges.
+    pub fn block(&self, r0: usize, rows: usize, c0: usize, cols: usize) -> Self {
+        assert!(
+            r0 + rows <= self.rows && c0 + cols <= self.cols,
+            "fault block out of bounds"
+        );
+        let mut faults = Vec::with_capacity(rows * cols);
+        for r in r0..r0 + rows {
+            faults.extend_from_slice(&self.faults[r * self.cols + c0..][..cols]);
+        }
+        Self { rows, cols, faults }
+    }
+
     /// Forces every stuck cell of a conductance tensor to its frozen value,
     /// returning the faulty copy.
     ///
@@ -303,6 +322,19 @@ mod tests {
         assert_eq!(faulty.at(&[1, 2]), 0.0);
         assert_eq!(faulty.at(&[0, 0]), 0.4);
         assert_eq!(map.num_stuck(), 2);
+    }
+
+    #[test]
+    fn block_keeps_only_the_tile_defects_in_local_coordinates() {
+        let mut map = FaultMap::pristine(4, 5);
+        map.set(0, 0, FaultKind::StuckAtGMin);
+        map.set(2, 3, FaultKind::StuckAtGMax);
+        map.set(3, 1, FaultKind::StuckAtGMin);
+        let tile = map.block(1, 3, 2, 3);
+        assert_eq!(tile.shape(), (3, 3));
+        let stuck: Vec<_> = tile.iter_stuck().collect();
+        assert_eq!(stuck, vec![(1, 1, FaultKind::StuckAtGMax)]);
+        assert_eq!(map.block(0, 4, 0, 5), map);
     }
 
     #[test]

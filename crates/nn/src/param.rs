@@ -6,7 +6,7 @@ use xbar_core::{
     Mapping, PeripheryMatrix, QuantReadout, ReadoutImage, RepairAttempt, RepairPolicy, RepairStage,
     ScrubReport, TileGrid, TileHealth,
 };
-use xbar_device::{ConductanceRange, DeviceConfig, FaultMap};
+use xbar_device::{ConductanceRange, DeviceConfig};
 use xbar_tensor::rng::XorShiftRng;
 use xbar_tensor::{linalg, qmatmul_nt, QuantizedTensor, Tensor};
 
@@ -230,11 +230,9 @@ impl MappedParam {
                     .map_err(NnError::Mapping)?;
                 let mut shadow = Tensor::zeros(&[grid.nd_total(), n_in]);
                 for g in grid.col_groups() {
-                    let wc_group = rows_slice(&wc, g.out_start, g.out_len);
+                    let wc_group = wc.block(g.out_start, g.out_len, 0, n_in);
                     let m_group = init_conductances(&wc_group, mapping, &device);
-                    let cols = n_in;
-                    shadow.data_mut()[g.dev_start * cols..(g.dev_start + g.dev_len) * cols]
-                        .copy_from_slice(m_group.data());
+                    shadow.write_block(g.dev_start, 0, &m_group);
                 }
                 // Perm: fix each group's physical row order from the
                 // initial conductances (large mid-deviation rows first,
@@ -246,11 +244,9 @@ impl MappedParam {
                     let mid = range.midpoint();
                     let mut perm = vec![0.0f32; grid.nd_total()];
                     for g in grid.col_groups() {
-                        let group = rows_slice(&shadow, g.dev_start, g.dev_len);
+                        let group = shadow.block(g.dev_start, g.dev_len, 0, n_in);
                         let local = magnitude_permutation(&group, mid);
-                        let permuted = permute_rows(&group, &local);
-                        shadow.data_mut()[g.dev_start * n_in..(g.dev_start + g.dev_len) * n_in]
-                            .copy_from_slice(permuted.data());
+                        shadow.write_block(g.dev_start, 0, &group.permute_rows(&local));
                         for (p, &logical) in local.iter().enumerate() {
                             perm[g.dev_start + p] = (g.dev_start + logical) as f32;
                         }
@@ -527,12 +523,13 @@ impl MappedParam {
     /// Builds the int8 forward's weight side from the weights currently
     /// served.
     fn int8_image(&self) -> Result<Int8Image, NnError> {
-        Ok(match self.kind {
-            WeightKind::Signed => {
+        // Only mapped parameters carry a tile grid.
+        Ok(match &self.grid {
+            None => {
                 let w = self.variation_override.as_ref().unwrap_or(&self.shadow);
                 Int8Image::Signed(QuantizedTensor::quantize_symmetric_per_row(w, 8))
             }
-            WeightKind::Mapped(_) => {
+            Some(grid) => {
                 let served;
                 let g = match &self.variation_override {
                     Some(noisy) => noisy,
@@ -541,7 +538,7 @@ impl MappedParam {
                         &served
                     }
                 };
-                Int8Image::Mapped(ReadoutImage::new(g, self.grid.as_ref(), &self.device)?)
+                Int8Image::Mapped(ReadoutImage::new(g, grid, &self.device)?)
             }
         })
     }
@@ -596,11 +593,8 @@ impl MappedParam {
                     Mapping::Acm => {
                         let mut pre = Tensor::zeros(&[self.n_out, self.n_in]);
                         for g in grid.col_groups() {
-                            let g_slice = rows_slice(grad_w, g.out_start, g.out_len);
-                            let solved = solve_acm_gram(&g_slice);
-                            pre.data_mut()
-                                [g.out_start * self.n_in..(g.out_start + g.out_len) * self.n_in]
-                                .copy_from_slice(solved.data());
+                            let g_slice = grad_w.block(g.out_start, g.out_len, 0, self.n_in);
+                            pre.write_block(g.out_start, 0, &solve_acm_gram(&g_slice));
                         }
                         pre
                     }
@@ -774,13 +768,8 @@ impl MappedParam {
             // sub-step compensations.
             let mut merged: Option<xbar_core::RemapReport> = None;
             for g in grid.col_groups() {
-                let mut group_map = xbar_device::FaultMap::pristine(g.dev_len, n_in);
-                for (row, col, kind) in map.iter_stuck() {
-                    if (g.dev_start..g.dev_start + g.dev_len).contains(&row) {
-                        group_map.set(row - g.dev_start, col, kind);
-                    }
-                }
-                let group_targets = rows_slice(&targets, g.dev_start, g.dev_len);
+                let group_map = map.block(g.dev_start, g.dev_len, 0, n_in);
+                let group_targets = targets.block(g.dev_start, g.dev_len, 0, n_in);
                 let mut group_periphery = grid.mapping().periphery(g.out_len);
                 if let Some(perm) = &self.perm {
                     // The stored rows are in physical order; compensate
@@ -794,8 +783,7 @@ impl MappedParam {
                     range,
                 )
                 .map_err(NnError::Mapping)?;
-                targets.data_mut()[g.dev_start * n_in..(g.dev_start + g.dev_len) * n_in]
-                    .copy_from_slice(shifted.data());
+                targets.write_block(g.dev_start, 0, &shifted);
                 merged = Some(match merged {
                     Some(acc) => acc.merge(&report),
                     None => report,
@@ -981,9 +969,9 @@ impl MappedParam {
         let mut tile_idx = 0usize;
         for &(r0, rl) in grid.row_blocks() {
             for g in grid.col_groups() {
-                let tf = tile_fault_map(&faults, g, r0, rl);
-                let t_block = block_slice(&targets, g.dev_start, g.dev_len, r0, rl);
-                let q_block = block_slice(&q, g.dev_start, g.dev_len, r0, rl);
+                let tf = faults.block(g.dev_start, g.dev_len, r0, rl);
+                let t_block = targets.block(g.dev_start, g.dev_len, r0, rl);
+                let q_block = q.block(g.dev_start, g.dev_len, r0, rl);
                 let (prog, prep) = programming.program_tensor(
                     &t_block,
                     &xbar_device::VariationModel::none(),
@@ -1011,31 +999,25 @@ impl MappedParam {
                                     } else {
                                         t_block.clone()
                                     };
-                                    let stencil = PeripheryMatrix::try_new(block_slice(
-                                        periphery.matrix(),
-                                        g.out_start,
-                                        g.out_len,
-                                        g.dev_start,
-                                        g.dev_len,
-                                    ))
-                                    .map_err(NnError::Mapping)?;
+                                    let stencil =
+                                        PeripheryMatrix::try_new(periphery.matrix().block(
+                                            g.out_start,
+                                            g.out_len,
+                                            g.dev_start,
+                                            g.dev_len,
+                                        ))
+                                        .map_err(NnError::Mapping)?;
                                     let (shifted, rr) =
                                         remap_for_faults(&base, &stencil, &tf, range)
                                             .map_err(NnError::Mapping)?;
                                     let shift_block =
                                         shifted.sub(&q_block).map_err(NnError::Shape)?;
-                                    write_block_slice(
-                                        &mut scrub.shift,
-                                        g.dev_start,
-                                        r0,
-                                        &shift_block,
-                                    );
+                                    scrub.shift.write_block(g.dev_start, r0, &shift_block);
                                     Some(rr.residual_after())
                                 }
                             };
                             let t_block = {
-                                let shift_block =
-                                    block_slice(&scrub.shift, g.dev_start, g.dev_len, r0, rl);
+                                let shift_block = scrub.shift.block(g.dev_start, g.dev_len, r0, rl);
                                 let mut t = q_block.add(&shift_block).map_err(NnError::Shape)?;
                                 t.map_inplace(|v| range.clamp(v));
                                 t
@@ -1059,8 +1041,7 @@ impl MappedParam {
                                 // Exact digital fallback: the tile's partial
                                 // product comes from the ideal quantized
                                 // conductances; its compensation is cleared.
-                                write_block_slice(
-                                    &mut scrub.shift,
+                                scrub.shift.write_block(
                                     g.dev_start,
                                     r0,
                                     &Tensor::zeros(&[g.dev_len, rl]),
@@ -1080,7 +1061,7 @@ impl MappedParam {
                         HealthAction::Nothing | HealthAction::Backoff => {}
                     }
                 }
-                write_block_slice(&mut served, g.dev_start, r0, &serve);
+                served.write_block(g.dev_start, r0, &serve);
                 tile_idx += 1;
             }
         }
@@ -1126,10 +1107,10 @@ impl MappedParam {
         for &(r0, rl) in grid.row_blocks() {
             for g in grid.col_groups() {
                 let serve = if monitor.state(tile_idx) == TileHealth::Quarantined {
-                    block_slice(&q, g.dev_start, g.dev_len, r0, rl)
+                    q.block(g.dev_start, g.dev_len, r0, rl)
                 } else {
-                    let tf = tile_fault_map(&faults, g, r0, rl);
-                    let t_block = block_slice(&targets, g.dev_start, g.dev_len, r0, rl);
+                    let tf = faults.block(g.dev_start, g.dev_len, r0, rl);
+                    let t_block = targets.block(g.dev_start, g.dev_len, r0, rl);
                     programming
                         .program_tensor(
                             &t_block,
@@ -1140,7 +1121,7 @@ impl MappedParam {
                         )
                         .0
                 };
-                write_block_slice(&mut served, g.dev_start, r0, &serve);
+                served.write_block(g.dev_start, r0, &serve);
                 tile_idx += 1;
             }
         }
@@ -1260,51 +1241,6 @@ fn scrub_targets(q: &Tensor, shift: &Tensor, range: ConductanceRange) -> Tensor 
     t
 }
 
-/// The sub-map of `faults` covering one tile (column group `g` × input
-/// rows `r0..r0+rl`), in tile-local coordinates.
-fn tile_fault_map(faults: &FaultMap, g: &xbar_core::ColGroup, r0: usize, rl: usize) -> FaultMap {
-    let mut tf = FaultMap::pristine(g.dev_len, rl);
-    for (row, col, kind) in faults.iter_stuck() {
-        if (g.dev_start..g.dev_start + g.dev_len).contains(&row) && (r0..r0 + rl).contains(&col) {
-            tf.set(row - g.dev_start, col - r0, kind);
-        }
-    }
-    tf
-}
-
-/// Extracts the `(r0..r0+rl, c0..c0+cl)` block of a 2-D tensor.
-fn block_slice(t: &Tensor, r0: usize, rl: usize, c0: usize, cl: usize) -> Tensor {
-    let cols = t.shape()[1];
-    let mut out = Tensor::zeros(&[rl, cl]);
-    for r in 0..rl {
-        let src = &t.data()[(r0 + r) * cols + c0..(r0 + r) * cols + c0 + cl];
-        out.data_mut()[r * cl..(r + 1) * cl].copy_from_slice(src);
-    }
-    out
-}
-
-/// Writes `src` into the `(r0.., c0..)` block of `dst`.
-fn write_block_slice(dst: &mut Tensor, r0: usize, c0: usize, src: &Tensor) {
-    let cols = dst.shape()[1];
-    let (srl, scl) = (src.shape()[0], src.shape()[1]);
-    for r in 0..srl {
-        dst.data_mut()[(r0 + r) * cols + c0..(r0 + r) * cols + c0 + scl]
-            .copy_from_slice(&src.data()[r * scl..(r + 1) * scl]);
-    }
-}
-
-/// Reorders the rows of a 2-D tensor: output row `p` is input row
-/// `perm[p]`.
-fn permute_rows(t: &Tensor, perm: &[usize]) -> Tensor {
-    let cols = t.shape()[1];
-    let mut out = Tensor::zeros(&[perm.len(), cols]);
-    for (p, &logical) in perm.iter().enumerate() {
-        out.data_mut()[p * cols..(p + 1) * cols]
-            .copy_from_slice(&t.data()[logical * cols..(logical + 1) * cols]);
-    }
-    out
-}
-
 /// The group-local physical→logical row order for column group `g`,
 /// sliced out of the stacked permutation tensor.
 fn group_perm(perm: &Tensor, g: &xbar_core::ColGroup) -> Vec<usize> {
@@ -1327,16 +1263,6 @@ fn periphery_for_perm(grid: &TileGrid, perm: &Tensor) -> PeripheryMatrix {
         })
         .collect();
     PeripheryMatrix::block_diagonal(&blocks)
-}
-
-/// Copies rows `[start, start + len)` of a 2-D tensor into a new tensor.
-fn rows_slice(t: &Tensor, start: usize, len: usize) -> Tensor {
-    let cols = t.shape()[1];
-    Tensor::from_vec(
-        t.data()[start * cols..(start + len) * cols].to_vec(),
-        &[len, cols],
-    )
-    .expect("slice length matches shape")
 }
 
 /// Solves `(S·Sᵀ)·X = G` for the ACM Gram matrix — the symmetric positive

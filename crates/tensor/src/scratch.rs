@@ -113,21 +113,29 @@ pub(crate) fn take_filled(len: usize, value: f32) -> Vec<f32> {
 }
 
 /// Returns a buffer holding a copy of `src`, reusing a parked buffer of
-/// matching capacity when one exists. Unlike [`take_filled`] the reused
-/// buffer is written exactly once (`extend_from_slice`, no pre-fill), so
-/// a pooled deep copy costs one memcpy — same as `slice::to_vec` minus
-/// the allocator round-trip.
+/// matching capacity when one exists.
 pub(crate) fn take_copied(src: &[f32]) -> Vec<f32> {
-    let len = src.len();
-    if len >= MIN_RECYCLE_LEN {
-        let reused = POOL.with(|p| p.borrow_mut().pop(len));
-        if let Some(mut buf) = reused {
-            buf.clear();
-            buf.extend_from_slice(src);
-            return buf;
-        }
+    take_gathered(src.len(), std::iter::once(src))
+}
+
+/// Returns a buffer holding the `len` elements of `parts` back to back,
+/// reusing a parked buffer of matching capacity when one exists. Unlike
+/// [`take_filled`] the buffer is written exactly once
+/// (`extend_from_slice`, no pre-fill), so a pooled copy costs one memcpy
+/// per part — same as `slice::to_vec` minus the allocator round-trip.
+pub(crate) fn take_gathered<'a>(len: usize, parts: impl Iterator<Item = &'a [f32]>) -> Vec<f32> {
+    let reused = if len >= MIN_RECYCLE_LEN {
+        POOL.with(|p| p.borrow_mut().pop(len))
+    } else {
+        None
+    };
+    let mut buf = reused.unwrap_or_else(|| Vec::with_capacity(len));
+    buf.clear();
+    for part in parts {
+        buf.extend_from_slice(part);
     }
-    src.to_vec()
+    debug_assert_eq!(buf.len(), len, "parts must hold exactly len elements");
+    buf
 }
 
 /// Parks `buf` for reuse. Called from `Tensor::drop`; buffers that do not

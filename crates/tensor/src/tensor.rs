@@ -386,6 +386,66 @@ impl Tensor {
         }
     }
 
+    /// Copies the `rows × cols` block of a 2-D tensor whose top-left
+    /// element is `(r0, c0)` into a new tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensor is not 2-D or the block runs past its edges.
+    pub fn block(&self, r0: usize, rows: usize, c0: usize, cols: usize) -> Self {
+        assert_eq!(self.ndim(), 2, "block() requires a 2-D tensor");
+        let width = self.shape[1];
+        assert!(
+            r0 + rows <= self.shape[0] && c0 + cols <= width,
+            "block out of bounds"
+        );
+        let src = (r0..r0 + rows).map(|r| &self.data[r * width + c0..][..cols]);
+        Self {
+            shape: vec![rows, cols],
+            data: scratch::take_gathered(rows * cols, src),
+        }
+    }
+
+    /// Writes the 2-D tensor `src` into this one with its top-left element
+    /// at `(r0, c0)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either tensor is not 2-D or `src` runs past this tensor's
+    /// edges.
+    pub fn write_block(&mut self, r0: usize, c0: usize, src: &Self) {
+        assert!(
+            self.ndim() == 2 && src.ndim() == 2,
+            "write_block() requires 2-D tensors"
+        );
+        let width = self.shape[1];
+        let (rows, cols) = (src.shape[0], src.shape[1]);
+        assert!(
+            r0 + rows <= self.shape[0] && c0 + cols <= width,
+            "block out of bounds"
+        );
+        for r in 0..rows {
+            self.data[(r0 + r) * width + c0..][..cols]
+                .copy_from_slice(&src.data[r * cols..(r + 1) * cols]);
+        }
+    }
+
+    /// Reorders the rows of a 2-D tensor: row `p` of the result is row
+    /// `perm[p]` of `self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensor is not 2-D or an index is out of bounds.
+    pub fn permute_rows(&self, perm: &[usize]) -> Self {
+        assert_eq!(self.ndim(), 2, "permute_rows() requires a 2-D tensor");
+        let cols = self.shape[1];
+        let src = perm.iter().map(|&r| &self.data[r * cols..(r + 1) * cols]);
+        Self {
+            shape: vec![perm.len(), cols],
+            data: scratch::take_gathered(perm.len() * cols, src),
+        }
+    }
+
     /// True when every pairwise element difference is at most `tol`.
     ///
     /// Shapes must match exactly; mismatched shapes return `false`.
@@ -541,6 +601,21 @@ mod tests {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
         assert_eq!(t.row(1).data(), &[4.0, 5.0, 6.0]);
         assert_eq!(t.col(2).data(), &[3.0, 6.0]);
+    }
+
+    #[test]
+    fn blocks_and_row_permutations_copy_exactly() {
+        let t = Tensor::from_fn(&[3, 4], |i| i as f32);
+        let b = t.block(1, 2, 1, 3);
+        assert_eq!(b.shape(), &[2, 3]);
+        assert_eq!(b.data(), &[5.0, 6.0, 7.0, 9.0, 10.0, 11.0]);
+        let mut dst = Tensor::zeros(&[3, 4]);
+        dst.write_block(1, 1, &b);
+        assert_eq!(dst.block(1, 2, 1, 3), b);
+        assert_eq!(dst.block(0, 1, 0, 4).data(), &[0.0; 4]);
+        assert_eq!(dst.block(0, 3, 0, 1).data(), &[0.0; 3]);
+        let p = t.permute_rows(&[2, 0]);
+        assert_eq!(p.data(), &[8.0, 9.0, 10.0, 11.0, 0.0, 1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use xbar_core::{CrossbarArray, Mapping, TiledCrossbar};
+use xbar_core::{CrossbarArray, Mapping};
 use xbar_data::SyntheticMnist;
 use xbar_device::{DeviceConfig, DriftModel, LineResistanceModel, TileShape};
 use xbar_models::{mlp2, ModelConfig};
@@ -61,12 +61,15 @@ fn inactive_parasitics_are_a_bitwise_noop_on_monolithic_and_tiled() {
             "{mapping}: inactive parasitics perturbed the monolithic forward"
         );
 
-        let tile = TileShape::new(8, 8);
+        let tile = Some(TileShape::new(8, 8));
         let mut r3 = XorShiftRng::new(5);
-        let tiled_plain = TiledCrossbar::program_signed(&w, mapping, plain, tile, &mut r3).unwrap();
+        let tiled_plain =
+            CrossbarArray::program_signed(&w, mapping, plain.with_tile_shape(tile), &mut r3)
+                .unwrap();
         let mut r4 = XorShiftRng::new(5);
         let tiled_loaded =
-            TiledCrossbar::program_signed(&w, mapping, loaded, tile, &mut r4).unwrap();
+            CrossbarArray::program_signed(&w, mapping, loaded.with_tile_shape(tile), &mut r4)
+                .unwrap();
         assert!(tiled_plain.num_tiles() > 1, "{mapping}: grid is not tiled");
         assert_eq!(
             tiled_plain.forward(&xb).unwrap(),
@@ -76,9 +79,11 @@ fn inactive_parasitics_are_a_bitwise_noop_on_monolithic_and_tiled() {
 
         // Sanity: once the line model is live the output must move,
         // proving the comparison above exercises real plumbing.
-        let dropping = DeviceConfig::ideal().with_line_resistance(LineResistanceModel::new(0.01));
+        let dropping = DeviceConfig::ideal()
+            .with_line_resistance(LineResistanceModel::new(0.01))
+            .with_tile_shape(tile);
         let mut r5 = XorShiftRng::new(5);
-        let tiled_ir = TiledCrossbar::program_signed(&w, mapping, dropping, tile, &mut r5).unwrap();
+        let tiled_ir = CrossbarArray::program_signed(&w, mapping, dropping, &mut r5).unwrap();
         assert_ne!(
             tiled_plain.forward(&xb).unwrap(),
             tiled_ir.forward(&xb).unwrap(),

@@ -15,7 +15,7 @@
 
 use std::process::Command;
 
-use xbar_core::{Mapping, TileShape, TiledCrossbar};
+use xbar_core::{CrossbarArray, Mapping, TileShape};
 use xbar_data::SyntheticMnist;
 use xbar_device::DeviceConfig;
 use xbar_models::{mlp2, ModelConfig};
@@ -53,10 +53,8 @@ impl Digest {
 fn tiled_digest() -> u64 {
     let mut rng = XorShiftRng::new(0x5EAD);
     let w = Tensor::rand_uniform(&[40, 56], -0.05, 0.05, &mut rng);
-    let dev = DeviceConfig::quantized_linear(4);
-    let xbar =
-        TiledCrossbar::program_signed(&w, Mapping::Acm, dev, TileShape::new(16, 16), &mut rng)
-            .unwrap();
+    let dev = DeviceConfig::quantized_linear(4).with_tile_shape(Some(TileShape::new(16, 16)));
+    let xbar = CrossbarArray::program_signed(&w, Mapping::Acm, dev, &mut rng).unwrap();
     let x = Tensor::rand_uniform(&[9, 56], -1.0, 1.0, &mut rng);
     let mut d = Digest::new();
     for _ in 0..3 {

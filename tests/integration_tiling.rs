@@ -7,7 +7,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use xbar_core::{CrossbarArray, Mapping, TiledCrossbar};
+use xbar_core::{CrossbarArray, Mapping};
 use xbar_data::SyntheticMnist;
 use xbar_device::{DeviceConfig, TileShape};
 use xbar_models::{mlp2, ModelConfig};
@@ -85,8 +85,8 @@ fn tiled_inference_matches_monolithic_for_every_mapping_on_ragged_grids() {
         let mut r1 = XorShiftRng::new(7);
         let mono = CrossbarArray::program_signed(&w, mapping, dev, &mut r1).unwrap();
         let mut r2 = XorShiftRng::new(7);
-        let tiled =
-            TiledCrossbar::program_signed(&w, mapping, dev, TileShape::new(8, 8), &mut r2).unwrap();
+        let tiled_dev = dev.with_tile_shape(Some(TileShape::new(8, 8)));
+        let tiled = CrossbarArray::program_signed(&w, mapping, tiled_dev, &mut r2).unwrap();
         assert!(tiled.num_tiles() > 1, "{mapping}: grid is not tiled");
 
         let mono_v = mono.mvm_signed(&x1).unwrap();
@@ -100,6 +100,39 @@ fn tiled_inference_matches_monolithic_for_every_mapping_on_ragged_grids() {
         assert!(
             tiled_b.all_close(&mono_b, 1e-4),
             "{mapping}: tiled forward diverged"
+        );
+    }
+    // Seeded draws over the shape, tile, batch and mapping ranges of the
+    // `slow-proptests` property `tiled_matches_monolithic`.
+    let mut draw = XorShiftRng::new(0x711E);
+    for case in 0..64 {
+        let mapping = Mapping::ALL[draw.below(Mapping::ALL.len())];
+        let n_out = 1 + draw.below(19);
+        let n_in = 1 + draw.below(23);
+        let tile = TileShape::new(1 + draw.below(9), 2 + draw.below(8));
+        let batch = 1 + draw.below(4);
+        let mut rng = XorShiftRng::new(draw.next_u64() | 1);
+        // Small enough weights for every mapping's worst case (ACM bounds
+        // the cumulative column spread over up to 19 outputs).
+        let w = Tensor::rand_uniform(&[n_out, n_in], -0.02, 0.02, &mut rng);
+        let x = Tensor::rand_uniform(&[batch, n_in], -1.0, 1.0, &mut rng);
+        let dev = DeviceConfig::ideal();
+        let mono =
+            CrossbarArray::program_signed(&w, mapping, dev, &mut XorShiftRng::new(7)).unwrap();
+        let tiled_dev = dev.with_tile_shape(Some(tile));
+        let tiled = CrossbarArray::program_signed(&w, mapping, tiled_dev, &mut XorShiftRng::new(7))
+            .unwrap();
+        let tag = format!("case {case}: {mapping} {n_out}x{n_in} @{tile} batch {batch}");
+        assert!(
+            tiled
+                .forward(&x)
+                .unwrap()
+                .all_close(&mono.forward(&x).unwrap(), 1e-3),
+            "{tag}: forward diverged"
+        );
+        assert!(
+            tiled.effective_weights().all_close(&w, 1e-3),
+            "{tag}: effective weights diverged"
         );
     }
 }
