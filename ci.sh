@@ -117,6 +117,16 @@ echo "$BENCH_LINE" | grep -q '"correct":true'
 echo "$BENCH_LINE" | grep -q '"failed":0[,}]'
 echo "    int8_mlp smoke: correct, 0 failed"
 
+echo "==> mc_faults_vgg9 smoke (write-verify programming + fault remap, end to end)"
+# CI's only end-to-end run of write-verify programming and the null-space
+# remap: every chip's remap must leave no more weight error than naive
+# programming, and a child process at one thread must reproduce the
+# leading operations' digests.
+BENCH_LINE=$(python3 benchmark/run.py --workload mc_faults_vgg9 --seed 1 --seconds 2 --trace 0 | tail -n 1)
+echo "$BENCH_LINE" | grep -q '"correct":true'
+echo "$BENCH_LINE" | grep -q '"failed":0[,}]'
+echo "    mc_faults_vgg9 smoke: correct, 0 failed"
+
 echo "==> tile-parity smoke (tiled == monolithic through the full stack)"
 # Release-mode re-run of the tiling integration suite (the debug test phase
 # above already ran it once) plus the tiled cost table as an e2e smoke.

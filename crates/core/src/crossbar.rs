@@ -1,6 +1,6 @@
 use xbar_device::{DeviceConfig, FaultMap, ProgrammingReport, TileShape};
 use xbar_tensor::rng::XorShiftRng;
-use xbar_tensor::{backend, linalg, Tensor};
+use xbar_tensor::{backend, Tensor};
 
 use crate::tiling::raw_batch;
 use crate::{remap_for_faults, Mapping, MappingError, PeripheryMatrix, RemapReport, TileGrid};
@@ -444,7 +444,8 @@ impl CrossbarArray {
     /// The effective signed weight matrix `S · G` realised by the array,
     /// including the parasitic read non-idealities.
     pub fn effective_weights(&self) -> Tensor {
-        linalg::matmul(self.periphery.matrix(), &self.effective)
+        self.periphery
+            .apply(&self.effective)
             .expect("periphery and conductances are dimension-checked at construction")
     }
 
@@ -546,7 +547,8 @@ impl CrossbarArray {
     /// Returns a shape error if `x` is not 1-D of length `n_in()`.
     pub fn mvm_signed(&self, x: &Tensor) -> Result<Tensor, MappingError> {
         let raw = self.mvm_raw(x)?;
-        linalg::matvec(self.periphery.matrix(), &raw).map_err(MappingError::from)
+        let y = self.periphery.combine(&raw.reshape(&[1, self.n_dev()])?)?;
+        Ok(y.reshape(&[self.n_out()])?)
     }
 
     /// Batched signed MVM: `X (batch × N_I) → Y (batch × N_O)`, with the
@@ -615,6 +617,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::decompose;
     use xbar_device::{DeviceConfig, UpdateModel};
+    use xbar_tensor::linalg;
 
     fn rng() -> XorShiftRng {
         XorShiftRng::new(81)
@@ -1205,6 +1208,48 @@ pub(crate) mod tests {
                     bits(&periphery.combine(&raw).unwrap()),
                     "{tag}: forward"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn stencil_reads_match_the_dense_periphery_products_bit_for_bit() {
+        use crate::{RepairPolicy, SelfHealingCrossbar};
+        use xbar_device::{DriftModel, FaultModel, LifetimeFaultModel, LineResistanceModel};
+        let dev = DeviceConfig::quantized_linear(4)
+            .with_variation_sigma(0.05)
+            .with_faults(FaultModel::uniform(0.05))
+            .with_drift(DriftModel::new(0.1, 0.02, 99).at_time(1000))
+            .with_line_resistance(LineResistanceModel::new(0.01));
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut r = rng();
+        let w = Tensor::rand_uniform(&[19, 11], -0.02, 0.02, &mut r);
+        // Signed zeros and subnormals on the read side too.
+        let mut x = Tensor::rand_uniform(&[11], -1.0, 1.0, &mut r);
+        x.data_mut()[..4].copy_from_slice(&[0.0, -0.0, f32::from_bits(3), -f32::from_bits(9)]);
+        for mapping in Mapping::ALL {
+            for tile in [
+                None,
+                Some(TileShape::new(4, 5)),
+                Some(TileShape::new(8, 16)),
+            ] {
+                let tag = format!("{mapping} tile={tile:?}");
+                let xb =
+                    CrossbarArray::program_signed(&w, mapping, dev.with_tile_shape(tile), &mut r)
+                        .unwrap();
+                let s = xb.periphery().matrix();
+                let dense = linalg::matmul(s, xb.effective_conductances()).unwrap();
+                assert_eq!(bits(&xb.effective_weights()), bits(&dense), "{tag}: S·G");
+                let healing = SelfHealingCrossbar::new(
+                    &xb,
+                    LifetimeFaultModel::new(0.01, 5).unwrap(),
+                    RepairPolicy::default(),
+                );
+                let healed = healing.effective_weights().unwrap();
+                assert_eq!(bits(&healed), bits(&dense), "{tag}: self-healing S·G");
+                let raw = xb.mvm_raw(&x).unwrap();
+                let want = linalg::matvec(s, &raw).unwrap();
+                assert_eq!(bits(&xb.mvm_signed(&x).unwrap()), bits(&want), "{tag}: mvm");
             }
         }
     }

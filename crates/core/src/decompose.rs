@@ -7,7 +7,7 @@
 //! along the strictly positive null vector `x_h` until non-negative.
 
 use xbar_device::ConductanceRange;
-use xbar_tensor::{linalg, Tensor};
+use xbar_tensor::Tensor;
 
 use crate::{Mapping, MappingError, PeripheryMatrix};
 
@@ -50,8 +50,7 @@ pub fn compose(m: &Tensor, mapping: Mapping) -> Result<Tensor, MappingError> {
             nd - 1
         }
     };
-    let s = mapping.periphery(n_out);
-    linalg::matmul(s.matrix(), m).map_err(MappingError::from)
+    mapping.periphery(n_out).apply(m)
 }
 
 /// Decomposes a signed `W` of shape `(N_O, N_I)` into the non-negative
@@ -291,7 +290,7 @@ pub fn max_representable_scale(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xbar_tensor::rng::XorShiftRng;
+    use xbar_tensor::{linalg, rng::XorShiftRng};
 
     fn range() -> ConductanceRange {
         ConductanceRange::normalized()
@@ -481,6 +480,31 @@ mod tests {
             let m = decompose(&w, mapping, r).unwrap();
             assert!(m.min() >= 0.2 - 1e-6 && m.max() <= 0.8 + 1e-6, "{mapping}");
             assert!(compose(&m, mapping).is_ok());
+        }
+    }
+
+    #[test]
+    fn compose_matches_the_dense_product_bit_for_bit() {
+        let mut rng = XorShiftRng::new(83);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for mapping in Mapping::ALL {
+            for n_out in [1usize, 6, 40] {
+                for n_in in [1usize, 9, 70] {
+                    let nd = mapping.num_device_columns(n_out);
+                    // Signed zeros, subnormals and repeats that cancel
+                    // exactly, besides ordinary values.
+                    let m = Tensor::from_fn(&[nd, n_in], |_| match rng.below(6) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => f32::from_bits(1 + rng.below(1 << 20) as u32),
+                        3 => 0.625,
+                        _ => rng.next_f32(),
+                    });
+                    let want = linalg::matmul(mapping.periphery(n_out).matrix(), &m).unwrap();
+                    let got = compose(&m, mapping).unwrap();
+                    assert_eq!(bits(&got), bits(&want), "{mapping} {n_out}x{n_in}");
+                }
+            }
         }
     }
 }

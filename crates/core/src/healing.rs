@@ -575,19 +575,15 @@ impl SelfHealingCrossbar {
     /// Returns a shape error if the periphery and conductances disagree
     /// (impossible by construction, surfaced rather than panicking).
     pub fn effective_weights(&self) -> Result<Tensor, MappingError> {
-        linalg::matmul(self.periphery.matrix(), &self.served).map_err(MappingError::from)
+        self.periphery.apply(&self.served)
     }
 
     /// The local stencil of one column group, extracted from the
     /// block-diagonal layer periphery (so any folded-in `Perm` row order
     /// is preserved).
     fn group_periphery(&self, g: &ColGroup) -> Result<PeripheryMatrix, MappingError> {
-        PeripheryMatrix::try_new(self.periphery.matrix().block(
-            g.out_start,
-            g.out_len,
-            g.dev_start,
-            g.dev_len,
-        ))
+        self.periphery
+            .diagonal_block(g.out_start, g.out_len, g.dev_start, g.dev_len)
     }
 
     /// Advances the wear clock one scrub epoch: overlays newly arrived

@@ -1,4 +1,4 @@
-use xbar_tensor::{linalg, Tensor};
+use xbar_tensor::{linalg, ShapeError, Tensor};
 
 use crate::MappingError;
 
@@ -17,6 +17,13 @@ use crate::MappingError;
 /// [`PeripheryMatrix::double_element`]); arbitrary user matrices can be
 /// validated through [`PeripheryMatrix::try_new`].
 ///
+/// Besides the dense matrix, every constructor records each row's
+/// non-zeros as (column, sign) pairs in ascending column order — the
+/// ±1 stencil the hardware actually runs. Every product by `S`
+/// ([`PeripheryMatrix::combine`], [`PeripheryMatrix::spread`],
+/// [`PeripheryMatrix::apply`], [`PeripheryMatrix::apply_transposed`])
+/// and the fault remap walk that stencil instead of the dense matrix.
+///
 /// # Example
 ///
 /// ```
@@ -33,6 +40,11 @@ use crate::MappingError;
 pub struct PeripheryMatrix {
     s: Tensor,
     null_vector: Vec<f32>,
+    /// `S`'s non-zeros as (column, sign) pairs, row after row, each row
+    /// in ascending column order.
+    taps: Vec<(usize, f32)>,
+    /// Row `o`'s non-zeros are `taps[row_start[o]..row_start[o + 1]]`.
+    row_start: Vec<usize>,
 }
 
 /// Tolerance used for rank and null-space computations. Periphery entries
@@ -54,10 +66,7 @@ impl PeripheryMatrix {
             *s.at_mut(&[j, j]) = 1.0;
             *s.at_mut(&[j, j + 1]) = -1.0;
         }
-        Self {
-            s,
-            null_vector: vec![1.0; nd],
-        }
+        Self::from_dense(s, vec![1.0; nd])
     }
 
     /// The bias-column mapping (Fig. 1b): row `j` is `+1` at column `j` and
@@ -74,10 +83,7 @@ impl PeripheryMatrix {
             *s.at_mut(&[j, j]) = 1.0;
             *s.at_mut(&[j, nd - 1]) = -1.0;
         }
-        Self {
-            s,
-            null_vector: vec![1.0; nd],
-        }
+        Self::from_dense(s, vec![1.0; nd])
     }
 
     /// The double-element mapping (Fig. 1a): row `j` is `+1` at column `2j`
@@ -94,10 +100,7 @@ impl PeripheryMatrix {
             *s.at_mut(&[j, 2 * j]) = 1.0;
             *s.at_mut(&[j, 2 * j + 1]) = -1.0;
         }
-        Self {
-            s,
-            null_vector: vec![1.0; nd],
-        }
+        Self::from_dense(s, vec![1.0; nd])
     }
 
     /// Builds the block-diagonal composition of `blocks` — the periphery
@@ -125,16 +128,12 @@ impl PeripheryMatrix {
         let mut null_vector = Vec::with_capacity(nd);
         let (mut r0, mut c0) = (0, 0);
         for b in blocks {
-            for i in 0..b.n_out() {
-                for j in 0..b.n_dev() {
-                    *s.at_mut(&[r0 + i, c0 + j]) = b.matrix().at(&[i, j]);
-                }
-            }
+            s.write_block(r0, c0, &b.s);
             null_vector.extend_from_slice(b.null_vector());
             r0 += b.n_out();
             c0 += b.n_dev();
         }
-        Self { s, null_vector }
+        Self::from_dense(s, null_vector)
     }
 
     /// Folds a device-column permutation into this stencil: returns
@@ -168,7 +167,56 @@ impl PeripheryMatrix {
             }
             null_vector.push(self.null_vector[logical]);
         }
-        Self { s, null_vector }
+        Self::from_dense(s, null_vector)
+    }
+
+    /// The diagonal block of rows `r0..r0 + rows` and columns
+    /// `c0..c0 + cols` as a periphery of its own — one column group's
+    /// local stencil, cut out of a block-diagonal layer periphery (any
+    /// folded-in row permutation comes along).
+    ///
+    /// Validity is inherited, so the rank computation of
+    /// [`PeripheryMatrix::try_new`] is not rerun: the block's rows are
+    /// rows of a full-rank `S`, and the parent's null vector restricted to
+    /// the block's columns is a strictly positive null vector of the block
+    /// — provided each of those rows keeps all its non-zeros inside the
+    /// block's columns, which is checked in `O(nnz)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MappingError::InvalidPeriphery`] if the block is empty or
+    /// out of bounds, or if one of its rows has a non-zero outside its
+    /// columns.
+    pub fn diagonal_block(
+        &self,
+        r0: usize,
+        rows: usize,
+        c0: usize,
+        cols: usize,
+    ) -> Result<Self, MappingError> {
+        let (n_out, nd) = (self.n_out(), self.n_dev());
+        if rows == 0 || cols == 0 || r0 + rows > n_out || c0 + cols > nd {
+            return Err(MappingError::InvalidPeriphery {
+                reason: format!(
+                    "block of {rows} x {cols} at ({r0}, {c0}) is empty or outside \
+                     the {n_out} x {nd} matrix"
+                ),
+            });
+        }
+        let c_end = c0 + cols;
+        if let Some(o) = (r0..r0 + rows).find(|&o| {
+            self.row_taps(o)
+                .iter()
+                .any(|&(c, _)| !(c0..c_end).contains(&c))
+        }) {
+            return Err(MappingError::InvalidPeriphery {
+                reason: format!("row {o} has a non-zero outside columns {c0}..{c_end}"),
+            });
+        }
+        Ok(Self::from_dense(
+            self.s.block(r0, rows, c0, cols),
+            self.null_vector[c0..c_end].to_vec(),
+        ))
     }
 
     /// Validates an arbitrary candidate periphery matrix against the
@@ -215,10 +263,41 @@ impl PeripheryMatrix {
                          non-negative decomposition not guaranteed"
                     .into(),
             })?;
-        Ok(Self { s, null_vector })
+        Ok(Self::from_dense(s, null_vector))
     }
 
-    /// The underlying `N_O × N_D` matrix.
+    /// Wraps a valid dense `S` and its null vector, reading off the
+    /// stencil every product runs on.
+    fn from_dense(s: Tensor, null_vector: Vec<f32>) -> Self {
+        let nd = s.shape()[1];
+        let mut taps = Vec::new();
+        let mut row_start = vec![0];
+        for row in s.data().chunks_exact(nd) {
+            taps.extend(
+                row.iter()
+                    .enumerate()
+                    .filter(|&(_, &v)| v != 0.0)
+                    .map(|(c, &v)| (c, v)),
+            );
+            row_start.push(taps.len());
+        }
+        Self {
+            s,
+            null_vector,
+            taps,
+            row_start,
+        }
+    }
+
+    /// Row `o`'s non-zeros as (column, sign) pairs, in ascending column
+    /// order.
+    pub(crate) fn row_taps(&self, o: usize) -> &[(usize, f32)] {
+        &self.taps[self.row_start[o]..self.row_start[o + 1]]
+    }
+
+    /// The underlying `N_O × N_D` matrix. Products by `S` should use the
+    /// stencil methods ([`PeripheryMatrix::apply`] and friends), which
+    /// return the same bits in `O(nnz)`.
     pub fn matrix(&self) -> &Tensor {
         &self.s
     }
@@ -246,7 +325,21 @@ impl PeripheryMatrix {
     ///
     /// Returns a shape error if `y_dev` is not `(batch, N_D)`.
     pub fn combine(&self, y_dev: &Tensor) -> Result<Tensor, MappingError> {
-        linalg::matmul_nt(y_dev, &self.s).map_err(MappingError::from)
+        let (no, nd) = (self.n_out(), self.n_dev());
+        expect_dim("combine", y_dev, 1, nd)?;
+        let mut y = Tensor::zeros(&[y_dev.shape()[0], no]);
+        for (src, dst) in y_dev
+            .data()
+            .chunks_exact(nd)
+            .zip(y.data_mut().chunks_exact_mut(no))
+        {
+            for (o, d) in dst.iter_mut().enumerate() {
+                for &(c, sign) in self.row_taps(o) {
+                    *d += sign * src[c];
+                }
+            }
+        }
+        Ok(y)
     }
 
     /// Adjoint of [`PeripheryMatrix::combine`], used for gradient routing:
@@ -256,14 +349,87 @@ impl PeripheryMatrix {
     ///
     /// Returns a shape error if `grad` is not `(batch, N_O)`.
     pub fn spread(&self, grad: &Tensor) -> Result<Tensor, MappingError> {
-        linalg::matmul(grad, &self.s).map_err(MappingError::from)
+        let (no, nd) = (self.n_out(), self.n_dev());
+        expect_dim("spread", grad, 1, no)?;
+        let mut g_dev = Tensor::zeros(&[grad.shape()[0], nd]);
+        for (src, dst) in grad
+            .data()
+            .chunks_exact(no)
+            .zip(g_dev.data_mut().chunks_exact_mut(nd))
+        {
+            for (o, &g) in src.iter().enumerate() {
+                for &(c, sign) in self.row_taps(o) {
+                    dst[c] += sign * g;
+                }
+            }
+        }
+        Ok(g_dev)
+    }
+
+    /// The signed matrix a conductance matrix realises:
+    /// `M (N_D × n)  →  W (N_O × n)`, i.e. `W = S · M`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error if `m` is not `(N_D, n)`.
+    pub fn apply(&self, m: &Tensor) -> Result<Tensor, MappingError> {
+        expect_dim("apply", m, 0, self.n_dev())?;
+        let n = m.shape()[1];
+        let mut w = Tensor::zeros(&[self.n_out(), n]);
+        let (src, dst) = (m.data(), w.data_mut());
+        for o in 0..self.n_out() {
+            let row = &mut dst[o * n..(o + 1) * n];
+            for &(c, sign) in self.row_taps(o) {
+                for (d, &v) in row.iter_mut().zip(&src[c * n..(c + 1) * n]) {
+                    *d += sign * v;
+                }
+            }
+        }
+        Ok(w)
+    }
+
+    /// Routes output-side rows back to the device columns:
+    /// `G (N_O × n)  →  Sᵀ·G (N_D × n)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error if `g` is not `(N_O, n)`.
+    pub fn apply_transposed(&self, g: &Tensor) -> Result<Tensor, MappingError> {
+        expect_dim("apply_transposed", g, 0, self.n_out())?;
+        let n = g.shape()[1];
+        let mut out = Tensor::zeros(&[self.n_dev(), n]);
+        let (src, dst) = (g.data(), out.data_mut());
+        for o in 0..self.n_out() {
+            let row = &src[o * n..(o + 1) * n];
+            for &(c, sign) in self.row_taps(o) {
+                for (d, &v) in dst[c * n..(c + 1) * n].iter_mut().zip(row) {
+                    *d += sign * v;
+                }
+            }
+        }
+        Ok(out)
     }
 
     /// Number of non-zero entries — the count of periphery add/sub
     /// operations per MVM.
     pub fn num_ops(&self) -> usize {
-        self.s.data().iter().filter(|&&v| v != 0.0).count()
+        self.taps.len()
     }
+}
+
+/// Checks that `t` is a 2-D operand whose `axis` dimension is `len`.
+fn expect_dim(op: &'static str, t: &Tensor, axis: usize, len: usize) -> Result<(), MappingError> {
+    if t.ndim() == 2 && t.shape()[axis] == len {
+        return Ok(());
+    }
+    let what = if axis == 0 { "rows" } else { "columns" };
+    Err(MappingError::Shape(ShapeError::new(
+        op,
+        format!(
+            "expected a 2-D operand with {len} {what}, got {:?}",
+            t.shape()
+        ),
+    )))
 }
 
 /// Searches for a strictly positive vector in the null space of `s`.
@@ -363,6 +529,9 @@ fn null_space_basis(s: &Tensor) -> Vec<Vec<f32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Mapping, TileGrid};
+    use xbar_device::TileShape;
+    use xbar_tensor::rng::XorShiftRng;
 
     #[test]
     fn acm_stencil_matches_figure2() {
@@ -483,7 +652,6 @@ mod tests {
 
     #[test]
     fn combine_and_spread_are_adjoint() {
-        use xbar_tensor::rng::XorShiftRng;
         let mut rng = XorShiftRng::new(61);
         let s = PeripheryMatrix::acm(4);
         let y_dev = Tensor::rand_normal(&[3, 5], 0.0, 1.0, &mut rng);
@@ -545,7 +713,6 @@ mod tests {
 
     #[test]
     fn permuted_stencil_is_valid_and_undoes_the_row_shuffle() {
-        use xbar_tensor::rng::XorShiftRng;
         let base = PeripheryMatrix::bias_column(4);
         // Physical row p stores logical row perm[p].
         let perm = [3usize, 0, 4, 1, 2];
@@ -573,6 +740,190 @@ mod tests {
     #[should_panic(expected = "not a permutation")]
     fn permuted_rejects_duplicates() {
         let _ = PeripheryMatrix::bias_column(2).permuted(&[0, 0, 1]);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Values that probe every rounding corner a product by `S` has:
+    /// signed zeros, subnormals of both signs, and a small pool of
+    /// repeats so `+1`/`−1` pairs cancel exactly.
+    fn tricky(rng: &mut XorShiftRng) -> f32 {
+        match rng.below(8) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::from_bits(1 + rng.below(0x007f_fffe) as u32),
+            3 => -f32::from_bits(1 + rng.below(0x007f_fffe) as u32),
+            4 | 5 => [0.375f32, -1.25, 3.0e-3, 7.5][rng.below(4)],
+            _ => rng.uniform(-2.0, 2.0),
+        }
+    }
+
+    /// Every mapping's layer periphery, untiled and on ragged tile grids,
+    /// with a seeded row permutation folded into each Perm group.
+    fn layer_peripheries(rng: &mut XorShiftRng) -> Vec<(Mapping, String, PeripheryMatrix)> {
+        let mut out = Vec::new();
+        for mapping in Mapping::ALL {
+            for n_out in [1usize, 2, 7, 19, 40] {
+                for tile in [
+                    None,
+                    Some(TileShape::new(8, 5)),
+                    Some(TileShape::new(8, 16)),
+                ] {
+                    let grid = TileGrid::new(n_out, 3, mapping, tile).unwrap();
+                    let blocks: Vec<PeripheryMatrix> = grid
+                        .col_groups()
+                        .iter()
+                        .map(|g| {
+                            let s = mapping.periphery(g.out_len);
+                            if mapping == Mapping::Perm {
+                                let mut perm: Vec<usize> = (0..s.n_dev()).collect();
+                                rng.shuffle(&mut perm);
+                                s.permuted(&perm)
+                            } else {
+                                s
+                            }
+                        })
+                        .collect();
+                    out.push((
+                        mapping,
+                        format!("{mapping} n_out={n_out} tile={tile:?}"),
+                        PeripheryMatrix::block_diagonal(&blocks),
+                    ));
+                }
+            }
+        }
+        out
+    }
+
+    /// Device columns of `s` with at most two non-zeros: every column
+    /// except the BC/Perm reference columns.
+    fn two_term_columns(s: &PeripheryMatrix) -> Vec<usize> {
+        (0..s.n_dev())
+            .filter(|&c| {
+                (0..s.n_out())
+                    .filter(|&o| s.matrix().at(&[o, c]) != 0.0)
+                    .count()
+                    <= 2
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stencil_products_match_the_dense_gemms_bit_for_bit() {
+        let mut rng = XorShiftRng::new(0x57E4);
+        for (mapping, tag, s) in layer_peripheries(&mut rng) {
+            let (no, nd) = (s.n_out(), s.n_dev());
+            let cols = two_term_columns(&s);
+            if !matches!(mapping, Mapping::BiasColumn | Mapping::Perm) {
+                assert_eq!(cols.len(), nd, "{tag}: only references exceed two terms");
+            }
+            // Batches small enough for the streaming kernels and large
+            // enough for the blocked ones.
+            for n in [1usize, 5, 70] {
+                let y_dev = Tensor::from_fn(&[n, nd], |_| tricky(&mut rng));
+                let want = linalg::matmul_nt(&y_dev, s.matrix()).unwrap();
+                assert_eq!(
+                    bits(&s.combine(&y_dev).unwrap()),
+                    bits(&want),
+                    "combine {tag}"
+                );
+
+                let g = Tensor::from_fn(&[nd, n], |_| tricky(&mut rng));
+                let want = linalg::matmul(s.matrix(), &g).unwrap();
+                assert_eq!(bits(&s.apply(&g).unwrap()), bits(&want), "S·G {tag}");
+
+                let g = Tensor::from_fn(&[no, n], |_| tricky(&mut rng));
+                let got = s.apply_transposed(&g).unwrap();
+                let want = linalg::matmul_tn(s.matrix(), &g).unwrap();
+                for &c in &cols {
+                    assert_eq!(bits(&got.row(c)), bits(&want.row(c)), "Sᵀ·G {tag} row {c}");
+                }
+
+                let g = Tensor::from_fn(&[n, no], |_| tricky(&mut rng));
+                let got = s.spread(&g).unwrap();
+                let want = linalg::matmul(&g, s.matrix()).unwrap();
+                for b in 0..n {
+                    for &c in &cols {
+                        let (x, y) = (got.at(&[b, c]), want.at(&[b, c]));
+                        assert_eq!(x.to_bits(), y.to_bits(), "G·S {tag} at ({b}, {c})");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn products_reject_mismatched_shapes_with_typed_errors() {
+        let s = PeripheryMatrix::acm(3);
+        let wrong = Tensor::zeros(&[2, 3]);
+        assert!(matches!(s.combine(&wrong), Err(MappingError::Shape(_))));
+        assert!(matches!(
+            s.spread(&Tensor::zeros(&[2, 4])),
+            Err(MappingError::Shape(_))
+        ));
+        assert!(matches!(s.apply(&wrong), Err(MappingError::Shape(_))));
+        assert!(matches!(
+            s.apply_transposed(&Tensor::zeros(&[4, 2])),
+            Err(MappingError::Shape(_))
+        ));
+        assert!(matches!(
+            s.combine(&Tensor::zeros(&[4])),
+            Err(MappingError::Shape(_))
+        ));
+    }
+
+    #[test]
+    fn diagonal_blocks_inherit_validity_from_the_layer() {
+        let mut rng = XorShiftRng::new(0xB10C);
+        for mapping in Mapping::ALL {
+            for tile in [
+                None,
+                Some(TileShape::new(4, 5)),
+                Some(TileShape::new(4, 16)),
+            ] {
+                let grid = TileGrid::new(23, 3, mapping, tile).unwrap();
+                let layer = if mapping == Mapping::Perm {
+                    let blocks: Vec<PeripheryMatrix> = grid
+                        .col_groups()
+                        .iter()
+                        .map(|g| {
+                            let mut perm: Vec<usize> = (0..g.dev_len).collect();
+                            rng.shuffle(&mut perm);
+                            mapping.periphery(g.out_len).permuted(&perm)
+                        })
+                        .collect();
+                    PeripheryMatrix::block_diagonal(&blocks)
+                } else {
+                    grid.periphery()
+                };
+                for g in grid.col_groups() {
+                    let block = layer
+                        .diagonal_block(g.out_start, g.out_len, g.dev_start, g.dev_len)
+                        .unwrap();
+                    let dense =
+                        layer
+                            .matrix()
+                            .block(g.out_start, g.out_len, g.dev_start, g.dev_len);
+                    assert_eq!(block, PeripheryMatrix::try_new(dense).unwrap());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_block_that_cuts_a_row_is_rejected() {
+        let s = PeripheryMatrix::acm(4);
+        // Row 1 is +1 at column 1 and −1 at column 2: outside a 2-column block.
+        let err = s.diagonal_block(0, 2, 0, 2).unwrap_err();
+        assert!(matches!(err, MappingError::InvalidPeriphery { .. }));
+        // Out of bounds and empty blocks are rejected, not panics.
+        assert!(s.diagonal_block(3, 2, 0, 5).is_err());
+        assert!(s.diagonal_block(0, 4, 1, 5).is_err());
+        assert!(s.diagonal_block(0, 0, 0, 5).is_err());
+        // The whole matrix is its own diagonal block.
+        assert_eq!(s.diagonal_block(0, 4, 0, 5).unwrap(), s);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! remains is reported in a [`RemapReport`] rather than silently ignored.
 
 use xbar_device::{ConductanceRange, FaultMap};
-use xbar_tensor::{linalg, Tensor};
+use xbar_tensor::Tensor;
 
 use crate::{MappingError, PeripheryMatrix};
 
@@ -148,7 +148,6 @@ pub fn remap_for_faults(
     }
 
     let xh = periphery.null_vector();
-    let s = periphery.matrix();
     let n_out = periphery.n_out();
     let mut out = m.clone();
     let mut report = RemapReport {
@@ -162,25 +161,35 @@ pub fn remap_for_faults(
         return Ok((out, report));
     }
     // Normal matrix of the per-column least-squares problem, shared by
-    // every column: G = SᵀS (N_D × N_D).
-    let gram = linalg::matmul_tn(s, s)?;
+    // every column: G = SᵀS, kept as its non-zeros.
+    let gram = StencilGram::new(periphery);
     let weight_norm_sq = |delta: &[f32]| {
         (0..n_out)
             .map(|o| {
-                let e: f32 = (0..nd).map(|j| s.at(&[o, j]) * delta[j]).sum();
+                let e: f32 = periphery
+                    .row_taps(o)
+                    .iter()
+                    .map(|&(j, sign)| sign * delta[j])
+                    .sum();
                 e * e
             })
             .sum::<f32>()
     };
 
+    let (md, od) = (m.data(), out.data_mut());
+    let mut col = vec![0.0f32; nd];
     let mut delta = vec![0.0f32; nd];
     let mut fixed = vec![false; nd];
+    // Each healthy cell's move bounds: δ_j ∈ [lo_j, hi_j].
+    let mut lo = vec![0.0f32; nd];
+    let mut hi = vec![0.0f32; nd];
     for i in 0..n_in {
         let mut any_stuck = false;
         for j in 0..nd {
+            col[j] = md[j * n_in + i];
             match faults.get(j, i) {
                 Some(kind) => {
-                    delta[j] = kind.forced_value(range) - m.at(&[j, i]);
+                    delta[j] = kind.forced_value(range) - col[j];
                     fixed[j] = true;
                     any_stuck = true;
                 }
@@ -212,9 +221,9 @@ pub fn remap_for_faults(
         let c = num / den;
         for j in 0..nd {
             if !fixed[j] {
-                let lo = range.g_min() - m.at(&[j, i]);
-                let hi = range.g_max() - m.at(&[j, i]);
-                delta[j] = (c * xh[j]).clamp(lo, hi);
+                lo[j] = range.g_min() - col[j];
+                hi[j] = range.g_max() - col[j];
+                delta[j] = (c * xh[j]).clamp(lo[j], hi[j]);
             }
         }
 
@@ -222,25 +231,24 @@ pub fn remap_for_faults(
         // in turn moves to the unconstrained minimiser given the others —
         // δ_j = −Σ_{k≠j} G_jk·δ_k / G_jj — then projects onto its range
         // box. The objective is convex, so every step is a descent step.
+        // The sum runs over row j's non-zero Gram entries in ascending k.
+        // A zero entry would only add an exact ±0 to an accumulator that
+        // starts at +0.0, so skipping it leaves every bit in place.
         for _ in 0..GS_SWEEPS {
             let mut max_change = 0.0f32;
             for j in 0..nd {
                 if fixed[j] {
                     continue;
                 }
-                let g_jj = gram.at(&[j, j]);
+                let g_jj = gram.diag[j];
                 if g_jj <= 1e-12 {
                     continue; // periphery ignores this device column
                 }
                 let mut acc = 0.0f32;
-                for (k, &d) in delta.iter().enumerate() {
-                    if k != j {
-                        acc += gram.at(&[j, k]) * d;
-                    }
+                for &(k, g_jk) in gram.off_diagonal(j) {
+                    acc += g_jk * delta[k];
                 }
-                let lo = range.g_min() - m.at(&[j, i]);
-                let hi = range.g_max() - m.at(&[j, i]);
-                let next = (-acc / g_jj).clamp(lo, hi);
+                let next = (-acc / g_jj).clamp(lo[j], hi[j]);
                 max_change = max_change.max((next - delta[j]).abs());
                 delta[j] = next;
             }
@@ -269,10 +277,10 @@ pub fn remap_for_faults(
             report.columns_shifted += 1;
         }
         for j in 0..nd {
-            *out.at_mut(&[j, i]) = if fixed[j] {
-                m.at(&[j, i]) + delta[j] // the forced value
+            od[j * n_in + i] = if fixed[j] {
+                col[j] + delta[j] // the forced value
             } else {
-                range.clamp(m.at(&[j, i]) + delta[j])
+                range.clamp(col[j] + delta[j])
             };
         }
     }
@@ -281,10 +289,63 @@ pub fn remap_for_faults(
     Ok((out, report))
 }
 
+/// The non-zeros of the Gram matrix `G = SᵀS`: each device column's
+/// diagonal entry, and its off-diagonal non-zeros in ascending column
+/// order. Built from the pairs of non-zeros within each row of `S`
+/// (`G_jk = Σ_o S_oj·S_ok`), so no `N_D × N_D` matrix is ever formed;
+/// the entries are small integers, exact in any summation order.
+struct StencilGram {
+    diag: Vec<f32>,
+    /// Row `j`'s off-diagonal non-zeros are `off[start[j]..start[j + 1]]`.
+    off: Vec<(usize, f32)>,
+    start: Vec<usize>,
+}
+
+impl StencilGram {
+    fn new(s: &PeripheryMatrix) -> Self {
+        let nd = s.n_dev();
+        // The rows of S that touch each device column, with the sign.
+        let mut touching: Vec<Vec<(usize, f32)>> = vec![Vec::new(); nd];
+        for o in 0..s.n_out() {
+            for &(c, sign) in s.row_taps(o) {
+                touching[c].push((o, sign));
+            }
+        }
+        let mut diag = vec![0.0f32; nd];
+        let mut off = Vec::new();
+        let mut start = vec![0];
+        // Gram row j, accumulated densely, then cut to its non-zeros.
+        let mut g_row = vec![0.0f32; nd];
+        for (j, rows) in touching.iter().enumerate() {
+            for &(o, s_j) in rows {
+                for &(k, s_k) in s.row_taps(o) {
+                    g_row[k] += s_j * s_k;
+                }
+            }
+            diag[j] = g_row[j];
+            off.extend(
+                g_row
+                    .iter()
+                    .enumerate()
+                    .filter(|&(k, &g)| k != j && g != 0.0)
+                    .map(|(k, &g)| (k, g)),
+            );
+            g_row.fill(0.0);
+            start.push(off.len());
+        }
+        Self { diag, off, start }
+    }
+
+    fn off_diagonal(&self, j: usize) -> &[(usize, f32)] {
+        &self.off[self.start[j]..self.start[j + 1]]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use xbar_device::FaultKind;
+    use xbar_tensor::linalg;
 
     fn range() -> ConductanceRange {
         ConductanceRange::normalized()
@@ -432,6 +493,193 @@ mod tests {
                 "trial {trial}: {report:?}"
             );
         }
+    }
+
+    /// The dense remap the stencil sweep replaced, kept verbatim as the
+    /// bitwise oracle: dense `SᵀS` from the GEMM, every sweep over all
+    /// `N_D` Gram entries through bounds-checked reads.
+    fn dense_remap(
+        m: &Tensor,
+        periphery: &PeripheryMatrix,
+        faults: &FaultMap,
+        range: ConductanceRange,
+    ) -> (Tensor, RemapReport) {
+        let (nd, n_in) = (m.shape()[0], m.shape()[1]);
+        let xh = periphery.null_vector();
+        let s = periphery.matrix();
+        let n_out = periphery.n_out();
+        let mut out = m.clone();
+        let mut report = RemapReport {
+            stuck_cells: faults.num_stuck(),
+            columns_affected: 0,
+            columns_shifted: 0,
+            residual_before: 0.0,
+            residual_after: 0.0,
+        };
+        if report.stuck_cells == 0 {
+            return (out, report);
+        }
+        let gram = linalg::matmul_tn(s, s).unwrap();
+        let weight_norm_sq = |delta: &[f32]| {
+            (0..n_out)
+                .map(|o| {
+                    let e: f32 = (0..nd).map(|j| s.at(&[o, j]) * delta[j]).sum();
+                    e * e
+                })
+                .sum::<f32>()
+        };
+        let mut delta = vec![0.0f32; nd];
+        let mut fixed = vec![false; nd];
+        for i in 0..n_in {
+            let mut any_stuck = false;
+            for j in 0..nd {
+                match faults.get(j, i) {
+                    Some(kind) => {
+                        delta[j] = kind.forced_value(range) - m.at(&[j, i]);
+                        fixed[j] = true;
+                        any_stuck = true;
+                    }
+                    None => {
+                        delta[j] = 0.0;
+                        fixed[j] = false;
+                    }
+                }
+            }
+            if !any_stuck {
+                continue;
+            }
+            report.columns_affected += 1;
+            let as_is = weight_norm_sq(&delta);
+            report.residual_before += as_is;
+            let mut num = 0.0f32;
+            let mut den = 0.0f32;
+            for j in 0..nd {
+                if fixed[j] {
+                    num += xh[j] * delta[j];
+                    den += xh[j] * xh[j];
+                }
+            }
+            let c = num / den;
+            for j in 0..nd {
+                if !fixed[j] {
+                    let lo = range.g_min() - m.at(&[j, i]);
+                    let hi = range.g_max() - m.at(&[j, i]);
+                    delta[j] = (c * xh[j]).clamp(lo, hi);
+                }
+            }
+            for _ in 0..GS_SWEEPS {
+                let mut max_change = 0.0f32;
+                for j in 0..nd {
+                    if fixed[j] {
+                        continue;
+                    }
+                    let g_jj = gram.at(&[j, j]);
+                    if g_jj <= 1e-12 {
+                        continue;
+                    }
+                    let mut acc = 0.0f32;
+                    for (k, &d) in delta.iter().enumerate() {
+                        if k != j {
+                            acc += gram.at(&[j, k]) * d;
+                        }
+                    }
+                    let lo = range.g_min() - m.at(&[j, i]);
+                    let hi = range.g_max() - m.at(&[j, i]);
+                    let next = (-acc / g_jj).clamp(lo, hi);
+                    max_change = max_change.max((next - delta[j]).abs());
+                    delta[j] = next;
+                }
+                if max_change < 1e-7 * range.span() {
+                    break;
+                }
+            }
+            let mut after = weight_norm_sq(&delta);
+            if after > as_is {
+                for (d, &f) in delta.iter_mut().zip(&fixed) {
+                    if !f {
+                        *d = 0.0;
+                    }
+                }
+                after = as_is;
+            }
+            report.residual_after += after;
+            if delta
+                .iter()
+                .zip(&fixed)
+                .any(|(&d, &f)| !f && d.abs() > 1e-9)
+            {
+                report.columns_shifted += 1;
+            }
+            for j in 0..nd {
+                *out.at_mut(&[j, i]) = if fixed[j] {
+                    m.at(&[j, i]) + delta[j]
+                } else {
+                    range.clamp(m.at(&[j, i]) + delta[j])
+                };
+            }
+        }
+        report.residual_before = report.residual_before.sqrt();
+        report.residual_after = report.residual_after.sqrt();
+        (out, report)
+    }
+
+    fn assert_same_bits(got: &(Tensor, RemapReport), want: &(Tensor, RemapReport), tag: &str) {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.0), bits(&want.0), "{tag}: targets");
+        let fields = |r: &RemapReport| {
+            (
+                r.stuck_cells(),
+                r.columns_affected(),
+                r.columns_shifted(),
+                r.residual_before().to_bits(),
+                r.residual_after().to_bits(),
+            )
+        };
+        assert_eq!(fields(&got.1), fields(&want.1), "{tag}: report");
+    }
+
+    #[test]
+    fn stencil_remap_matches_the_dense_remap_bit_for_bit() {
+        let mut rng = xbar_tensor::rng::XorShiftRng::new(0x6A7);
+        let rates = [0.005f32, 0.02, 0.10, 0.30];
+        for draw in 0..256 {
+            let mapping = crate::Mapping::ALL[draw % 4];
+            let rate = rates[(draw / 4) % 4];
+            let on_grid = (draw / 16) % 2 == 0;
+            let n_out = 1 + rng.below(39);
+            let n_in = 1 + rng.below(11);
+            let mut p = mapping.periphery(n_out);
+            if mapping == crate::Mapping::Perm {
+                let mut perm: Vec<usize> = (0..p.n_dev()).collect();
+                rng.shuffle(&mut perm);
+                p = p.permuted(&perm);
+            }
+            let nd = p.n_dev();
+            let m = Tensor::from_fn(&[nd, n_in], |_| {
+                if on_grid {
+                    rng.below(16) as f32 / 15.0
+                } else {
+                    rng.next_f32()
+                }
+            });
+            let map = xbar_device::FaultModel::uniform(rate).sample_map(nd, n_in, &mut rng);
+            let got = remap_for_faults(&m, &p, &map, range()).unwrap();
+            let want = dense_remap(&m, &p, &map, range());
+            let tag = format!("draw {draw}: {mapping} {n_out}x{n_in} at {rate}");
+            assert_same_bits(&got, &want, &tag);
+        }
+        // The seed-408 column, which the solve cannot improve.
+        let p = PeripheryMatrix::acm(11);
+        let codes = [1u8, 15, 9, 13, 7, 9, 3, 5, 3, 1, 8, 4];
+        let m = Tensor::from_vec(
+            codes.iter().map(|&c| f32::from(c) / 15.0).collect(),
+            &[12, 1],
+        )
+        .unwrap();
+        let mut map = FaultMap::pristine(12, 1);
+        map.set(0, 0, FaultKind::StuckAtGMax);
+        let got = remap_for_faults(&m, &p, &map, range()).unwrap();
+        assert_same_bits(&got, &dense_remap(&m, &p, &map, range()), "seed 408");
     }
 
     #[test]

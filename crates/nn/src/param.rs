@@ -8,7 +8,7 @@ use xbar_core::{
 };
 use xbar_device::{ConductanceRange, DeviceConfig};
 use xbar_tensor::rng::XorShiftRng;
-use xbar_tensor::{linalg, qmatmul_nt, QuantizedTensor, Tensor};
+use xbar_tensor::{qmatmul_nt, QuantizedTensor, Tensor};
 
 use crate::NnError;
 
@@ -397,7 +397,10 @@ impl MappedParam {
                 // Uniform forward quantization (DoReFa-style, the paper's
                 // ref [17]): write-verify programming reaches any of the
                 // 2^B uniform target levels regardless of the pulse curve.
-                let mut out = self.shadow.map(|g| q.quantize(g));
+                // A pooled copy quantized in place skips the fresh
+                // allocation a `map` would page in on every call.
+                let mut out = self.shadow.clone();
+                out.map_inplace(|g| q.quantize(g));
                 // Each BC reference column is a fixed, one-time-calibrated
                 // analog reference at exactly mid-range (paper Fig. 1b) —
                 // it is not re-programmed during training and is not
@@ -449,13 +452,19 @@ impl MappedParam {
                 None => self.shadow.clone(),
             },
             (WeightKind::Mapped(_), Some(s)) => {
+                let served;
                 let g = match &self.variation_override {
-                    Some(noisy) => noisy.clone(),
-                    None => self.quantized_shadow(),
+                    Some(noisy) => noisy,
+                    None => {
+                        served = self.quantized_shadow();
+                        &served
+                    }
                 };
-                linalg::matmul(s.matrix(), &g)
-                    .expect("periphery/conductance dims fixed at construction")
-                    .scale(self.alpha)
+                let mut w = s
+                    .apply(g)
+                    .expect("periphery/conductance dims fixed at construction");
+                w.map_inplace(|v| v * self.alpha);
+                w
             }
             _ => unreachable!("mapped parameters always carry a periphery"),
         }
@@ -599,7 +608,8 @@ impl MappedParam {
                         pre
                     }
                 };
-                let mut routed = linalg::matmul_tn(s.matrix(), &pre)?.scale(self.alpha);
+                let mut routed = s.apply_transposed(&pre)?;
+                routed.map_inplace(|v| v * self.alpha);
                 // Every BC reference column is *fixed* at mid-range (paper
                 // Sec. II: "the conductance of each element in this column
                 // is fixed to the middle of the conductance range") — it
@@ -770,12 +780,13 @@ impl MappedParam {
             for g in grid.col_groups() {
                 let group_map = map.block(g.dev_start, g.dev_len, 0, n_in);
                 let group_targets = targets.block(g.dev_start, g.dev_len, 0, n_in);
-                let mut group_periphery = grid.mapping().periphery(g.out_len);
-                if let Some(perm) = &self.perm {
-                    // The stored rows are in physical order; compensate
-                    // against the same permuted stencil the forward uses.
-                    group_periphery = group_periphery.permuted(&group_perm(perm, g));
-                }
+                // The group's block of the layer periphery: for Perm it
+                // carries the physical row order the forward uses.
+                let group_periphery = self
+                    .periphery
+                    .as_ref()
+                    .expect("mapped parameters carry a periphery")
+                    .diagonal_block(g.out_start, g.out_len, g.dev_start, g.dev_len)?;
                 let (shifted, report) = xbar_core::remap_for_faults(
                     &group_targets,
                     &group_periphery,
@@ -999,14 +1010,12 @@ impl MappedParam {
                                     } else {
                                         t_block.clone()
                                     };
-                                    let stencil =
-                                        PeripheryMatrix::try_new(periphery.matrix().block(
-                                            g.out_start,
-                                            g.out_len,
-                                            g.dev_start,
-                                            g.dev_len,
-                                        ))
-                                        .map_err(NnError::Mapping)?;
+                                    let stencil = periphery.diagonal_block(
+                                        g.out_start,
+                                        g.out_len,
+                                        g.dev_start,
+                                        g.dev_len,
+                                    )?;
                                     let (shifted, rr) =
                                         remap_for_faults(&base, &stencil, &tf, range)
                                             .map_err(NnError::Mapping)?;
@@ -1374,6 +1383,7 @@ fn init_conductances(wc: &Tensor, mapping: Mapping, device: &DeviceConfig) -> Te
 mod tests {
     use super::*;
     use xbar_device::DeviceConfig;
+    use xbar_tensor::linalg;
 
     fn he_init(n_out: usize, n_in: usize, seed: u64) -> Tensor {
         let mut rng = XorShiftRng::new(seed);
@@ -1702,6 +1712,67 @@ mod tests {
         let w = he_init(2, 2, 116);
         let p = MappedParam::from_signed(&w, WeightKind::Signed, DeviceConfig::ideal()).unwrap();
         assert!(p.conductances().is_err());
+    }
+
+    #[test]
+    fn stencil_weights_and_grads_match_the_dense_products_bit_for_bit() {
+        use xbar_device::TileShape;
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = XorShiftRng::new(141);
+        let w = he_init(19, 13, 140);
+        for mapping in Mapping::ALL {
+            for tile in [
+                None,
+                Some(TileShape::new(8, 5)),
+                Some(TileShape::new(16, 16)),
+            ] {
+                let tag = format!("{mapping} tile={tile:?}");
+                let device = DeviceConfig::quantized_linear(5).with_tile_shape(tile);
+                let mut p =
+                    MappedParam::from_signed(&w, WeightKind::Mapped(mapping), device).unwrap();
+                let s = p.periphery.clone().unwrap();
+                let dense =
+                    |g: &Tensor, alpha: f32| linalg::matmul(s.matrix(), g).unwrap().scale(alpha);
+                let want = dense(&p.quantized_shadow(), p.alpha);
+                assert_eq!(bits(&p.effective_weights()), bits(&want), "{tag}: S·q(M)");
+                p.apply_variation(0.05, &mut rng);
+                let want = dense(p.variation_override.as_ref().unwrap(), p.alpha);
+                assert_eq!(bits(&p.effective_weights()), bits(&want), "{tag}: S·G");
+
+                // Gradients with signed zeros, subnormals and repeats.
+                let grad_w = Tensor::from_fn(&[19, 13], |_| match rng.below(5) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => -f32::from_bits(1 + rng.below(1 << 20) as u32),
+                    3 => 0.125,
+                    _ => rng.normal(),
+                });
+                p.zero_grad();
+                p.accumulate_grad(&grad_w).unwrap();
+                let grid = p.tile_grid().unwrap();
+                let pre = match mapping {
+                    Mapping::DoubleElement => grad_w.scale(0.5),
+                    Mapping::BiasColumn | Mapping::Perm => grad_w.clone(),
+                    Mapping::Acm => {
+                        let mut pre = Tensor::zeros(&[19, 13]);
+                        for g in grid.col_groups() {
+                            let g_slice = grad_w.block(g.out_start, g.out_len, 0, 13);
+                            pre.write_block(g.out_start, 0, &solve_acm_gram(&g_slice));
+                        }
+                        pre
+                    }
+                };
+                let mut routed = linalg::matmul_tn(s.matrix(), &pre).unwrap().scale(p.alpha);
+                if matches!(mapping, Mapping::BiasColumn | Mapping::Perm) {
+                    for row in p.reference_rows() {
+                        routed.data_mut()[row * 13..(row + 1) * 13].fill(0.0);
+                    }
+                }
+                let mut want = Tensor::zeros(routed.shape());
+                want.add_scaled(&routed, 1.0).unwrap();
+                assert_eq!(bits(&p.grad), bits(&want), "{tag}: Sᵀ·G");
+            }
+        }
     }
 
     #[test]

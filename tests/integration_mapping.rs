@@ -1,121 +1,134 @@
 //! Cross-crate integration tests of the mapping layer: periphery matrices,
 //! decomposition, and the paper's formal claims (Sec. II / III), driven
-//! through property-based testing.
+//! through seeded property loops.
 
-use xbar_core::{analysis, decompose, Mapping};
+use xbar_core::{
+    analysis, compose, decompose, decompose_with_periphery, max_representable_scale, Mapping,
+    PeripheryMatrix,
+};
 use xbar_device::ConductanceRange;
-use xbar_tensor::Tensor;
+use xbar_tensor::{linalg, rng::XorShiftRng, Tensor};
 
 fn range() -> ConductanceRange {
     ConductanceRange::normalized()
 }
 
-// The property-based half of this suite needs the proptest registry crate,
-// unavailable offline; it is gated behind the non-default `slow-proptests`
-// feature (see crates/xbar/Cargo.toml).
-#[cfg(feature = "slow-proptests")]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-    use xbar_core::{compose, decompose_with_periphery, max_representable_scale, PeripheryMatrix};
-    use xbar_tensor::{linalg, rng::XorShiftRng};
+/// Cases per property below: each is a seeded loop of this many draws,
+/// every draw with its own seed and sizes.
+const DRAWS: usize = 64;
 
-    proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// A size in `lo..hi`.
+fn size_in(rng: &mut XorShiftRng, lo: usize, hi: usize) -> usize {
+    lo + rng.below(hi - lo)
+}
 
-    /// W = S·M round-trips exactly for every mapping, for any signed W
-    /// small enough to be representable.
-    #[test]
-    fn decomposition_round_trips(
-        seed in any::<u64>(),
-        n_out in 1usize..12,
-        n_in in 1usize..12,
-    ) {
-        let mut rng = XorShiftRng::new(seed);
+/// W = S·M round-trips exactly for every mapping, for any signed W small
+/// enough to be representable.
+#[test]
+fn decomposition_round_trips() {
+    let mut cases = XorShiftRng::new(0xDEC0);
+    for _ in 0..DRAWS {
+        let mut rng = XorShiftRng::new(cases.next_u64());
+        let n_out = size_in(&mut cases, 1, 12);
+        let n_in = size_in(&mut cases, 1, 12);
         // Amplitude low enough that even ACM's cumulative spread fits.
         let amp = 0.4 / n_out as f32;
         let w = Tensor::rand_uniform(&[n_out, n_in], -amp, amp, &mut rng);
         for mapping in Mapping::ALL {
             let m = decompose(&w, mapping, range()).expect("representable by construction");
-            prop_assert!(m.min() >= 0.0, "{}: negative conductance", mapping);
-            prop_assert!(m.max() <= 1.0 + 1e-6, "{}: conductance above range", mapping);
+            assert!(m.min() >= 0.0, "{mapping}: negative conductance");
+            assert!(m.max() <= 1.0 + 1e-6, "{mapping}: conductance above range");
             let back = compose(&m, mapping).expect("composition never fails on valid M");
-            prop_assert!(back.all_close(&w, 1e-4), "{}: reconstruction error", mapping);
+            assert!(back.all_close(&w, 1e-4), "{mapping}: reconstruction error");
         }
     }
+}
 
-    /// The generic Gaussian-elimination solver agrees with the closed-form
-    /// constructions in reconstruction (not necessarily in M itself — the
-    /// decomposition is not unique).
-    #[test]
-    fn generic_solver_reconstructs(
-        seed in any::<u64>(),
-        n_out in 1usize..10,
-        n_in in 1usize..8,
-    ) {
-        let mut rng = XorShiftRng::new(seed);
+/// The generic Gaussian-elimination solver agrees with the closed-form
+/// constructions in reconstruction (not necessarily in M itself — the
+/// decomposition is not unique).
+#[test]
+fn generic_solver_reconstructs() {
+    let mut cases = XorShiftRng::new(0x6E0);
+    for _ in 0..DRAWS {
+        let mut rng = XorShiftRng::new(cases.next_u64());
+        let n_out = size_in(&mut cases, 1, 10);
+        let n_in = size_in(&mut cases, 1, 8);
         let amp = 0.3 / n_out as f32;
         let w = Tensor::rand_uniform(&[n_out, n_in], -amp, amp, &mut rng);
         for mapping in Mapping::ALL {
             let s = mapping.periphery(n_out);
             let m = decompose_with_periphery(&w, &s, range()).expect("solvable");
-            prop_assert!(m.min() >= -1e-5, "{}: negative M from generic solver", mapping);
+            assert!(
+                m.min() >= -1e-5,
+                "{mapping}: negative M from generic solver"
+            );
             let back = linalg::matmul(s.matrix(), &m).expect("dims agree");
-            prop_assert!(back.all_close(&w, 1e-3), "{}: generic reconstruction", mapping);
+            assert!(
+                back.all_close(&w, 1e-3),
+                "{mapping}: generic reconstruction"
+            );
         }
     }
+}
 
-    /// Every standard periphery matrix passes the paper's sufficient
-    /// conditions at any size: full row rank and the all-ones null vector.
-    #[test]
-    fn periphery_conditions_hold(n_out in 1usize..32) {
+/// Every standard periphery matrix passes the paper's sufficient
+/// conditions at any size: full row rank and the all-ones null vector.
+#[test]
+fn periphery_conditions_hold() {
+    let mut cases = XorShiftRng::new(0x9E4);
+    for _ in 0..DRAWS {
+        let n_out = size_in(&mut cases, 1, 32);
         for mapping in Mapping::ALL {
             let s = mapping.periphery(n_out);
             // rank(S) = N_O.
             let r = linalg::rank(s.matrix(), 1e-5).expect("2-D");
-            prop_assert_eq!(r, n_out, "{} rank deficient", mapping);
+            assert_eq!(r, n_out, "{mapping} rank deficient");
             // S · 1 = 0.
             let ones = Tensor::ones(&[s.n_dev()]);
             let prod = linalg::matvec(s.matrix(), &ones).expect("dims");
-            prop_assert!(prod.abs_max() < 1e-6, "{} rows do not sum to zero", mapping);
+            assert!(prod.abs_max() < 1e-6, "{mapping} rows do not sum to zero");
             // Revalidation through the public checker agrees.
-            prop_assert!(PeripheryMatrix::try_new(s.matrix().clone()).is_ok());
+            assert!(PeripheryMatrix::try_new(s.matrix().clone()).is_ok());
         }
     }
+}
 
-    /// Paper Eq. (4): for ACM the total weight sum telescopes to the
-    /// first-minus-last device column totals.
-    #[test]
-    fn acm_telescoping_identity(
-        seed in any::<u64>(),
-        n_out in 2usize..10,
-        n_in in 1usize..10,
-    ) {
-        let mut rng = XorShiftRng::new(seed);
+/// Paper Eq. (4): for ACM the total weight sum telescopes to the
+/// first-minus-last device column totals.
+#[test]
+fn acm_telescoping_identity() {
+    let mut cases = XorShiftRng::new(0xAC4);
+    for _ in 0..DRAWS {
+        let mut rng = XorShiftRng::new(cases.next_u64());
+        let n_out = size_in(&mut cases, 2, 10);
+        let n_in = size_in(&mut cases, 1, 10);
         let amp = 0.3 / n_out as f32;
         let w = Tensor::rand_uniform(&[n_out, n_in], -amp, amp, &mut rng);
         let m = decompose(&w, Mapping::Acm, range()).expect("representable");
-        prop_assert!(analysis::verify_acm_sum_identity(&m, 1e-3).expect("valid shape"));
+        assert!(analysis::verify_acm_sum_identity(&m, 1e-3).expect("valid shape"));
     }
+}
 
-    /// `max_representable_scale` is exact: scaling W right up to the limit
-    /// decomposes, 5% beyond fails.
-    #[test]
-    fn representable_scale_is_sharp(
-        seed in any::<u64>(),
-        n_out in 1usize..8,
-        n_in in 1usize..8,
-    ) {
-        let mut rng = XorShiftRng::new(seed);
+/// `max_representable_scale` is exact: scaling W right up to the limit
+/// decomposes, 5% beyond fails.
+#[test]
+fn representable_scale_is_sharp() {
+    let mut cases = XorShiftRng::new(0x5CA);
+    for _ in 0..DRAWS {
+        let mut rng = XorShiftRng::new(cases.next_u64());
+        let n_out = size_in(&mut cases, 1, 8);
+        let n_in = size_in(&mut cases, 1, 8);
         let w = Tensor::rand_uniform(&[n_out, n_in], -1.0, 1.0, &mut rng);
-        prop_assume!(w.abs_max() > 1e-3);
+        if w.abs_max() <= 1e-3 {
+            continue;
+        }
         for mapping in Mapping::ALL {
             let s = max_representable_scale(&w, mapping, range()).expect("2-D");
-            prop_assert!(s.is_finite());
-            prop_assert!(decompose(&w.scale(s * 0.999), mapping, range()).is_ok());
-            prop_assert!(decompose(&w.scale(s * 1.05), mapping, range()).is_err());
+            assert!(s.is_finite());
+            assert!(decompose(&w.scale(s * 0.999), mapping, range()).is_ok());
+            assert!(decompose(&w.scale(s * 1.05), mapping, range()).is_err());
         }
-    }
     }
 }
 
