@@ -80,6 +80,16 @@ echo "==> training parity gate (serial == data-parallel, dropout + mappings)"
 # mid-run checkpoint kill/resume, all bitwise.
 cargo test -q --release -p xbar --test integration_training shard
 
+echo "==> conv bit pins on the scalar micro-kernel (XBAR_SIMD=0)"
+# simd_active() is fixed once per process, so the default test run reaches
+# only one micro-kernel. The conv kernels feed it swapped operands; re-run
+# their bit pins against the patch-matrix oracle, and their serial/parallel
+# pins, on the portable scalar kernel.
+STEP_START=$(date +%s)
+XBAR_SIMD=0 cargo test -q --release -p xbar-tensor --lib conv::
+XBAR_SIMD=0 cargo test -q --release -p xbar-tensor --test backend_parity conv_and_pool
+echo "    conv kernels bitwise on the scalar kernel ($(($(date +%s) - STEP_START)) s)"
+
 echo "==> quantized parity gate (int8 within 1 point of fp32, thread-invariant)"
 # The fig5 --quantized arm trains the four mapped models once (pinned
 # shard count) and scores each through the fp32 emulation and the int8
@@ -126,6 +136,17 @@ BENCH_LINE=$(python3 benchmark/run.py --workload mc_faults_vgg9 --seed 1 --secon
 echo "$BENCH_LINE" | grep -q '"correct":true'
 echo "$BENCH_LINE" | grep -q '"failed":0[,}]'
 echo "    mc_faults_vgg9 smoke: correct, 0 failed"
+
+echo "==> train_resnet20 smoke (conv backward + sharded trainer, end to end)"
+# The only workload that runs the convolution backward pass and the
+# sharded trainer. The run must be correct with no failed operation; that
+# includes a child process at one thread reproducing the leading
+# operations' digests.
+STEP_START=$(date +%s)
+BENCH_LINE=$(python3 benchmark/run.py --workload train_resnet20 --seed 1 --seconds 2 --trace 0 | tail -n 1)
+echo "$BENCH_LINE" | grep -q '"correct":true'
+echo "$BENCH_LINE" | grep -q '"failed":0[,}]'
+echo "    train_resnet20 smoke: correct, 0 failed ($(($(date +%s) - STEP_START)) s)"
 
 echo "==> tile-parity smoke (tiled == monolithic through the full stack)"
 # Release-mode re-run of the tiling integration suite (the debug test phase

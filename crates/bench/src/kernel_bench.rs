@@ -1023,14 +1023,16 @@ pub fn gemm_shapes(mode: Mode) -> Vec<(&'static str, &'static str, usize, usize,
         Mode::Full => {
             shapes.push(("matmul_tn_square_256", "matmul_tn", 256, 256, 256, 15));
             shapes.push(("matmul_nt_square_256", "matmul_nt", 256, 256, 256, 16));
-            // LeNet conv2 im2col GEMM at batch 32 (8×8 spatial, 6·5·5
-            // patch, 16 filters).
+            // LeNet conv2 as one patch-matrix GEMM at batch 32 (8×8
+            // spatial, 6·5·5 patch, 16 filters).
             shapes.push(("lenet_conv2_gemm", "matmul_nt", 2048, 150, 16, 17));
             // LeNet fc1 forward at batch 32.
             shapes.push(("lenet_fc1_gemm", "matmul_nt", 32, 400, 120, 18));
-            // VGG 3×3 conv 64→128 channels on 8×8 at batch 32.
+            // VGG 3×3 conv 64→128 channels on 8×8 at batch 32, as one
+            // patch-matrix GEMM.
             shapes.push(("vgg_conv_gemm", "matmul_nt", 2048, 576, 128, 19));
-            // ResNet-20 3×3 conv 32→32 channels on 16×16 at batch 32.
+            // ResNet-20 3×3 conv 32→32 channels on 16×16 at batch 32, as
+            // one patch-matrix GEMM.
             shapes.push(("resnet_conv_gemm", "matmul_nt", 8192, 288, 32, 20));
             // Dense backward weight gradient (xᵀ·dy) shape.
             shapes.push(("dense_bwd_gemm", "matmul_tn", 400, 32, 120, 21));
@@ -1060,14 +1062,14 @@ pub fn run(mode: Mode) -> Report {
         entries.push(qmatmul_entry("qmatmul_lenet_fc1", 32, 400, 120, reps, 24));
     }
 
-    // E2E: conv2d forward (im2col + GEMM + NCHW reorder).
+    // E2E: conv2d forward (per-sample patch gather + channel-major GEMM).
     {
         use xbar_tensor::conv::{conv2d_forward, ConvGeometry};
         let (batch, in_c, hw, out_c) = match mode {
             Mode::Smoke => (4, 3, 8, 8),
             Mode::Full => (32, 64, 8, 128),
         };
-        let geom = ConvGeometry::new(hw, hw, 3, 3, 1, 1);
+        let geom = ConvGeometry::new(hw, hw, 3, 3, 1, 1).expect("3x3 same conv fits");
         let mut rng = XorShiftRng::new(31);
         let input = Tensor::rand_normal(&[batch, in_c, hw, hw], 0.0, 1.0, &mut rng);
         let weight = Tensor::rand_normal(&[out_c, in_c * 9], 0.0, 1.0, &mut rng);
@@ -1078,10 +1080,7 @@ pub fn run(mode: Mode) -> Report {
             format!("{batch}x{in_c}x{hw}x{hw}->{out_c}"),
             flops,
             reps,
-            || {
-                let (out, _) = conv2d_forward(&input, &weight, &geom).unwrap();
-                out
-            },
+            || conv2d_forward(&input, &weight, &geom).unwrap(),
         ));
     }
 

@@ -10,13 +10,17 @@ use crate::{Layer, MappedParam, NnError, WeightKind};
 /// A 2-D convolution whose flattened filter bank is stored on a crossbar.
 ///
 /// The filter bank `(out_c, in_c·k·k)` is exactly the matrix a crossbar
-/// tile holds when convolutions are lowered to matrix multiplication
-/// (im2col), so the same [`MappedParam`] machinery as [`crate::Dense`]
-/// applies — the paper notes "all linear transforms, including
-/// convolutions, are possible through ACM" (Sec. III-B).
+/// tile holds when a convolution is run as matrix multiplication over
+/// input patches, so the same [`MappedParam`] machinery as
+/// [`crate::Dense`] applies — the paper notes "all linear transforms,
+/// including convolutions, are possible through ACM" (Sec. III-B). The
+/// kernels gather each sample's patches on the fly
+/// ([`xbar_tensor::conv`]), so training caches the layer input, not a
+/// patch matrix.
 ///
 /// Stride and padding are fixed at construction; the spatial geometry is
-/// derived from the first input seen and revalidated on each call.
+/// derived from each input, and an input smaller than the window is a
+/// [`NnError::Shape`].
 #[derive(Clone)]
 pub struct Conv2d {
     in_c: usize,
@@ -32,12 +36,11 @@ pub struct Conv2d {
 
 #[derive(Clone)]
 struct ConvCache {
-    cols: Tensor,
+    x: Tensor,
     /// The forward-time effective weights, kept only when they had to be
     /// materialized (mapped weights); `None` means backward can re-borrow
     /// the still-unchanged matrix from the parameter.
     w_eff: Option<Tensor>,
-    n: usize,
     geom: ConvGeometry,
 }
 
@@ -144,19 +147,15 @@ impl Layer for Conv2d {
             )));
         }
         let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
-        let geom = ConvGeometry::new(h, w, self.kernel, self.kernel, self.stride, self.pad);
+        let geom = ConvGeometry::new(h, w, self.kernel, self.kernel, self.stride, self.pad)?;
         // Borrow the effective weights when the parameter allows it (the
         // zero-copy hot path, as in `Dense`); otherwise materialize once
         // and keep the tensor for backward.
-        let (mut y, cols, w_cached) = match self.weights.effective_weights_ref() {
-            Some(w_eff) => {
-                let (y, cols) = conv2d_forward(x, w_eff, &geom)?;
-                (y, cols, None)
-            }
+        let (mut y, w_cached) = match self.weights.effective_weights_ref() {
+            Some(w_eff) => (conv2d_forward(x, w_eff, &geom)?, None),
             None => {
                 let w_eff = self.weights.effective_weights();
-                let (y, cols) = conv2d_forward(x, &w_eff, &geom)?;
-                (y, cols, Some(w_eff))
+                (conv2d_forward(x, &w_eff, &geom)?, Some(w_eff))
             }
         };
         // Per-channel bias.
@@ -177,9 +176,8 @@ impl Layer for Conv2d {
         }
         if train {
             self.cache = Some(ConvCache {
-                cols,
+                x: x.clone(),
                 w_eff: w_cached,
-                n,
                 geom,
             });
         }
@@ -187,35 +185,25 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Result<Tensor, NnError> {
-        let ConvCache {
-            cols,
-            w_eff,
-            n,
-            geom,
-        } = self
+        let ConvCache { x, w_eff, geom } = self
             .cache
             .take()
             .ok_or_else(|| NnError::State("conv backward without forward".into()))?;
-        let expected = [n, self.out_c, geom.out_h, geom.out_w];
-        if grad.shape() != expected {
-            return Err(NnError::Shape(xbar_tensor::ShapeError::new(
-                "conv backward",
-                format!("expected {:?}, got {:?}", expected, grad.shape()),
-            )));
-        }
         // Backward against the forward-time effective weights: either the
         // cached materialization, or the still-unchanged borrowable matrix
-        // (nothing mutates weights between forward and backward).
+        // (nothing mutates weights between forward and backward). The
+        // kernel rejects a `grad` that is not the forward output's shape.
         let (grad_input, grad_weight) = match &w_eff {
-            Some(w_eff) => conv2d_backward(grad, &cols, w_eff, n, self.in_c, &geom)?,
+            Some(w_eff) => conv2d_backward(grad, &x, w_eff, &geom)?,
             None => match self.weights.effective_weights_ref() {
-                Some(w_eff) => conv2d_backward(grad, &cols, w_eff, n, self.in_c, &geom)?,
+                Some(w_eff) => conv2d_backward(grad, &x, w_eff, &geom)?,
                 None => {
                     let w_eff = self.weights.effective_weights();
-                    conv2d_backward(grad, &cols, &w_eff, n, self.in_c, &geom)?
+                    conv2d_backward(grad, &x, &w_eff, &geom)?
                 }
             },
         };
+        let n = x.shape()[0];
         self.weights.accumulate_grad(&grad_weight)?;
         // Per-channel bias gradient: sum over batch and spatial dims.
         let spatial = geom.out_h * geom.out_w;
@@ -351,6 +339,24 @@ mod tests {
         )
         .unwrap();
         assert!(c.forward(&Tensor::zeros(&[1, 3, 8, 8]), true).is_err());
+    }
+
+    #[test]
+    fn input_smaller_than_the_window_is_a_shape_error() {
+        let mut r = rng();
+        let mut c = Conv2d::new(
+            1,
+            1,
+            3,
+            1,
+            0,
+            WeightKind::Signed,
+            DeviceConfig::ideal(),
+            &mut r,
+        )
+        .unwrap();
+        let err = c.forward(&Tensor::zeros(&[1, 1, 2, 2]), true).unwrap_err();
+        assert!(matches!(err, NnError::Shape(_)), "{err}");
     }
 
     #[test]

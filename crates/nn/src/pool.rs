@@ -60,7 +60,7 @@ impl Layer for MaxPool2d {
             self.kernel,
             self.stride,
             0,
-        );
+        )?;
         let (y, idx) = maxpool2d_forward(x, &geom)?;
         if train {
             self.cache = Some((idx, x.shape().to_vec()));
@@ -127,7 +127,7 @@ impl Layer for AvgPool2d {
             self.kernel,
             self.stride,
             0,
-        );
+        )?;
         let y = avgpool2d_forward(x, &geom)?;
         if train {
             self.cache = Some((x.shape()[0], x.shape()[1], geom));
@@ -268,6 +268,15 @@ mod tests {
         assert!(GlobalAvgPool::new()
             .forward(&Tensor::zeros(&[4, 4]), true)
             .is_err());
+    }
+
+    #[test]
+    fn input_smaller_than_the_window_is_a_shape_error() {
+        let x = Tensor::zeros(&[1, 1, 1, 1]);
+        let max = MaxPool2d::halving().forward(&x, true);
+        assert!(matches!(max, Err(NnError::Shape(_))), "{max:?}");
+        let avg = AvgPool2d::new(2, 2).forward(&x, true);
+        assert!(matches!(avg, Err(NnError::Shape(_))), "{avg:?}");
     }
 
     #[test]

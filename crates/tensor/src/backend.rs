@@ -3,9 +3,9 @@
 //! the data-parallel helpers every hot kernel in the workspace is
 //! written against.
 //!
-//! Every hot kernel in the workspace (GEMM, im2col, pooling, Monte-Carlo
-//! trial fan-out, per-tile MVM, sharded gradient reduction, the sweep
-//! runner) runs through this module. The design goals, in order:
+//! Every hot kernel in the workspace (GEMM, convolution, pooling,
+//! Monte-Carlo trial fan-out, per-tile MVM, sharded gradient reduction,
+//! the sweep runner) runs through this module. The design goals, in order:
 //!
 //! 1. **Determinism** — results are bitwise identical regardless of the
 //!    thread count. Work is split into *fixed* chunks whose boundaries

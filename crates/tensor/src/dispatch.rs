@@ -467,7 +467,7 @@ fn pack_block(
 /// Cache-blocked transpose: `src` is `(k, m)` row-major, `dst` becomes
 /// `(m, k)` row-major. Pure data movement — parallel over destination
 /// row blocks with disjoint writes, so scheduling cannot affect values.
-fn transpose_into(src: &[f32], dst: &mut [f32], k: usize, m: usize) {
+pub(crate) fn transpose_into(src: &[f32], dst: &mut [f32], k: usize, m: usize) {
     const TB: usize = 32;
     backend::parallel_chunks_mut(dst, TB * k, |bi, chunk| {
         let i0 = bi * TB;

@@ -18,8 +18,9 @@
 //!   reports (always 0: nothing is tuned at run time);
 //! * [`json`] — dependency-free canonical JSON (shared with the bench
 //!   sweep journal downstream);
-//! * [`conv`] — `im2col`/`col2im` based 2-D convolution and pooling
-//!   forward/backward kernels;
+//! * [`conv`] — 2-D convolution (per-sample patch gathers and
+//!   channel-major GEMMs, no patch matrix) and pooling forward/backward
+//!   kernels;
 //! * [`rng`] — a small deterministic xorshift PRNG so every experiment in
 //!   the workspace is reproducible from a single seed;
 //! * [`init`] — common weight initializers (He, Xavier, uniform);

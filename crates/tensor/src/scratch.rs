@@ -1,13 +1,13 @@
 //! Thread-local scratch-buffer recycling for the training hot path.
 //!
 //! A training step allocates the same tensor shapes over and over —
-//! im2col workspaces, GEMM pack buffers, per-layer activations and
-//! gradients. Instead of threading an explicit workspace object through
-//! every kernel signature, the pool intercepts the buffers at the
-//! [`crate::Tensor`] boundary: when a tensor is dropped its `Vec<f32>` is
-//! parked in a thread-local free list keyed by exact capacity, and
-//! `Tensor::zeros`/`Tensor::full` reuse a parked buffer of the right size
-//! instead of calling the allocator. After the first step of a training
+//! per-sample convolution patch blocks, GEMM pack buffers, per-layer
+//! activations and gradients. Instead of threading an explicit
+//! workspace object through every kernel signature, the pool intercepts
+//! the buffers at the [`crate::Tensor`] boundary: when a tensor is
+//! dropped its `Vec<f32>` is parked in a thread-local free list keyed by
+//! exact capacity, and `Tensor::zeros`/`Tensor::full` reuse a parked
+//! buffer of the right size instead of calling the allocator. After the first step of a training
 //! loop the hot path therefore performs (almost) no heap allocation.
 //!
 //! Semantics are unchanged: a reused buffer is `clear()`ed and

@@ -9,9 +9,10 @@
 use std::sync::{Mutex, Once};
 
 use xbar_tensor::conv::{
-    avgpool2d_backward, avgpool2d_forward, col2im, conv2d_backward, conv2d_forward, im2col,
-    maxpool2d_backward, maxpool2d_forward, ConvGeometry,
+    avgpool2d_backward, avgpool2d_forward, conv2d_backward, conv2d_forward, maxpool2d_backward,
+    maxpool2d_forward, ConvGeometry,
 };
+use xbar_tensor::dispatch::Problem;
 use xbar_tensor::rng::XorShiftRng;
 use xbar_tensor::{backend, linalg, Tensor};
 
@@ -88,31 +89,53 @@ fn matvec_bitwise_parity() {
     }
 }
 
+/// Asserts two tensors are bitwise equal (`to_bits`, so `-0.0 ≠ +0.0`).
+fn assert_bits(s: &Tensor, p: &Tensor, what: &str) {
+    assert_eq!(s.shape(), p.shape(), "{what}: shape");
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(s), bits(p), "{what}");
+}
+
 #[test]
 fn conv_and_pool_kernels_bitwise_parity() {
     pool4();
-    let geom = ConvGeometry::new(9, 7, 3, 3, 2, 1);
+    // `(n, c, h, w, out_c, k, stride, pad)`: the ragged stride-2 geometry
+    // (every GEMM small), then shapes that put each of the forward, `dW`
+    // and `dX` GEMMs in the other class — the last one with `dW` blocks
+    // that split a sample.
+    let cases = [
+        (5, 3, 9, 7, 4, 3, 2, 1),
+        (4, 4, 16, 16, 4, 3, 1, 1),
+        (3, 1, 12, 12, 16, 2, 1, 0),
+        (8, 4, 7, 7, 12, 3, 1, 1),
+    ];
+    // (forward, dW, dX) × (small, blocked) classes the cases reach.
+    let mut classes = [[false; 2]; 3];
+    for (i, &(n, c, h, w, out_c, k, stride, pad)) in cases.iter().enumerate() {
+        let geom = ConvGeometry::new(h, w, k, k, stride, pad).unwrap();
+        let (rows, depth) = (n * geom.out_h * geom.out_w, c * k * k);
+        classes[0][usize::from(Problem::new(false, true, rows, depth, out_c).small())] = true;
+        classes[1][usize::from(Problem::new(true, false, out_c, rows, depth).small())] = true;
+        classes[2][usize::from(Problem::new(false, false, rows, out_c, depth).small())] = true;
+        let seed = 7000 + 10 * i as u64;
+        let input = rand_t(&[n, c, h, w], seed);
+        let weight = rand_t(&[out_c, depth], seed + 1);
+
+        let (s, p) = both(|| conv2d_forward(&input, &weight, &geom).unwrap());
+        assert_bits(&s, &p, &format!("conv2d_forward case {i}"));
+
+        let grad_out = rand_t(s.shape(), seed + 2);
+        let (s, p) = both(|| conv2d_backward(&grad_out, &input, &weight, &geom).unwrap());
+        assert_bits(&s.0, &p.0, &format!("conv2d_backward grad_in case {i}"));
+        assert_bits(&s.1, &p.1, &format!("conv2d_backward grad_w case {i}"));
+    }
+    assert_eq!(
+        classes, [[true; 2]; 3],
+        "each GEMM must run in both classes"
+    );
+
     let input = rand_t(&[5, 3, 9, 7], 7000);
-    let weight = rand_t(&[4, 3 * 9], 7100);
-
-    let (s, p) = both(|| im2col(&input, &geom).unwrap());
-    assert_eq!(s.data(), p.data(), "im2col");
-
-    let cols = s;
-    let (s, p) = both(|| col2im(&cols, 5, 3, &geom).unwrap());
-    assert_eq!(s.data(), p.data(), "col2im");
-
-    let (s, p) = both(|| conv2d_forward(&input, &weight, &geom).unwrap());
-    assert_eq!(s.0.data(), p.0.data(), "conv2d_forward out");
-    assert_eq!(s.1.data(), p.1.data(), "conv2d_forward cols");
-
-    let (out, cached) = s;
-    let grad_out = rand_t(out.shape(), 7200);
-    let (s, p) = both(|| conv2d_backward(&grad_out, &cached, &weight, 5, 3, &geom).unwrap());
-    assert_eq!(s.0.data(), p.0.data(), "conv2d_backward grad_in");
-    assert_eq!(s.1.data(), p.1.data(), "conv2d_backward grad_w");
-
-    let pool_geom = ConvGeometry::new(9, 7, 2, 2, 2, 1);
+    let pool_geom = ConvGeometry::new(9, 7, 2, 2, 2, 1).unwrap();
     let (s, p) = both(|| maxpool2d_forward(&input, &pool_geom).unwrap());
     assert_eq!(s.0.data(), p.0.data(), "maxpool fwd");
     assert_eq!(s.1, p.1, "maxpool indices");

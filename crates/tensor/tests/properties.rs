@@ -6,7 +6,6 @@
 #![cfg(feature = "slow-proptests")]
 
 use proptest::prelude::*;
-use xbar_tensor::conv::{conv2d_backward, conv2d_forward, ConvGeometry};
 use xbar_tensor::{linalg, rng::XorShiftRng, Tensor};
 
 fn tensor(shape: &[usize], seed: u64) -> Tensor {
@@ -72,34 +71,6 @@ proptest! {
         let a = tensor(&[m, n], seed);
         let r = linalg::rank(&a, 1e-5).unwrap();
         prop_assert!(r <= m.min(n));
-    }
-
-    /// Convolution is linear in its input: conv(x1 + x2) = conv(x1) + conv(x2).
-    #[test]
-    fn conv_is_linear_in_input(seed in any::<u64>(), c in 1usize..3, oc in 1usize..3) {
-        let geom = ConvGeometry::new(5, 5, 3, 3, 1, 1);
-        let x1 = tensor(&[1, c, 5, 5], seed);
-        let x2 = tensor(&[1, c, 5, 5], seed ^ 7);
-        let w = tensor(&[oc, c * 9], seed ^ 8);
-        let (y1, _) = conv2d_forward(&x1, &w, &geom).unwrap();
-        let (y2, _) = conv2d_forward(&x2, &w, &geom).unwrap();
-        let (ysum, _) = conv2d_forward(&x1.add(&x2).unwrap(), &w, &geom).unwrap();
-        prop_assert!(ysum.all_close(&y1.add(&y2).unwrap(), 1e-3));
-    }
-
-    /// The conv backward pass is the adjoint of the forward pass:
-    /// <conv(x), g> == <x, conv_backward(g)>.
-    #[test]
-    fn conv_backward_is_adjoint(seed in any::<u64>(), c in 1usize..3) {
-        let geom = ConvGeometry::new(4, 4, 3, 3, 1, 1);
-        let x = tensor(&[1, c, 4, 4], seed);
-        let w = tensor(&[2, c * 9], seed ^ 9);
-        let (y, cols) = conv2d_forward(&x, &w, &geom).unwrap();
-        let g = tensor(y.shape(), seed ^ 10);
-        let (gx, _) = conv2d_backward(&g, &cols, &w, 1, c, &geom).unwrap();
-        let lhs: f32 = y.data().iter().zip(g.data()).map(|(&a, &b)| a * b).sum();
-        let rhs: f32 = x.data().iter().zip(gx.data()).map(|(&a, &b)| a * b).sum();
-        prop_assert!((lhs - rhs).abs() < 1e-2 * lhs.abs().max(1.0), "{lhs} vs {rhs}");
     }
 
     /// Reshape preserves data; transpose twice is identity.

@@ -44,7 +44,7 @@ fn both<T>(f: impl Fn() -> T) -> (T, T) {
 fn training_run_is_bitwise_identical_serial_vs_parallel() {
     pool4();
     // A full train + evaluate cycle drives every rewritten kernel (GEMM
-    // variants, im2col/col2im, pooling) through the pool; loss and
+    // variants, convolution, pooling) through the pool; loss and
     // accuracy must not depend on the thread count.
     let run = || {
         let data = SyntheticMnist::builder()
