@@ -23,28 +23,33 @@ echo "==> cargo doc --workspace --no-deps (warnings are errors)"
 # Catches broken and private intra-doc links, which cargo test does not.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "==> bench_kernels --smoke (parity + train throughput + BENCH_kernels.json)"
+echo "==> bench_kernels --smoke (parity + train throughput + routines)"
 # Tiny sizes; asserts serial==parallel bitwise on every entry — including
 # the train_step arm, which trains the smoke MLP data-parallel (shards=4)
 # and aborts unless the final weights match guaranteed-serial execution
-# bit for bit — and refreshes BENCH_kernels.json (the 256^3 headline
-# square is measured in smoke too). Pinned thread count so the recorded
-# numbers are the 4-lane configuration regardless of the host.
-XBAR_THREADS=4 cargo run --release -p xbar-bench --bin bench_kernels -- --smoke
-grep -q '"name": "train_step"' BENCH_kernels.json
-grep -q '"name": "qmatmul_square_256"' BENCH_kernels.json
-grep -q '"name": "quant_mvm"' BENCH_kernels.json
-grep -q '"gbps": ' BENCH_kernels.json
-grep -q '"parity": true' BENCH_kernels.json
-if grep -q '"parity": false' BENCH_kernels.json; then
-    echo "an entry in BENCH_kernels.json lost serial/parallel parity"
+# bit for bit (the 256^3 headline square is measured in smoke too).
+# Pinned thread count so the numbers are the 4-lane configuration
+# regardless of the host. The report goes to a temp file, so CI never
+# rewrites the committed BENCH_kernels.json.
+KERNELS_TMP=$(mktemp -d)
+trap 'rm -rf "$KERNELS_TMP"' EXIT
+KERNELS_JSON="$KERNELS_TMP/BENCH_kernels.json"
+XBAR_THREADS=4 cargo run --release -p xbar-bench --bin bench_kernels -- --smoke \
+    --out "$KERNELS_JSON"
+grep -q '"name": "train_step"' "$KERNELS_JSON"
+grep -q '"name": "qmatmul_square_256"' "$KERNELS_JSON"
+grep -q '"name": "quant_mvm"' "$KERNELS_JSON"
+grep -q '"gbps": ' "$KERNELS_JSON"
+grep -q '"parity": true' "$KERNELS_JSON"
+if grep -q '"parity": false' "$KERNELS_JSON"; then
+    echo "a bench_kernels entry lost serial/parallel parity"
     exit 1
 fi
 # Every GEMM entry (fp32 and int8) names the routine it dispatched to.
-grep -q '"routine": "' BENCH_kernels.json
-if grep -E '"kind": "(matmul|matmul_tn|matmul_nt|qmatmul)"' BENCH_kernels.json \
+grep -q '"routine": "' "$KERNELS_JSON"
+if grep -E '"kind": "(matmul|matmul_tn|matmul_nt|qmatmul)"' "$KERNELS_JSON" \
     | grep -v -q '"routine": "'; then
-    echo "a GEMM entry in BENCH_kernels.json records no routine"
+    echo "a bench_kernels GEMM entry records no routine"
     exit 1
 fi
 echo "    train_step + quantized arms recorded with serial/parallel parity and routines"
@@ -58,7 +63,7 @@ echo "==> scheduler gate (sched_bag parity + modeled 4-lane speedup >= 1.2x)"
 # even on core-starved CI hosts where raw wall times serialize (the
 # wall-clock speedup_vs_serial stays honest and is not gated; see
 # kernel_bench::sched_bag_entry).
-SCHED_LINE=$(grep '"name": "sched_bag"' BENCH_kernels.json)
+SCHED_LINE=$(grep '"name": "sched_bag"' "$KERNELS_JSON")
 echo "$SCHED_LINE" | grep -q '"parity": true'
 MODELED=$(echo "$SCHED_LINE" | sed 's/.*"modeled_speedup": \([0-9.]*\).*/\1/')
 awk -v sp="$MODELED" 'BEGIN {
@@ -99,7 +104,7 @@ echo "==> quantized parity gate (int8 within 1 point of fp32, thread-invariant)"
 # and 4 (the integer readout commits per-tile i32 accumulators in
 # submission order, so parallelism cannot move a single bit).
 QUANT_TMP=$(mktemp -d)
-trap 'rm -rf "$QUANT_TMP"' EXIT
+trap 'rm -rf "$KERNELS_TMP" "$QUANT_TMP"' EXIT
 QUANT_ARGS="--quantized --train 800 --test 300 --epochs 8 --min-bits 8 --max-bits 8 --csv"
 # shellcheck disable=SC2086  # QUANT_ARGS is intentionally word-split
 XBAR_THREADS=4 cargo run --release -p xbar-bench --bin fig5_precision -- $QUANT_ARGS \
@@ -159,7 +164,7 @@ echo "==> sweep kill/resume smoke (byte-identical resumed output)"
 # kill -9) after the first journaled cell and resumed from the journal.
 # The two output files must be byte-identical.
 SWEEP_TMP=$(mktemp -d)
-trap 'rm -rf "$QUANT_TMP" "$SWEEP_TMP"' EXIT
+trap 'rm -rf "$KERNELS_TMP" "$QUANT_TMP" "$SWEEP_TMP"' EXIT
 SWEEP_ARGS="--net lenet --tiny --bits 2 --sigmas 0,0.1 --samples 2 --epochs 1 --train 40 --test 20"
 # shellcheck disable=SC2086  # SWEEP_ARGS is intentionally word-split
 cargo run --release -p xbar-bench --bin sweep -- $SWEEP_ARGS \

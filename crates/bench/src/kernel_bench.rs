@@ -78,7 +78,7 @@ pub struct Entry {
     pub vs_serial: Option<f64>,
     /// Whether the parallel result was bitwise identical to serial.
     pub parity: bool,
-    /// Registry name of the dispatched GEMM routine (GEMM entries only).
+    /// Name of the dispatched GEMM kernel (GEMM entries only).
     pub routine: Option<&'static str>,
     /// Heap `(allocations, bytes)` of one naive evaluation, when the
     /// counting allocator is installed (see [`crate::alloc_count`]).
@@ -540,8 +540,7 @@ fn transposes(kind: &str) -> (bool, bool) {
     }
 }
 
-/// Registry name of the routine the dispatch shape rule runs for a GEMM
-/// kind/shape.
+/// Name of the kernel the dispatch rule runs for a GEMM kind/shape.
 fn selection_for_kind(kind: &str, m: usize, k: usize, n: usize) -> &'static str {
     let (trans_a, trans_b) = transposes(kind);
     dispatch::selection_for(trans_a, trans_b, m, k, n)
@@ -1023,17 +1022,8 @@ pub fn gemm_shapes(mode: Mode) -> Vec<(&'static str, &'static str, usize, usize,
         Mode::Full => {
             shapes.push(("matmul_tn_square_256", "matmul_tn", 256, 256, 256, 15));
             shapes.push(("matmul_nt_square_256", "matmul_nt", 256, 256, 256, 16));
-            // LeNet conv2 as one patch-matrix GEMM at batch 32 (8×8
-            // spatial, 6·5·5 patch, 16 filters).
-            shapes.push(("lenet_conv2_gemm", "matmul_nt", 2048, 150, 16, 17));
             // LeNet fc1 forward at batch 32.
             shapes.push(("lenet_fc1_gemm", "matmul_nt", 32, 400, 120, 18));
-            // VGG 3×3 conv 64→128 channels on 8×8 at batch 32, as one
-            // patch-matrix GEMM.
-            shapes.push(("vgg_conv_gemm", "matmul_nt", 2048, 576, 128, 19));
-            // ResNet-20 3×3 conv 32→32 channels on 16×16 at batch 32, as
-            // one patch-matrix GEMM.
-            shapes.push(("resnet_conv_gemm", "matmul_nt", 8192, 288, 32, 20));
             // Dense backward weight gradient (xᵀ·dy) shape.
             shapes.push(("dense_bwd_gemm", "matmul_tn", 400, 32, 120, 21));
         }
@@ -1290,13 +1280,17 @@ mod tests {
 
     #[test]
     fn every_gemm_shape_selects_a_supporting_routine() {
+        // The blocked engine runs exactly the problems above the class
+        // split; the rest keep their small kernel.
         for mode in [Mode::Smoke, Mode::Full] {
             for (name, kind, m, k, n, _) in gemm_shapes(mode) {
                 let (trans_a, trans_b) = transposes(kind);
+                let small = dispatch::Problem::new(trans_a, trans_b, m, k, n).small();
                 let routine = selection_for_kind(kind, m, k, n);
-                assert!(
-                    dispatch::candidate_names(trans_a, trans_b, m, k, n).contains(&routine),
-                    "{name} selected {routine}, which does not support it"
+                assert_eq!(
+                    routine == "packed_blocked",
+                    !small,
+                    "{name} selected {routine} across the class split"
                 );
             }
         }

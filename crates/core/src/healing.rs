@@ -1,49 +1,46 @@
-//! Self-healing crossbar execution: online fault detection, staged repair
-//! with retry/backoff, and exact digital fallback.
+//! Self-healing primitives: online fault detection, a staged repair
+//! ladder and the exact digital fallback. `xbar_nn::MappedParam::scrub_tick`
+//! runs them on a parameter's own state; it is the one repair loop.
 //!
 //! The resilience machinery elsewhere in this crate (write-verify
 //! programming, null-space remap, `Mapping::Perm`) runs at *program time*
 //! — a fault that arrives after mapping silently corrupts every
-//! subsequent MVM. This module closes the loop at run time:
+//! subsequent MVM. One scrub tick per scrub epoch closes the loop at run
+//! time, tile by tile in grid order:
 //!
 //! 1. **Detection** — an ABFT-style checksum per physical tile. The
 //!    expected column sums of a tile's target block form a checksum
-//!    vector `c` with `Σ_d (x·Mᵀ)[d] = x·c` for every input `x`, so each
-//!    tile MVM yields a residual at the cost of one extra dot product
-//!    ([`SelfHealingCrossbar::forward_verified`]). The scrub loop
-//!    evaluates the same residual analytically (its worst case over unit
-//!    inputs, [`checksum_residual`]), which keeps detection a pure
-//!    function of array state.
+//!    vector `c` with `Σ_d (x·Mᵀ)[d] = x·c` for every input `x`. The tick
+//!    evaluates the residual's worst case over unit inputs analytically
+//!    ([`checksum_residual`]), which keeps detection a pure function of
+//!    array state.
 //! 2. **Health tracking** — a [`HealthMonitor`] holds a per-tile residual
 //!    EWMA and drives the state machine `Healthy → Suspect → Repairing →
 //!    Quarantined` ([`TileHealth`]). One suspect observation never
 //!    triggers a repair; the residual must persist.
-//! 3. **Staged repair** — a bounded retry/backoff budget walks the
-//!    escalation ladder [`RepairStage::Reprogram`] (write-verify pass;
-//!    clears transient upsets) → [`RepairStage::Remap`] (tile-local
-//!    null-space compensation of the stuck cells) →
-//!    [`RepairStage::FullRemap`] (discard accumulated shifts, remap from
-//!    the pristine targets). Every attempt is recorded in a
-//!    [`RepairAttempt`].
+//! 3. **Staged repair** — a [`RepairPolicy`]'s bounded retry/backoff
+//!    budget walks the escalation ladder [`RepairStage::Reprogram`]
+//!    (write-verify pass; clears transient upsets) →
+//!    [`RepairStage::Remap`] (tile-local null-space compensation of the
+//!    stuck cells) → [`RepairStage::FullRemap`] (discard accumulated
+//!    shifts, remap from the pristine targets). Every attempt is recorded
+//!    in a [`RepairAttempt`], and each tick in a [`ScrubReport`].
 //! 4. **Digital fallback** — a tile that exhausts its budget is
 //!    quarantined: its partial product is served from the ideal
-//!    (fault-free, snapped) targets, exactly — accuracy is preserved and
-//!    the [`ScrubReport::analog_coverage`] metric drops instead.
+//!    (fault-free, snapped) conductances, exactly — accuracy is preserved
+//!    and the [`ScrubReport::analog_coverage`] metric drops instead.
 //!
 //! Determinism contract: scrub-path programming always uses
 //! `VariationModel::none()`, which writes targets exactly and consumes no
-//! RNG, so the entire array state after any number of scrubs is a pure
-//! function of `(reference array, lifetime model, policy, epoch)` —
-//! serial and pooled execution stay bitwise identical, and a checkpoint
-//! can rebuild the state exactly. With an inactive
-//! [`LifetimeFaultModel`], every path is a bitwise no-op.
+//! RNG, so the array state after any number of ticks is a pure function
+//! of the persisted scrub state — serial and pooled execution stay
+//! bitwise identical, and a checkpoint can rebuild the state exactly.
+//! With an inactive [`xbar_device::LifetimeFaultModel`] the tick is a
+//! bitwise no-op.
 
-use xbar_device::{DeviceConfig, FaultMap, LifetimeFaultModel, ProgrammingReport, VariationModel};
-use xbar_tensor::rng::XorShiftRng;
-use xbar_tensor::{linalg, Tensor};
+use xbar_tensor::Tensor;
 
-use crate::tiling::raw_batch;
-use crate::{remap_for_faults, ColGroup, CrossbarArray, MappingError, PeripheryMatrix, TileGrid};
+use crate::MappingError;
 
 /// Health state of one physical tile, as tracked by the
 /// [`HealthMonitor`]'s per-tile state machine.
@@ -223,8 +220,8 @@ impl TileState {
 /// Quarantined` state machine they drive.
 ///
 /// Tiles are indexed in the grid's deterministic order: row blocks outer,
-/// column groups inner (matching [`TileGrid::row_blocks`] ×
-/// [`TileGrid::col_groups`]).
+/// column groups inner (matching [`crate::TileGrid::row_blocks`] ×
+/// [`crate::TileGrid::col_groups`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthMonitor {
     policy: RepairPolicy,
@@ -405,7 +402,7 @@ pub struct RepairAttempt {
     pub healed: bool,
 }
 
-/// Outcome of one [`SelfHealingCrossbar::scrub`] pass.
+/// Outcome of one scrub tick (`xbar_nn::MappedParam::scrub_tick`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScrubReport {
     /// The scrub epoch this report covers.
@@ -441,9 +438,9 @@ impl ScrubReport {
 
 /// Worst-case ABFT checksum residual of a tile: the maximum over input
 /// columns of the absolute column-sum mismatch between the physical and
-/// target blocks. Equals the largest residual
-/// [`SelfHealingCrossbar::forward_verified`] can observe over unit
-/// inputs. A single column checksum can in principle be blinded by two
+/// target blocks: the largest violation of the per-MVM checksum
+/// identity `Σ_d (x·Mᵀ)[d] = x·c` over unit inputs `x`. A single column
+/// checksum can in principle be blinded by two
 /// arrivals of opposite sign cancelling in the same column — rare, and
 /// caught at the next arrival.
 pub fn checksum_residual(physical: &Tensor, targets: &Tensor) -> f32 {
@@ -460,409 +457,9 @@ pub fn checksum_residual(physical: &Tensor, targets: &Tensor) -> f32 {
     worst
 }
 
-/// A [`CrossbarArray`] wrapped with the full self-healing loop: lifetime
-/// fault arrivals, per-tile checksum detection, staged repair, and exact
-/// digital fallback for quarantined tiles.
-///
-/// Built from a programmed reference array (whose snapped targets become
-/// both the pristine repair reference and the digital fallback source),
-/// the wrapper serves MVMs bitwise identical to the reference until
-/// [`SelfHealingCrossbar::scrub`] advances the wear clock.
-///
-/// # Example
-///
-/// ```
-/// use xbar_core::{CrossbarArray, Mapping, RepairPolicy, SelfHealingCrossbar};
-/// use xbar_device::{DeviceConfig, LifetimeFaultModel, TileShape};
-/// use xbar_tensor::{rng::XorShiftRng, Tensor};
-///
-/// # fn main() -> Result<(), xbar_core::MappingError> {
-/// let mut rng = XorShiftRng::new(9);
-/// let w = Tensor::rand_uniform(&[12, 24], -0.02, 0.02, &mut rng);
-/// let device = DeviceConfig::ideal().with_tile_shape(Some(TileShape::new(8, 8)));
-/// let tiled = CrossbarArray::program_signed(&w, Mapping::Acm, device, &mut rng)?;
-/// let lifetime = LifetimeFaultModel::new(0.001, 7).unwrap();
-/// let mut healing = SelfHealingCrossbar::new(&tiled, lifetime, RepairPolicy::default());
-/// let report = healing.scrub()?;
-/// assert_eq!(report.epoch, 1);
-/// assert_eq!(report.total_tiles, tiled.num_tiles());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct SelfHealingCrossbar {
-    grid: TileGrid,
-    periphery: PeripheryMatrix,
-    device: DeviceConfig,
-    lifetime: LifetimeFaultModel,
-    monitor: HealthMonitor,
-    /// Pristine snapped targets: repair reference and digital fallback.
-    ideal: Tensor,
-    /// Current targets, including any remap compensation shifts.
-    targets: Tensor,
-    /// Physical conductances, stuck cells included.
-    physical: Tensor,
-    /// What `forward` reads: `physical`, with every quarantined tile's
-    /// block replaced by its `ideal` block.
-    served: Tensor,
-    faults: FaultMap,
-    epoch: u32,
-    log: Vec<RepairAttempt>,
-}
-
-impl SelfHealingCrossbar {
-    /// Wraps a programmed reference array. Its snapped targets become the
-    /// pristine repair reference (and exact digital fallback); its
-    /// effective conductances seed the physical state, so with no scrubs
-    /// the wrapper's [`SelfHealingCrossbar::forward`] is bitwise
-    /// identical to the reference's.
-    pub fn new(
-        reference: &CrossbarArray,
-        lifetime: LifetimeFaultModel,
-        policy: RepairPolicy,
-    ) -> Self {
-        let grid = reference.grid().clone();
-        let num_tiles = grid.num_tiles();
-        Self {
-            periphery: reference.periphery().clone(),
-            device: *reference.device(),
-            lifetime,
-            monitor: HealthMonitor::new(num_tiles, policy),
-            ideal: reference.targets().clone(),
-            targets: reference.targets().clone(),
-            physical: reference.effective_conductances().clone(),
-            served: reference.effective_conductances().clone(),
-            faults: reference.fault_map().clone(),
-            epoch: 0,
-            log: Vec::new(),
-            grid,
-        }
-    }
-
-    /// The current scrub epoch (0 = never scrubbed).
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
-
-    /// The health monitor.
-    pub fn monitor(&self) -> &HealthMonitor {
-        &self.monitor
-    }
-
-    /// Every repair attempt across all scrubs, in order.
-    pub fn repair_log(&self) -> &[RepairAttempt] {
-        &self.log
-    }
-
-    /// The accumulated stuck-cell map, in the stacked frame.
-    pub fn fault_map(&self) -> &FaultMap {
-        &self.faults
-    }
-
-    /// Fraction of tiles still served by the analog array.
-    pub fn analog_coverage(&self) -> f32 {
-        if self.grid.num_tiles() == 0 {
-            return 1.0;
-        }
-        self.monitor.num_analog() as f32 / self.grid.num_tiles() as f32
-    }
-
-    /// The effective signed weights the served array realises (digital
-    /// fallback blocks included).
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if the periphery and conductances disagree
-    /// (impossible by construction, surfaced rather than panicking).
-    pub fn effective_weights(&self) -> Result<Tensor, MappingError> {
-        self.periphery.apply(&self.served)
-    }
-
-    /// The local stencil of one column group, extracted from the
-    /// block-diagonal layer periphery (so any folded-in `Perm` row order
-    /// is preserved).
-    fn group_periphery(&self, g: &ColGroup) -> Result<PeripheryMatrix, MappingError> {
-        self.periphery
-            .diagonal_block(g.out_start, g.out_len, g.dev_start, g.dev_len)
-    }
-
-    /// Advances the wear clock one scrub epoch: overlays newly arrived
-    /// lifetime faults onto the physical array, re-evaluates every tile's
-    /// checksum residual, and runs the detection → repair → quarantine
-    /// loop. A no-op (bitwise, including the report counters) when the
-    /// lifetime model is inactive and every tile is healthy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates remap failures ([`MappingError`]); the array is left in
-    /// a consistent (pre-attempt) state for the failing tile.
-    pub fn scrub(&mut self) -> Result<ScrubReport, MappingError> {
-        self.epoch += 1;
-        let (nd, n_in) = (self.grid.nd_total(), self.grid.n_in());
-        let range = self.device.range();
-        let quarantined_before = self.monitor.num_quarantined();
-
-        // 1. Overlay this epoch's fault arrivals onto the physical state.
-        let mut new_faults = 0;
-        if self.lifetime.is_active() {
-            for (row, col, kind) in self.lifetime.fault_map(nd, n_in, self.epoch).iter_stuck() {
-                if self.faults.get(row, col).is_none() {
-                    self.faults.set(row, col, kind);
-                    new_faults += 1;
-                }
-                *self.physical.at_mut(&[row, col]) = kind.forced_value(range);
-            }
-        }
-
-        // 2. Detection + staged repair, tile by tile in grid order.
-        let mut report = ScrubReport {
-            epoch: self.epoch,
-            new_faults,
-            detections: 0,
-            repairs: Vec::new(),
-            quarantined_now: 0,
-            quarantined_total: 0,
-            analog_tiles: 0,
-            total_tiles: self.grid.num_tiles(),
-            exhausted_cells: 0,
-        };
-        let mut tile_idx = 0;
-        let row_blocks = self.grid.row_blocks().to_vec();
-        let col_groups = self.grid.col_groups().to_vec();
-        for &(r0, rl) in &row_blocks {
-            for g in &col_groups {
-                let phys = self.physical.block(g.dev_start, g.dev_len, r0, rl);
-                let tgt = self.targets.block(g.dev_start, g.dev_len, r0, rl);
-                let residual = checksum_residual(&phys, &tgt);
-                match self.monitor.observe(tile_idx, residual, self.epoch) {
-                    HealthAction::Detected => report.detections += 1,
-                    HealthAction::Repair(stage) => {
-                        let attempt = self.repair_tile(tile_idx, g, r0, rl, stage, &mut report)?;
-                        report.repairs.push(attempt);
-                        self.log.push(attempt);
-                    }
-                    HealthAction::Nothing
-                    | HealthAction::Backoff
-                    | HealthAction::AlreadyQuarantined => {}
-                }
-                tile_idx += 1;
-            }
-        }
-
-        // 3. Rebuild the served view: physical everywhere, ideal blocks
-        // for quarantined tiles.
-        self.served = self.physical.clone();
-        let mut tile_idx = 0;
-        for &(r0, rl) in &row_blocks {
-            for g in &col_groups {
-                if self.monitor.state(tile_idx) == TileHealth::Quarantined {
-                    let ideal_block = self.ideal.block(g.dev_start, g.dev_len, r0, rl);
-                    self.served.write_block(g.dev_start, r0, &ideal_block);
-                }
-                tile_idx += 1;
-            }
-        }
-
-        report.quarantined_total = self.monitor.num_quarantined();
-        report.quarantined_now = report.quarantined_total - quarantined_before;
-        report.analog_tiles = self.monitor.num_analog();
-        Ok(report)
-    }
-
-    /// Runs one repair attempt on a tile and records the outcome with the
-    /// monitor. Scrub-path programming is deliberately noiseless
-    /// (`VariationModel::none()`): it writes targets exactly, consumes no
-    /// RNG, and keeps the repair a pure function of array state.
-    fn repair_tile(
-        &mut self,
-        tile: usize,
-        g: &ColGroup,
-        r0: usize,
-        rl: usize,
-        stage: RepairStage,
-        report: &mut ScrubReport,
-    ) -> Result<RepairAttempt, MappingError> {
-        let range = self.device.range();
-        let tf = self.faults.block(g.dev_start, g.dev_len, r0, rl);
-        let before = self.physical.block(g.dev_start, g.dev_len, r0, rl);
-        let residual_before =
-            checksum_residual(&before, &self.targets.block(g.dev_start, g.dev_len, r0, rl));
-
-        // Stage-specific target revision.
-        let (tile_targets, weight_residual) = match stage {
-            RepairStage::Reprogram => (self.targets.block(g.dev_start, g.dev_len, r0, rl), None),
-            RepairStage::Remap => {
-                let base = self.targets.block(g.dev_start, g.dev_len, r0, rl);
-                let p = self.group_periphery(g)?;
-                let (shifted, rr) = remap_for_faults(&base, &p, &tf, range)?;
-                (shifted, Some(rr.residual_after()))
-            }
-            RepairStage::FullRemap => {
-                let base = self.ideal.block(g.dev_start, g.dev_len, r0, rl);
-                let p = self.group_periphery(g)?;
-                let (shifted, rr) = remap_for_faults(&base, &p, &tf, range)?;
-                (shifted, Some(rr.residual_after()))
-            }
-        };
-
-        // Noiseless write-verify pass; stuck cells keep their forced
-        // values, everything else lands exactly on target.
-        let mut scrub_rng = XorShiftRng::new(0x5C2B);
-        let (programmed, prog_report): (Tensor, ProgrammingReport) =
-            self.device.programming().program_tensor(
-                &tile_targets,
-                &VariationModel::none(),
-                range,
-                Some(&tf),
-                &mut scrub_rng,
-            );
-        report.exhausted_cells += prog_report.num_unconverged();
-        self.targets.write_block(g.dev_start, r0, &tile_targets);
-        self.physical.write_block(g.dev_start, r0, &programmed);
-
-        let residual_after = checksum_residual(&programmed, &tile_targets);
-        let healed = match weight_residual {
-            // Remap rungs must restore *weight* accuracy, not just agree
-            // with their own revised targets.
-            Some(wr) => wr <= self.monitor.policy().weight_tolerance,
-            None => residual_after <= self.monitor.policy().residual_threshold,
-        };
-        let state = self.monitor.record_attempt(tile, self.epoch, healed);
-        if state == TileHealth::Quarantined {
-            // Reset the tile's intent to pristine so the digital fallback
-            // and any later diagnostics agree on what it should compute.
-            let ideal_block = self.ideal.block(g.dev_start, g.dev_len, r0, rl);
-            self.targets.write_block(g.dev_start, r0, &ideal_block);
-        }
-        Ok(RepairAttempt {
-            epoch: self.epoch,
-            tile,
-            stage,
-            residual_before,
-            residual_after,
-            healed,
-        })
-    }
-
-    /// Injects a transient (soft) corruption into one physical cell —
-    /// the non-stuck error class [`RepairStage::Reprogram`] exists to
-    /// clear. Test/experiment hook; real arrays get this from radiation
-    /// or read disturb.
-    pub fn inject_soft_error(&mut self, row: usize, col: usize, value: f32) {
-        *self.physical.at_mut(&[row, col]) = value;
-        *self.served.at_mut(&[row, col]) = value;
-    }
-
-    /// Batched signed MVM over the self-healed array: quarantined tiles'
-    /// partial products come from the exact digital fallback, everything
-    /// else from the (possibly faulty) analog state.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if `x` is not `(batch, n_in)`, or
-    /// [`MappingError::NonFiniteInput`] on NaN/Inf inputs.
-    pub fn forward(&self, x: &Tensor) -> Result<Tensor, MappingError> {
-        if x.ndim() != 2 || x.shape()[1] != self.grid.n_in() {
-            return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
-                "self-healing forward",
-                format!(
-                    "expected (batch, {}) input, got {:?}",
-                    self.grid.n_in(),
-                    x.shape()
-                ),
-            )));
-        }
-        if !x.data().iter().all(|v| v.is_finite()) {
-            return Err(MappingError::NonFiniteInput {
-                op: "self-healing forward",
-            });
-        }
-        self.periphery
-            .combine(&raw_batch(&self.grid, &self.served, x))
-    }
-
-    /// Like [`SelfHealingCrossbar::forward`], but also returns the ABFT
-    /// checksum residual each tile's MVM produced on this batch: per tile
-    /// the identity `Σ_d partial[b, d] = x_block[b] · c` (with `c` the
-    /// target block's column sums) must hold; the reported value is the
-    /// worst absolute violation over the batch.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SelfHealingCrossbar::forward`].
-    pub fn forward_verified(&self, x: &Tensor) -> Result<(Tensor, Vec<f32>), MappingError> {
-        if x.ndim() != 2 || x.shape()[1] != self.grid.n_in() {
-            return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
-                "self-healing forward_verified",
-                format!(
-                    "expected (batch, {}) input, got {:?}",
-                    self.grid.n_in(),
-                    x.shape()
-                ),
-            )));
-        }
-        if !x.data().iter().all(|v| v.is_finite()) {
-            return Err(MappingError::NonFiniteInput {
-                op: "self-healing forward_verified",
-            });
-        }
-        let batch = x.shape()[0];
-        let nd = self.grid.nd_total();
-        let mut raw = Tensor::zeros(&[batch, nd]);
-        let mut residuals = Vec::with_capacity(self.grid.num_tiles());
-        for &(r0, rl) in self.grid.row_blocks() {
-            for g in self.grid.col_groups() {
-                let x_block = x.block(0, batch, r0, rl);
-                let m_block = self.served.block(g.dev_start, g.dev_len, r0, rl);
-                let partial = linalg::matmul_nt(&x_block, &m_block)
-                    .expect("tile dimensions agree by construction");
-                // Checksum of the *expected* block: c[i] = Σ_d targets[d, i].
-                let t_block = self.targets.block(g.dev_start, g.dev_len, r0, rl);
-                let mut checksum = vec![0.0f32; rl];
-                for d in 0..g.dev_len {
-                    for (i, c) in checksum.iter_mut().enumerate() {
-                        *c += t_block.data()[d * rl + i];
-                    }
-                }
-                let mut worst = 0.0f32;
-                for b in 0..batch {
-                    let got: f32 = partial.data()[b * g.dev_len..(b + 1) * g.dev_len]
-                        .iter()
-                        .sum();
-                    let want: f32 = x_block.data()[b * rl..(b + 1) * rl]
-                        .iter()
-                        .zip(&checksum)
-                        .map(|(&xi, &ci)| xi * ci)
-                        .sum();
-                    worst = worst.max((got - want).abs());
-                }
-                residuals.push(worst);
-                for b in 0..batch {
-                    let dst =
-                        &mut raw.data_mut()[b * nd + g.dev_start..b * nd + g.dev_start + g.dev_len];
-                    for (d, &p) in dst.iter_mut().zip(&partial.data()[b * g.dev_len..]) {
-                        *d += p;
-                    }
-                }
-            }
-        }
-        Ok((self.periphery.combine(&raw)?, residuals))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Mapping;
-    use xbar_device::{LifetimeFaultModel, TileShape};
-    use xbar_tensor::backend;
-
-    fn reference(mapping: Mapping) -> CrossbarArray {
-        let mut r = XorShiftRng::new(404);
-        let w = Tensor::rand_uniform(&[12, 24], -0.02, 0.02, &mut r);
-        let device = DeviceConfig::ideal().with_tile_shape(Some(TileShape::new(8, 8)));
-        CrossbarArray::program_signed(&w, mapping, device, &mut r).unwrap()
-    }
 
     #[test]
     fn monitor_walks_the_state_machine() {
@@ -949,184 +546,5 @@ mod tests {
         let mut bad = flat.clone();
         bad[0] = 9.0;
         assert!(HealthMonitor::from_flat(&bad, policy).is_err());
-    }
-
-    #[test]
-    fn inactive_lifetime_is_a_bitwise_noop() {
-        let mut r = XorShiftRng::new(11);
-        let x = Tensor::rand_uniform(&[5, 24], -1.0, 1.0, &mut r);
-        for mapping in Mapping::ALL {
-            let tiled = reference(mapping);
-            let mut healing = SelfHealingCrossbar::new(
-                &tiled,
-                LifetimeFaultModel::none(),
-                RepairPolicy::default(),
-            );
-            assert_eq!(
-                healing.forward(&x).unwrap().data(),
-                tiled.forward(&x).unwrap().data(),
-                "{mapping}: wrapper must match the reference bitwise"
-            );
-            for _ in 0..3 {
-                let report = healing.scrub().unwrap();
-                assert_eq!(report.new_faults, 0);
-                assert_eq!(report.detections, 0);
-                assert!(report.repairs.is_empty());
-                assert_eq!(report.analog_coverage(), 1.0);
-            }
-            assert_eq!(
-                healing.forward(&x).unwrap().data(),
-                tiled.forward(&x).unwrap().data(),
-                "{mapping}: scrubbing a wear-free array must change nothing"
-            );
-        }
-    }
-
-    #[test]
-    fn forward_verified_flags_exactly_the_corrupted_tile() {
-        let tiled = reference(Mapping::Acm);
-        let mut healing =
-            SelfHealingCrossbar::new(&tiled, LifetimeFaultModel::none(), RepairPolicy::default());
-        let mut r = XorShiftRng::new(13);
-        let x = Tensor::rand_uniform(&[4, 24], 0.5, 1.0, &mut r);
-        let (y0, res0) = healing.forward_verified(&x).unwrap();
-        assert!(res0.iter().all(|&v| v < 1e-4), "clean array: {res0:?}");
-        assert_eq!(y0.data(), tiled.forward(&x).unwrap().data());
-        // Corrupt one cell in tile 0 (rows 0..9 ACM group 0, cols 0..8).
-        healing.inject_soft_error(2, 3, 1.0);
-        let (_, res1) = healing.forward_verified(&x).unwrap();
-        assert!(res1[0] > 0.1, "corrupted tile must trip: {res1:?}");
-        assert!(
-            res1[1..].iter().all(|&v| v < 1e-4),
-            "other tiles stay clean: {res1:?}"
-        );
-    }
-
-    #[test]
-    fn soft_error_is_detected_and_reprogrammed_away() {
-        let tiled = reference(Mapping::Acm);
-        let mut healing =
-            SelfHealingCrossbar::new(&tiled, LifetimeFaultModel::none(), RepairPolicy::default());
-        healing.inject_soft_error(2, 3, 1.0);
-        // Scrub 1: detection; scrub 2: reprogram heals it.
-        let r1 = healing.scrub().unwrap();
-        assert_eq!(r1.detections, 1);
-        assert!(r1.repairs.is_empty());
-        let r2 = healing.scrub().unwrap();
-        assert_eq!(r2.repairs.len(), 1);
-        assert_eq!(r2.repairs[0].stage, RepairStage::Reprogram);
-        assert!(r2.repairs[0].healed);
-        assert!(r2.repairs[0].residual_before > 0.1);
-        assert!(r2.repairs[0].residual_after < 1e-6);
-        assert_eq!(healing.monitor().num_quarantined(), 0);
-        // The array is back to the reference bitwise.
-        let mut r = XorShiftRng::new(17);
-        let x = Tensor::rand_uniform(&[3, 24], -1.0, 1.0, &mut r);
-        assert_eq!(
-            healing.forward(&x).unwrap().data(),
-            tiled.forward(&x).unwrap().data()
-        );
-    }
-
-    #[test]
-    fn lifetime_fault_escalates_to_remap_and_recovers_weights() {
-        for mapping in [Mapping::Acm, Mapping::Perm] {
-            let tiled = reference(mapping);
-            let w_ideal = tiled.effective_weights();
-            // Low rate: a few stuck cells over the first epochs.
-            let lifetime = LifetimeFaultModel::new(0.002, 23).unwrap();
-            let policy = RepairPolicy::default();
-            let mut healing = SelfHealingCrossbar::new(&tiled, lifetime, policy);
-            // Scrub until the array quiesces: three consecutive epochs
-            // with no arrivals, no repair activity, and no tile pending.
-            let (mut detections, mut remaps, mut quiet, mut epochs) = (0, 0, 0, 0);
-            while quiet < 3 && epochs < 80 {
-                let rep = healing.scrub().unwrap();
-                detections += rep.detections;
-                remaps += rep
-                    .repairs
-                    .iter()
-                    .filter(|a| a.stage != RepairStage::Reprogram && a.healed)
-                    .count();
-                let pending = (0..healing.monitor().num_tiles()).any(|t| {
-                    matches!(
-                        healing.monitor().state(t),
-                        TileHealth::Suspect | TileHealth::Repairing
-                    )
-                });
-                if rep.new_faults > 0 || rep.detections > 0 || !rep.repairs.is_empty() || pending {
-                    quiet = 0;
-                } else {
-                    quiet += 1;
-                }
-                epochs += 1;
-            }
-            assert_eq!(quiet, 3, "{mapping}: wear never quiesced");
-            assert!(healing.fault_map().num_stuck() > 0, "{mapping}: no wear");
-            assert!(detections > 0, "{mapping}: wear was never detected");
-            assert!(remaps > 0, "{mapping}: no successful remap repair");
-            // Quiescent means every tile is Healthy (fault-free, or
-            // remap-healed to within the policy's weight tolerance) or
-            // Quarantined (served exactly by the digital fallback), so the
-            // end-to-end weight error is bounded by the tolerance.
-            let w_healed = healing.effective_weights().unwrap();
-            assert!(
-                w_healed.all_close(&w_ideal, 1.5 * policy.weight_tolerance),
-                "{mapping}: weight error {} after healing",
-                w_healed.sub(&w_ideal).unwrap().abs_max()
-            );
-        }
-    }
-
-    #[test]
-    fn total_wearout_quarantines_everything_and_falls_back_exactly() {
-        let tiled = reference(Mapping::Acm);
-        let lifetime = LifetimeFaultModel::new(1.0, 3).unwrap();
-        let mut healing = SelfHealingCrossbar::new(&tiled, lifetime, RepairPolicy::default());
-        // Every cell fails at epoch 1; no remap can absorb a fully stuck
-        // tile, so the ladder runs dry and every tile quarantines.
-        let mut saw_quarantine_event = false;
-        for _ in 0..12 {
-            let rep = healing.scrub().unwrap();
-            saw_quarantine_event |= rep.quarantined_now > 0;
-            if rep.analog_tiles == 0 {
-                break;
-            }
-        }
-        assert!(saw_quarantine_event);
-        assert_eq!(healing.monitor().num_quarantined(), tiled.num_tiles());
-        assert_eq!(healing.analog_coverage(), 0.0);
-        // Digital fallback serves the ideal fault-free output *exactly*.
-        let mut r = XorShiftRng::new(29);
-        let x = Tensor::rand_uniform(&[6, 24], -1.0, 1.0, &mut r);
-        assert_eq!(
-            healing.forward(&x).unwrap().data(),
-            tiled.forward(&x).unwrap().data(),
-            "quarantined grid must be bitwise the ideal reference"
-        );
-    }
-
-    #[test]
-    fn scrub_and_forward_are_bitwise_serial_vs_pooled() {
-        let tiled = reference(Mapping::Acm);
-        let lifetime = LifetimeFaultModel::new(0.003, 51).unwrap();
-        let run = |serial: bool| {
-            backend::force_serial(serial);
-            let mut healing = SelfHealingCrossbar::new(&tiled, lifetime, RepairPolicy::default());
-            let mut reports = Vec::new();
-            for _ in 0..8 {
-                reports.push(healing.scrub().unwrap());
-            }
-            let mut r = XorShiftRng::new(31);
-            let x = Tensor::rand_uniform(&[7, 24], -1.0, 1.0, &mut r);
-            let y = healing.forward(&x).unwrap();
-            backend::force_serial(false);
-            (reports, y, healing.monitor().clone())
-        };
-        let (rep_s, y_s, mon_s) = run(true);
-        let (rep_p, y_p, mon_p) = run(false);
-        assert_eq!(rep_s, rep_p, "scrub reports diverged across pooling");
-        assert_eq!(y_s.data(), y_p.data(), "forward diverged across pooling");
-        assert_eq!(mon_s, mon_p, "health state diverged across pooling");
     }
 }

@@ -34,6 +34,10 @@
 //! * [`remap_for_faults`] — fault-aware remapping: stuck-at defects are
 //!   absorbed into the null-space slack of `W = S·M` (shifting a column by
 //!   `c·x_h` changes no weight), with the unabsorbable residual reported;
+//! * [`HealthMonitor`], [`RepairPolicy`] and [`checksum_residual`] — the
+//!   self-healing primitives (checksum detection, staged repair, exact
+//!   digital fallback) that `xbar_nn::MappedParam::scrub_tick` runs once
+//!   per scrub epoch;
 //! * [`analysis`] — the Sec. III-E regularization identity
 //!   (`ΣW = M̄_1 − M̄_{N_D}`), representable-sum counting, weight-range and
 //!   hardware-cost accounting.
@@ -78,7 +82,7 @@ pub use decompose::{compose, decompose, decompose_with_periphery, max_representa
 pub use error::MappingError;
 pub use healing::{
     checksum_residual, HealthAction, HealthMonitor, RepairAttempt, RepairPolicy, RepairStage,
-    ScrubReport, SelfHealingCrossbar, TileHealth,
+    ScrubReport, TileHealth,
 };
 pub use mapping::{Mapping, ParseMappingError};
 pub use periphery::PeripheryMatrix;

@@ -18,6 +18,20 @@ pub trait StateVisitor {
     /// Visits a named deterministic RNG stream (dropout masks, stochastic
     /// pulse rounding).
     fn rng(&mut self, name: &str, value: &mut XorShiftRng);
+
+    /// Visits a tensor component whose value must also satisfy `check`,
+    /// a rule its owner keeps beside the state it guards (`Err` names
+    /// the violation). A restore's validation pass rejects a snapshot
+    /// whose value breaks the rule before anything is written. The
+    /// default ignores the rule and calls [`StateVisitor::tensor`].
+    fn checked_tensor(
+        &mut self,
+        name: &str,
+        value: &mut Tensor,
+        _check: &dyn Fn(&Tensor) -> Result<(), String>,
+    ) {
+        self.tensor(name, value);
+    }
 }
 
 /// A trainable network layer.

@@ -914,8 +914,8 @@ impl MappedParam {
     /// lifetime fault arrivals for the new epoch, refresh-programs every
     /// tile from the trained conductances (plus any persistent remap
     /// compensation), and — with `detect` set — runs the ABFT checksum
-    /// detection, staged-repair, and quarantine loop of
-    /// [`xbar_core::SelfHealingCrossbar`] against `policy`. The resulting
+    /// detection, staged-repair, and quarantine loop (the primitives of
+    /// [`xbar_core::HealthMonitor`]) against `policy`. The resulting
     /// served conductances are installed as the inference override, so
     /// subsequent forward passes read the aged (and healed) array.
     ///
@@ -1221,8 +1221,8 @@ impl MappedParam {
         // travel with them. After a restore pass may have overwritten it,
         // rebuild the periphery so the stencil always matches.
         if let Some(perm) = &mut self.perm {
-            visitor.tensor(&format!("{prefix}perm"), perm);
             let grid = self.grid.as_ref().expect("Perm parameters carry a grid");
+            visitor.checked_tensor(&format!("{prefix}perm"), perm, &|t| check_perm(grid, t));
             self.periphery = Some(periphery_for_perm(grid, perm));
         }
         // Self-healing state travels with the parameter; the served
@@ -1230,8 +1230,16 @@ impl MappedParam {
         // `rebuild_scrub_override`. Absent when scrubbing is inactive, so
         // pre-existing checkpoints keep their exact component list.
         if let Some(scrub) = &mut self.scrub {
-            visitor.tensor(&format!("{prefix}scrub_epoch"), &mut scrub.epoch);
-            visitor.tensor(&format!("{prefix}scrub_health"), &mut scrub.health);
+            visitor.checked_tensor(
+                &format!("{prefix}scrub_epoch"),
+                &mut scrub.epoch,
+                &check_scrub_epoch,
+            );
+            visitor.checked_tensor(&format!("{prefix}scrub_health"), &mut scrub.health, &|t| {
+                HealthMonitor::from_flat(t.data(), RepairPolicy::default())
+                    .map(drop)
+                    .map_err(|e| e.to_string())
+            });
             visitor.tensor(&format!("{prefix}scrub_shift"), &mut scrub.shift);
             self.rebuild_scrub_override();
         }
@@ -1248,6 +1256,39 @@ fn scrub_targets(q: &Tensor, shift: &Tensor, range: ConductanceRange) -> Tensor 
     let mut t = q.add(shift).expect("shift shape fixed at construction");
     t.map_inplace(|v| range.clamp(v));
     t
+}
+
+/// The rule a persisted scrub epoch obeys: a whole number no larger than
+/// `2^24`, past which an `f32` counter could not advance.
+fn check_scrub_epoch(epoch: &Tensor) -> Result<(), String> {
+    let e = epoch.data()[0];
+    if e.fract() == 0.0 && (0.0..=(1u32 << 24) as f32).contains(&e) {
+        Ok(())
+    } else {
+        Err(format!("scrub epoch {e} is not an epoch count"))
+    }
+}
+
+/// The rule a persisted [`Mapping::Perm`] row order obeys: each column
+/// group's slice holds every device row of that group exactly once, as
+/// `group_perm`, `periphery_for_perm` and `reference_rows` assume.
+fn check_perm(grid: &TileGrid, perm: &Tensor) -> Result<(), String> {
+    for g in grid.col_groups() {
+        let rows = g.dev_start..g.dev_start + g.dev_len;
+        let mut seen = vec![false; g.dev_len];
+        for &v in &perm.data()[rows.clone()] {
+            // NaN and infinities fail the whole-number test; `as`
+            // saturates huge entries outside `rows`.
+            let row = v as usize;
+            if v.fract() != 0.0 || v < 0.0 || !rows.contains(&row) || seen[row - g.dev_start] {
+                return Err(format!(
+                    "entry {v} is not an unused device row of the group at rows {rows:?}"
+                ));
+            }
+            seen[row - g.dev_start] = true;
+        }
+    }
+    Ok(())
 }
 
 /// The group-local physical→logical row order for column group `g`,
@@ -2129,6 +2170,110 @@ mod tests {
         restore_state(&mut other, &snapshot).unwrap();
         let got = other.forward(&x, false).unwrap();
         assert_eq!(got.data(), want.data(), "scrub restore must be bitwise");
+    }
+
+    /// `snapshot` with `tamper` applied to its tensor component whose
+    /// name ends in `suffix`.
+    fn tampered(
+        snapshot: &[crate::persist::StateItem],
+        suffix: &str,
+        tamper: impl Fn(&mut [f32]),
+    ) -> Vec<crate::persist::StateItem> {
+        use crate::persist::StateItem;
+        let mut out = snapshot.to_vec();
+        let item = out
+            .iter_mut()
+            .find(|item| item.name().ends_with(suffix))
+            .expect("component present");
+        match item {
+            StateItem::Tensor { value, .. } => tamper(value.data_mut()),
+            StateItem::Rng { .. } => unreachable!("{suffix} is a tensor"),
+        }
+        out
+    }
+
+    /// Restores each of `bad` into `net`: every one must fail with a
+    /// typed mismatch and leave the network's state and outputs as they
+    /// were.
+    fn assert_rejected(net: &mut crate::Dense, bad: &[(&str, Vec<crate::persist::StateItem>)]) {
+        use crate::persist::{collect_state, restore_state, PersistError};
+        use crate::Layer;
+        let before = collect_state(net);
+        let x = Tensor::rand_uniform(&[3, 24], -1.0, 1.0, &mut XorShiftRng::new(165));
+        let y = net.forward(&x, false).unwrap();
+        for (case, snapshot) in bad {
+            let err = restore_state(net, snapshot).unwrap_err();
+            assert!(
+                matches!(err, PersistError::StateMismatch(_)),
+                "{case}: {err}"
+            );
+            assert!(
+                collect_state(net) == before,
+                "{case}: the failed restore wrote state"
+            );
+        }
+        assert_eq!(net.forward(&x, false).unwrap().data(), y.data());
+        restore_state(net, &before).unwrap();
+    }
+
+    #[test]
+    fn snapshot_with_invalid_scrub_state_is_a_typed_error() {
+        use crate::persist::collect_state;
+        use crate::{scrub_network, Dense};
+        let mut rng = XorShiftRng::new(164);
+        let mut net = Dense::new(
+            24,
+            12,
+            WeightKind::Mapped(Mapping::Acm),
+            lifetime_device(0.01, 27),
+            &mut rng,
+        )
+        .unwrap();
+        for _ in 0..3 {
+            scrub_network(&mut net, true, &RepairPolicy::default()).unwrap();
+        }
+        let good = collect_state(&mut net);
+        let bad = [
+            (
+                "tile-health code 7",
+                tampered(&good, "scrub_health", |h| h[0] = 7.0),
+            ),
+            (
+                "negative epoch",
+                tampered(&good, "scrub_epoch", |e| e[0] = -1.0),
+            ),
+            (
+                "fractional epoch",
+                tampered(&good, "scrub_epoch", |e| e[0] = 2.5),
+            ),
+        ];
+        assert_rejected(&mut net, &bad);
+    }
+
+    #[test]
+    fn snapshot_with_invalid_perm_is_a_typed_error() {
+        use crate::persist::collect_state;
+        use crate::Dense;
+        use xbar_device::TileShape;
+        let dev = DeviceConfig::quantized_linear(4).with_tile_shape(Some(TileShape::new(8, 8)));
+        let mut rng = XorShiftRng::new(166);
+        let mut net = Dense::new(24, 12, WeightKind::Mapped(Mapping::Perm), dev, &mut rng).unwrap();
+        assert!(net.weights().tile_grid().unwrap().col_groups().len() > 1);
+        let good = collect_state(&mut net);
+        let bad = [
+            ("all zeros", tampered(&good, ".perm", |p| p.fill(0.0))),
+            (
+                "rows swapped across groups",
+                tampered(&good, ".perm", |p| {
+                    let last = p.len() - 1;
+                    p.swap(0, last);
+                }),
+            ),
+            ("negative row", tampered(&good, ".perm", |p| p[0] = -1.0)),
+            ("fractional row", tampered(&good, ".perm", |p| p[0] += 0.5)),
+            ("NaN row", tampered(&good, ".perm", |p| p[0] = f32::NAN)),
+        ];
+        assert_rejected(&mut net, &bad);
     }
 
     /// The int8 forward of `p` on `x`, as bits.

@@ -581,6 +581,24 @@ impl StateVisitor for Validator<'_> {
             ));
         }
     }
+
+    fn checked_tensor(
+        &mut self,
+        name: &str,
+        value: &mut Tensor,
+        check: &dyn Fn(&Tensor) -> Result<(), String>,
+    ) {
+        self.tensor(name, value);
+        if self.error.is_some() {
+            return;
+        }
+        // `tensor` accepted the item just consumed: a same-shaped tensor.
+        if let Some(StateItem::Tensor { value: t, .. }) = self.items.get(self.next - 1) {
+            if let Err(msg) = check(t) {
+                self.mismatch(format!("tensor '{name}': {msg}"));
+            }
+        }
+    }
 }
 
 /// Application pass: overwrites each visited component from the snapshot.
@@ -609,9 +627,10 @@ impl StateVisitor for Applier<'_> {
 /// Restores a snapshot produced by [`collect_state`] into `net`.
 ///
 /// The snapshot is validated first (component names, kinds, and tensor
-/// shapes must all match the network's state layout); the network is only
-/// mutated if validation passes, so a mismatched snapshot leaves `net`
-/// untouched.
+/// shapes must all match the network's state layout, and every value
+/// visited through [`StateVisitor::checked_tensor`] must pass its owner's
+/// rule); the network is only mutated if validation passes, so a
+/// mismatched snapshot leaves `net` untouched.
 ///
 /// # Errors
 ///

@@ -16,25 +16,36 @@ pub struct MaxPool2d {
 impl MaxPool2d {
     /// Creates a max-pool layer with window `kernel` and stride `stride`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `kernel == 0` or `stride == 0`.
-    pub fn new(kernel: usize, stride: usize) -> Self {
-        assert!(
-            kernel > 0 && stride > 0,
-            "pool kernel/stride must be positive"
-        );
-        Self {
+    /// Returns [`NnError::Config`] if `kernel == 0` or `stride == 0`.
+    pub fn new(kernel: usize, stride: usize) -> Result<Self, NnError> {
+        check_window("maxpool", kernel, stride)?;
+        Ok(Self {
             kernel,
             stride,
             cache: None,
-        }
+        })
     }
 
     /// The common 2×2/stride-2 pool.
     pub fn halving() -> Self {
-        Self::new(2, 2)
+        Self {
+            kernel: 2,
+            stride: 2,
+            cache: None,
+        }
     }
+}
+
+/// Rejects a zero pooling window or stride, as `Conv2d::new` does.
+fn check_window(layer: &str, kernel: usize, stride: usize) -> Result<(), NnError> {
+    if kernel == 0 || stride == 0 {
+        return Err(NnError::Config(format!(
+            "{layer} kernel and stride must be positive, got kernel {kernel}, stride {stride}"
+        )));
+    }
+    Ok(())
 }
 
 impl Layer for MaxPool2d {
@@ -86,21 +97,19 @@ pub struct AvgPool2d {
 }
 
 impl AvgPool2d {
-    /// Creates an average-pool layer.
+    /// Creates an average-pool layer with window `kernel` and stride
+    /// `stride`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `kernel == 0` or `stride == 0`.
-    pub fn new(kernel: usize, stride: usize) -> Self {
-        assert!(
-            kernel > 0 && stride > 0,
-            "pool kernel/stride must be positive"
-        );
-        Self {
+    /// Returns [`NnError::Config`] if `kernel == 0` or `stride == 0`.
+    pub fn new(kernel: usize, stride: usize) -> Result<Self, NnError> {
+        check_window("avgpool", kernel, stride)?;
+        Ok(Self {
             kernel,
             stride,
             cache: None,
-        }
+        })
     }
 }
 
@@ -234,7 +243,7 @@ mod tests {
 
     #[test]
     fn avgpool_averages() {
-        let mut p = AvgPool2d::new(2, 2);
+        let mut p = AvgPool2d::new(2, 2).unwrap();
         let x = Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0], &[1, 1, 2, 2]).unwrap();
         let y = p.forward(&x, true).unwrap();
         assert_eq!(y.data(), &[4.0]);
@@ -263,6 +272,7 @@ mod tests {
             .forward(&Tensor::zeros(&[4, 4]), true)
             .is_err());
         assert!(AvgPool2d::new(2, 2)
+            .unwrap()
             .forward(&Tensor::zeros(&[4, 4]), true)
             .is_err());
         assert!(GlobalAvgPool::new()
@@ -271,11 +281,23 @@ mod tests {
     }
 
     #[test]
+    fn zero_window_or_stride_is_a_config_error() {
+        for (kernel, stride) in [(0, 2), (2, 0)] {
+            let max = MaxPool2d::new(kernel, stride);
+            assert!(matches!(max, Err(NnError::Config(_))), "{max:?}");
+            let avg = AvgPool2d::new(kernel, stride);
+            assert!(matches!(avg, Err(NnError::Config(_))), "{avg:?}");
+        }
+        let halving = MaxPool2d::new(2, 2).unwrap();
+        assert_eq!(halving.describe(), MaxPool2d::halving().describe());
+    }
+
+    #[test]
     fn input_smaller_than_the_window_is_a_shape_error() {
         let x = Tensor::zeros(&[1, 1, 1, 1]);
         let max = MaxPool2d::halving().forward(&x, true);
         assert!(matches!(max, Err(NnError::Shape(_))), "{max:?}");
-        let avg = AvgPool2d::new(2, 2).forward(&x, true);
+        let avg = AvgPool2d::new(2, 2).unwrap().forward(&x, true);
         assert!(matches!(avg, Err(NnError::Shape(_))), "{avg:?}");
     }
 
@@ -285,6 +307,7 @@ mod tests {
             .backward(&Tensor::zeros(&[1, 1, 1, 1]))
             .is_err());
         assert!(AvgPool2d::new(2, 2)
+            .unwrap()
             .backward(&Tensor::zeros(&[1, 1, 1, 1]))
             .is_err());
         assert!(GlobalAvgPool::new()

@@ -3,9 +3,20 @@
 //! the data-parallel helpers every hot kernel in the workspace is
 //! written against.
 //!
-//! Every hot kernel in the workspace (GEMM, convolution, pooling,
-//! Monte-Carlo trial fan-out, per-tile MVM, sharded gradient reduction,
-//! the sweep runner) runs through this module. The design goals, in order:
+//! Every hot kernel in the workspace runs through one of four entry
+//! points:
+//!
+//! * [`parallel_chunks_mut`] — disjoint output chunks (GEMM row chunks,
+//!   convolution and pooling planes, transposes);
+//! * [`parallel_map`] / [`parallel_map_with`] — independent items with
+//!   results in input order (Monte-Carlo trials, per-sample conv work);
+//! * [`scope`] — a task graph of [`TaskScope::spawn`]ed tasks and
+//!   dependency-counted [`TaskScope::defer`] reductions (sharded
+//!   gradient reduction);
+//! * [`ordered_stream`] — results committed in submission order (per-tile
+//!   MVM, the int8 readout, the sweep runner).
+//!
+//! The design goals, in order:
 //!
 //! 1. **Determinism** — results are bitwise identical regardless of the
 //!    thread count. Work is split into *fixed* chunks whose boundaries
@@ -40,14 +51,13 @@
 //!
 //! A task already running on a pool lane — a spawned worker, or the
 //! calling thread while it drains scoped jobs — that calls back into a
-//! `parallel_*` helper executes its sub-work inline. Lanes never block
+//! helper or opens a scope executes its sub-work inline. Lanes never block
 //! on other lanes, so pool-in-pool usage cannot deadlock, and a nested
 //! kernel call costs nothing beyond the serial loop it runs.
 
-use std::ops::Range;
 use std::sync::OnceLock;
 
-pub use crate::sched::{force_serial, serial_active, Pool, TaskHandle, TaskScope, Trigger};
+pub use crate::sched::{force_serial, serial_active, Pool, TaskScope, Trigger};
 
 /// Resolves the configured lane count: `XBAR_THREADS` if set and valid,
 /// otherwise [`std::thread::available_parallelism`]. This is what the
@@ -108,19 +118,6 @@ where
 /// may depend on the lane count without breaking determinism.
 fn task_count(n_items: usize) -> usize {
     n_items.min(threads().saturating_mul(3))
-}
-
-/// Runs `f` over disjoint sub-ranges covering `0..n`. Ranges are multiples
-/// of `grain` items (the last may be short); `f` must only touch state
-/// owned by its range. Runs `f(0..n)` inline when serial or when the work
-/// is one grain or less.
-pub fn parallel_for<F>(n: usize, grain: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    let grain = grain.max(1);
-    let n_chunks = n.div_ceil(grain);
-    crate::sched::parallel_for_impl(global(), n, grain, task_count(n_chunks), f);
 }
 
 /// Splits `data` into consecutive `chunk_len`-sized pieces (the last may
@@ -244,23 +241,6 @@ where
         .collect()
 }
 
-/// The captured payload of a panicking task — the per-task error type of
-/// [`try_parallel_map`] / [`try_parallel_map_with`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskPanic {
-    /// Human-readable panic message (the `&str`/`String` payload when the
-    /// task panicked with one, a placeholder otherwise).
-    pub message: String,
-}
-
-impl std::fmt::Display for TaskPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "task panicked: {}", self.message)
-    }
-}
-
-impl std::error::Error for TaskPanic {}
-
 /// Extracts a readable message from a `catch_unwind` payload.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -270,58 +250,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Fault-isolating [`parallel_map`]: a panicking item yields
-/// `Err(TaskPanic)` in its slot instead of poisoning the whole map. Every
-/// other item still runs to completion, and output order matches input
-/// order exactly as in [`parallel_map`]. This is the primitive the
-/// resilient sweep runner builds on — one crashed Monte-Carlo cell must
-/// not discard the rest of the grid.
-pub fn try_parallel_map<I, R, F>(items: Vec<I>, f: F) -> Vec<Result<R, TaskPanic>>
-where
-    I: Send,
-    R: Send,
-    F: Fn(usize, I) -> R + Sync,
-{
-    try_parallel_map_with(|| (), items, |(), i, item| f(i, item))
-}
-
-/// Fault-isolating [`parallel_map_with`]. Like [`try_parallel_map`], but
-/// each task carries private scratch state built by `make_state`. A panic
-/// may leave that state inconsistent, so it is discarded and rebuilt
-/// before the task's next item — later items never observe a
-/// half-mutated scratch.
-pub fn try_parallel_map_with<S, I, R, MK, F>(
-    make_state: MK,
-    items: Vec<I>,
-    f: F,
-) -> Vec<Result<R, TaskPanic>>
-where
-    I: Send,
-    R: Send,
-    MK: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, I) -> R + Sync,
-{
-    let make_state = &make_state;
-    let f = &f;
-    parallel_map_with(
-        || None::<S>,
-        items,
-        move |slot, i, item| {
-            let state = slot.get_or_insert_with(make_state);
-            let result =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(state, i, item)));
-            match result {
-                Ok(r) => Ok(r),
-                Err(payload) => {
-                    let message = panic_message(payload.as_ref());
-                    *slot = None; // scratch may be torn mid-panic: rebuild
-                    Err(TaskPanic { message })
-                }
-            }
-        },
-    )
 }
 
 #[cfg(test)]
@@ -401,29 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_covers_range_once() {
-        let n = 1013;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(n, 64, |range| {
-            for i in range {
-                hits[i].fetch_add(1, Ordering::SeqCst);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
-    }
-
-    #[test]
-    fn parallel_for_empty_and_single() {
-        parallel_for(0, 8, |_| panic!("must not be called"));
-        let hits = AtomicUsize::new(0);
-        parallel_for(3, 8, |r| {
-            assert_eq!(r, 0..3);
-            hits.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
     fn parallel_chunks_mut_indexes_match_serial() {
         let mut par = vec![0u32; 257];
         parallel_chunks_mut(&mut par, 10, |i, chunk| {
@@ -469,91 +374,26 @@ mod tests {
     }
 
     #[test]
-    fn try_parallel_map_isolates_panics() {
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence expected panics
-        let out = try_parallel_map((0..64).collect::<Vec<usize>>(), |_, x| {
-            if x % 13 == 5 {
-                panic!("boom at {x}");
-            }
-            x * 2
-        });
-        std::panic::set_hook(hook);
-        assert_eq!(out.len(), 64);
-        for (i, r) in out.iter().enumerate() {
-            if i % 13 == 5 {
-                let e = r.as_ref().unwrap_err();
-                assert_eq!(e.message, format!("boom at {i}"));
-            } else {
-                assert_eq!(*r.as_ref().unwrap(), i * 2);
-            }
-        }
-    }
-
-    #[test]
-    fn try_parallel_map_with_rebuilds_state_after_panic() {
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        // Force a single task so items share (and re-share) scratch state:
-        // after the panic at item 1 the scratch must come back fresh.
-        force_serial(true);
-        let builds = AtomicUsize::new(0);
-        let out = try_parallel_map_with(
-            || {
-                builds.fetch_add(1, Ordering::SeqCst);
-                0usize
-            },
-            vec![10usize, 11, 12],
-            |scratch, _i, x| {
-                *scratch += 1;
-                if x == 11 {
-                    panic!("poisoned");
-                }
-                (*scratch, x)
-            },
-        );
-        force_serial(false);
-        std::panic::set_hook(hook);
-        assert_eq!(out[0], Ok((1, 10)));
-        assert!(out[1].is_err());
-        // Scratch was rebuilt: the post-panic item sees a fresh counter.
-        assert_eq!(out[2], Ok((1, 12)));
-        assert!(builds.load(Ordering::SeqCst) >= 2);
-    }
-
-    #[test]
-    fn try_parallel_map_non_string_payload_is_labelled() {
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let out = try_parallel_map(vec![0usize], |_, _| {
-            std::panic::panic_any(42usize);
-            #[allow(unreachable_code)]
-            ()
-        });
-        std::panic::set_hook(hook);
-        assert_eq!(
-            out[0].as_ref().unwrap_err().message,
-            "non-string panic payload"
-        );
+    fn panic_message_labels_non_string_payloads() {
+        let text = std::panic::catch_unwind(|| panic!("boom at {}", 3)).unwrap_err();
+        assert_eq!(panic_message(text.as_ref()), "boom at 3");
+        let literal = std::panic::catch_unwind(|| std::panic::panic_any("literal")).unwrap_err();
+        assert_eq!(panic_message(literal.as_ref()), "literal");
+        let other = std::panic::catch_unwind(|| std::panic::panic_any(42usize)).unwrap_err();
+        assert_eq!(panic_message(other.as_ref()), "non-string panic payload");
     }
 
     #[test]
     fn nested_parallel_for_runs_inline_without_deadlock() {
-        // A parallel_for body that itself calls parallel_for: the inner
-        // call must run inline on the worker rather than re-entering the
-        // pool (which could deadlock a fully-busy pool).
+        // A parallel_chunks_mut body that itself calls parallel_chunks_mut:
+        // the inner call must run inline on the worker rather than
+        // re-entering the pool (which could deadlock a fully-busy pool).
         let n = 64;
-        let hits: Vec<AtomicUsize> = (0..n * n).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(n, 1, |outer| {
-            for i in outer {
-                parallel_for(n, 1, |inner| {
-                    for j in inner {
-                        hits[i * n + j].fetch_add(1, Ordering::SeqCst);
-                    }
-                });
-            }
+        let mut hits = vec![0u32; n * n];
+        parallel_chunks_mut(&mut hits, n, |_, row| {
+            parallel_chunks_mut(row, 1, |_, cell| cell[0] += 1);
         });
-        assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
+        assert!(hits.iter().all(|&h| h == 1));
     }
 
     #[test]
@@ -561,13 +401,15 @@ mod tests {
         assert!(!serial_active());
         force_serial(true);
         assert!(serial_active());
-        let hits = AtomicUsize::new(0);
-        parallel_for(100, 1, |r| {
-            // Forced-serial: a single inline call over the whole range.
-            assert_eq!(r, 0..100);
-            hits.fetch_add(1, Ordering::SeqCst);
+        let calls = AtomicUsize::new(0);
+        let mut data = vec![0u32; 100];
+        parallel_chunks_mut(&mut data, 1, |i, chunk| {
+            // Forced-serial: the chunks run inline, in index order.
+            assert_eq!(calls.fetch_add(1, Ordering::SeqCst), i);
+            chunk[0] = i as u32;
         });
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
+        assert_eq!(calls.load(Ordering::SeqCst), 100);
+        assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32));
         force_serial(false);
         assert!(!serial_active());
     }
@@ -584,30 +426,6 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::SeqCst), 64);
-    }
-
-    #[test]
-    fn scope_spawn_after_orders_dependents() {
-        let pool = Pool::new(4);
-        for _ in 0..50 {
-            let stage = AtomicUsize::new(0);
-            pool.scope(|s| {
-                let a = s.spawn(|| {
-                    stage.fetch_max(1, Ordering::SeqCst);
-                });
-                let b = s.spawn(|| {
-                    stage.fetch_max(1, Ordering::SeqCst);
-                });
-                s.spawn_after(&[&a, &b], || {
-                    assert!(
-                        stage.load(Ordering::SeqCst) >= 1,
-                        "dependent ran before its dependencies"
-                    );
-                    stage.fetch_max(2, Ordering::SeqCst);
-                });
-            });
-            assert_eq!(stage.load(Ordering::SeqCst), 2);
-        }
     }
 
     #[test]
@@ -750,8 +568,8 @@ mod tests {
     #[test]
     fn nested_scope_inside_stolen_task_is_inline() {
         // Regression (caller-lane starvation): a stolen task that opens
-        // its own scope and a nested parallel_for must complete without
-        // blocking any lane on another lane.
+        // its own scope and a nested parallel_chunks_mut must complete
+        // without blocking any lane on another lane.
         let pool = Pool::new(4);
         let total = AtomicUsize::new(0);
         pool.scope(|s| {
@@ -761,8 +579,9 @@ mod tests {
                     crate::backend::global().scope(|inner| {
                         for _ in 0..4 {
                             inner.spawn(|| {
-                                parallel_for(8, 1, |r| {
-                                    total.fetch_add(r.len(), Ordering::SeqCst);
+                                let mut cells = [0u8; 8];
+                                parallel_chunks_mut(&mut cells, 1, |_, c| {
+                                    total.fetch_add(c.len(), Ordering::SeqCst);
                                 });
                             });
                         }

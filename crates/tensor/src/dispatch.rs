@@ -1,37 +1,29 @@
-//! GEMM kernel dispatch: the routine registry and the shape rule that
-//! picks one routine per problem.
+//! GEMM kernel dispatch: the rule that picks the kernel for each problem.
 //!
 //! Every matmul variant enters through the crate-private `dispatch`
-//! entry point, which runs the registered [`Routine`] that
-//! [`selection_for`] names for the problem. The choice is a pure
-//! function of the problem's transpose kind and dims:
+//! entry point. The kernel is a pure function of the problem's transpose
+//! kind and dims, and [`selection_for`] names it:
 //!
-//! 1. **Class split** — sub-threshold problems (`n < NR/2` or fewer than
-//!    `SMALL_MACS` multiply-adds) always run the streaming small kernels.
-//!    This boundary is part of the numeric contract: the small kernels
-//!    accumulate in a different order than the blocked family, so
-//!    crossing it would change bits.
-//! 2. **Shape rule** — above the split, NN/NT problems with at least
-//!    `DIRECT_A_MIN_M` rows read A in place (`direct_a`), TN problems
-//!    with at least `TN_PACKED_MIN_M` rows or `TN_PACKED_MIN_K` depth
-//!    transpose A once up front (`tn_packed`), and everything else runs
-//!    the reference `packed_blocked`. The thresholds come from timing
-//!    every routine on the shapes the paper's workloads dispatch
-//!    (DESIGN.md §10).
+//! * **small class** — problems narrower than `NR/2` columns or with fewer
+//!   than `SMALL_MACS` multiply-adds run the serial streaming kernels,
+//!   `single_chunk` (NN and TN) and `small_nt_unrolled` (NT);
+//! * **blocked class** — everything else runs `packed_blocked`, the
+//!   pack-and-tile engine: per-chunk A/B packing into the `MR × NR`
+//!   micro-kernel, parallel over fixed row chunks.
 //!
-//! **Determinism.** The rule changes *which* routine runs, never the
-//! result. All blocked-family routines are bitwise-identical to each
-//! other because the two knobs they vary are bitwise-invariant:
+//! The class split is part of the numeric contract: the small kernels
+//! accumulate in a different order than the blocked engine, so crossing
+//! it would change bits. Convolutions do not call `dispatch`; they take
+//! the class of their whole-batch problem from [`Problem::small`] and
+//! drive the micro-kernel themselves (see [`crate::conv`]).
 //!
-//! * *packing strategy* is pure data movement — per-chunk panels, a
-//!   shared per-KC-block buffer, an explicit A-transpose, or reading A
-//!   in place through a runtime stride all feed the micro-kernel the
-//!   same values in the same order;
-//! * *row-chunk granularity* regroups rows across pool jobs, and every
-//!   output element's dot product accumulates row-locally.
+//! **Determinism.** Chunk boundaries depend only on the problem size, and
+//! every output element's dot product accumulates row-locally, so the
+//! blocked engine is bitwise identical at any thread count.
 //!
-//! The serial≡parallel contract is likewise preserved: chunk boundaries
-//! and the routine choice depend only on the problem size.
+//! The int8 (`u8 × i8 → i32`) GEMM keeps a two-routine registry with its
+//! own shape rule ([`q_selection_for`]): its kernels are exact integer
+//! arithmetic, so the choice never changes a result.
 
 use crate::gemm::{
     microkernel, pack_a, pack_b, simd_active, small_nn, small_nt, small_tn, KC, MC, MR, NR,
@@ -39,14 +31,6 @@ use crate::gemm::{
 };
 use crate::{backend, scratch};
 
-/// Blocked NN/NT problems with at least this many output rows skip the
-/// A-panel copy (`direct_a`); shorter ones run `packed_blocked`.
-const DIRECT_A_MIN_M: usize = 64;
-/// Blocked TN problems with at least this many output rows transpose A
-/// up front (`tn_packed`)…
-const TN_PACKED_MIN_M: usize = 128;
-/// …as do those with at least this depth; the rest run `packed_blocked`.
-const TN_PACKED_MIN_K: usize = 2048;
 /// Blocked int8 problems at least this deep run the AVX2 `maddubs`
 /// kernel when it is active; shallower ones stream through `q_rowdot`.
 const Q_MADDUBS_MIN_K: usize = 32;
@@ -114,190 +98,19 @@ impl Problem {
     }
 }
 
-/// A named GEMM routine. All routines compute `C += op(A) · op(B)`;
-/// routines supporting the same problem are bitwise-identical on it
-/// (asserted by `tests/integration_dispatch.rs`).
-pub trait Routine: Sync {
-    /// Stable registry name (appears in bench JSON).
-    fn name(&self) -> &'static str;
-    /// Whether this routine can run `p`. Supports-sets never cross the
-    /// small/blocked class boundary.
-    fn supports(&self, p: &Problem) -> bool;
-    /// Runs the routine. `od` is the row-major `m × n` accumulator.
-    fn run(&self, p: &Problem, ad: &[f32], bd: &[f32], od: &mut [f32]);
-}
-
-/// Streaming single-chunk kernel for sub-threshold NN/TN problems; runs
-/// inline with no packing or pool dispatch.
-struct SingleChunk;
-
-impl Routine for SingleChunk {
-    fn name(&self) -> &'static str {
-        "single_chunk"
-    }
-    fn supports(&self, p: &Problem) -> bool {
-        p.small() && p.kind() != Kind::Nt
-    }
-    fn run(&self, p: &Problem, ad: &[f32], bd: &[f32], od: &mut [f32]) {
-        match p.kind() {
-            Kind::Nn => small_nn(ad, bd, od, p.m, p.k, p.n),
-            Kind::Tn => small_tn(ad, bd, od, p.m, p.k, p.n),
-            Kind::Nt => unreachable!("single_chunk does not support NT"),
-        }
-    }
-}
-
-/// Four-way unrolled row-dot-row kernel for sub-threshold NT problems.
-struct SmallNtUnrolled;
-
-impl Routine for SmallNtUnrolled {
-    fn name(&self) -> &'static str {
-        "small_nt_unrolled"
-    }
-    fn supports(&self, p: &Problem) -> bool {
-        p.small() && p.kind() == Kind::Nt
-    }
-    fn run(&self, p: &Problem, ad: &[f32], bd: &[f32], od: &mut [f32]) {
-        small_nt(ad, bd, od, p.m, p.k, p.n);
-    }
-}
-
-/// The reference pack-and-tile routine: per-chunk A/B packing, `MR = 4`
-/// register tiles, classic chunk granularity. Reproduces the
-/// pre-dispatch engine exactly.
-struct PackedBlocked;
-
-impl Routine for PackedBlocked {
-    fn name(&self) -> &'static str {
-        "packed_blocked"
-    }
-    fn supports(&self, p: &Problem) -> bool {
-        !p.small()
-    }
-    fn run(&self, p: &Problem, ad: &[f32], bd: &[f32], od: &mut [f32]) {
-        blocked_run(p, ad, bd, od);
-    }
-}
-
-/// TN-specialized routine: cache-blocked transpose of A into scratch,
-/// then the direct-A NN path. Replaces the per-chunk strided column
-/// gather (and the hand-tuned TN chunk constants) with one contiguous
-/// pass.
-struct TnPacked;
-
-impl Routine for TnPacked {
-    fn name(&self) -> &'static str {
-        "tn_packed"
-    }
-    fn supports(&self, p: &Problem) -> bool {
-        !p.small() && p.trans_a
-    }
-    fn run(&self, p: &Problem, ad: &[f32], bd: &[f32], od: &mut [f32]) {
-        let mut at = scratch::take_filled(p.m * p.k, 0.0);
-        transpose_into(ad, &mut at, p.k, p.m);
-        // The transpose left A in NN row-major layout, so the kernel can
-        // read it directly — packing it again would be a second copy.
-        direct_a_run(false, &at, bd, od, p.k, p.n);
-        scratch::give(at);
-    }
-}
-
-/// Zero-pack-A routine: each `KC` block of B is packed once into a
-/// shared buffer, and the micro-kernel reads NN-layout A directly (row
-/// stride `k`) instead of copying row panels first. The kernel consumes
-/// the same values in the same order, so skipping the pack is
-/// bitwise-invariant; it wins on tall problems where the A copy rivals
-/// the compute.
-struct DirectA;
-
-impl Routine for DirectA {
-    fn name(&self) -> &'static str {
-        "direct_a"
-    }
-    fn supports(&self, p: &Problem) -> bool {
-        !p.small() && !p.trans_a
-    }
-    fn run(&self, p: &Problem, ad: &[f32], bd: &[f32], od: &mut [f32]) {
-        direct_a_run(p.trans_b, ad, bd, od, p.k, p.n);
-    }
-}
-
-/// The routine registry.
-pub fn routines() -> &'static [&'static dyn Routine] {
-    static REGISTRY: [&dyn Routine; 5] = [
-        &SingleChunk,
-        &SmallNtUnrolled,
-        &PackedBlocked,
-        &TnPacked,
-        &DirectA,
-    ];
-    &REGISTRY
-}
-
-/// Names of the routines that support the given problem, in registry
-/// order.
-pub fn candidate_names(
-    trans_a: bool,
-    trans_b: bool,
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Vec<&'static str> {
-    let p = Problem::new(trans_a, trans_b, m, k, n);
-    routines()
-        .iter()
-        .filter(|r| r.supports(&p))
-        .map(|r| r.name())
-        .collect()
-}
-
-/// Runs one named routine directly, bypassing the shape rule (test
-/// hook). Returns `false` if the routine is unknown or does not support
-/// the problem. Zero-sized problems are a successful no-op.
-#[allow(clippy::too_many_arguments)]
-pub fn run_routine(
-    name: &str,
-    trans_a: bool,
-    trans_b: bool,
-    ad: &[f32],
-    bd: &[f32],
-    od: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> bool {
-    let Some(r) = routines().iter().find(|r| r.name() == name) else {
-        return false;
-    };
-    let p = Problem::new(trans_a, trans_b, m, k, n);
-    if m == 0 || k == 0 || n == 0 {
-        return true;
-    }
-    if !r.supports(&p) {
-        return false;
-    }
-    r.run(&p, ad, bd, od);
-    true
-}
-
-/// The shape rule: the routine that runs `p`.
-fn select(p: &Problem) -> &'static dyn Routine {
-    match p.kind() {
-        Kind::Nt if p.small() => &SmallNtUnrolled,
-        _ if p.small() => &SingleChunk,
-        Kind::Tn if p.m >= TN_PACKED_MIN_M || p.k >= TN_PACKED_MIN_K => &TnPacked,
-        Kind::Nn | Kind::Nt if p.m >= DIRECT_A_MIN_M => &DirectA,
-        _ => &PackedBlocked,
-    }
-}
-
-/// Registry name of the routine that runs the given problem — also used
-/// by `bench_kernels` to report per-entry routine names.
+/// Name of the kernel that runs the given problem: `single_chunk`,
+/// `small_nt_unrolled` or `packed_blocked`. `bench_kernels` reports it
+/// per entry.
 pub fn selection_for(trans_a: bool, trans_b: bool, m: usize, k: usize, n: usize) -> &'static str {
-    select(&Problem::new(trans_a, trans_b, m, k, n)).name()
+    let p = Problem::new(trans_a, trans_b, m, k, n);
+    match (p.small(), p.kind()) {
+        (true, Kind::Nt) => "small_nt_unrolled",
+        (true, Kind::Nn | Kind::Tn) => "single_chunk",
+        (false, _) => "packed_blocked",
+    }
 }
 
-/// GEMM entry point: runs the routine the shape rule picks.
+/// GEMM entry point: runs the kernel of the problem's class.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dispatch(
     trans_a: bool,
@@ -313,17 +126,22 @@ pub(crate) fn dispatch(
         return;
     }
     let p = Problem::new(trans_a, trans_b, m, k, n);
-    select(&p).run(&p, ad, bd, od);
+    match (p.small(), p.kind()) {
+        (true, Kind::Nn) => small_nn(ad, bd, od, m, k, n),
+        (true, Kind::Tn) => small_tn(ad, bd, od, m, k, n),
+        (true, Kind::Nt) => small_nt(ad, bd, od, m, k, n),
+        (false, _) => blocked_run(&p, ad, bd, od),
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Execution engines shared by the blocked routines
+// The blocked engine
 // ---------------------------------------------------------------------------
 
-/// Classic chunk granularity, retained verbatim for the reference
-/// routine: `MC` rows for NN/NT; TN aims for ~`2^20` multiply-adds per
-/// chunk with a single-chunk fallback below `2^21`. A fixed function of
-/// the problem size only (determinism contract rule 1).
+/// Row-chunk granularity of the blocked engine: `MC` rows for NN/NT; TN
+/// aims for ~`2^20` multiply-adds per chunk with a single-chunk fallback
+/// below `2^21`. A fixed function of the problem size only (determinism
+/// contract rule 1).
 fn classic_chunk_rows(trans_a: bool, m: usize, k: usize, n: usize) -> usize {
     if !trans_a {
         return MC;
@@ -338,7 +156,8 @@ fn classic_chunk_rows(trans_a: bool, m: usize, k: usize, n: usize) -> usize {
     rows.clamp(MR, MC)
 }
 
-/// Per-chunk pack-and-tile engine (the pre-dispatch `gemm` body).
+/// `packed_blocked`: the pack-and-tile engine, one pool task per row
+/// chunk.
 fn blocked_run(p: &Problem, ad: &[f32], bd: &[f32], od: &mut [f32]) {
     let simd = simd_active();
     let rows_per_chunk = classic_chunk_rows(p.trans_a, p.m, p.k, p.n);
@@ -396,76 +215,9 @@ fn classic_chunk(
     scratch::give(pa);
 }
 
-/// Direct-A engine: per `KC` depth block, B is packed once into a shared
-/// panel run, the next block is packed into the inactive buffer before
-/// the current block's row chunks are dispatched (double buffering), and
-/// each `MC`-row chunk feeds the micro-kernel its A rows straight from
-/// the NN-layout matrix (row stride `k`).
-///
-/// Iterating depth blocks *outside* the chunk dispatch is bitwise
-/// identical to the per-chunk loop: each output element still receives
-/// its block partials in increasing `p0` order, and each partial is the
-/// same micro-kernel FMA chain.
-fn direct_a_run(trans_b: bool, ad: &[f32], bd: &[f32], od: &mut [f32], k: usize, n: usize) {
-    let simd = simd_active();
-    let panels = n.div_ceil(NR);
-    let blen = panels * KC * NR;
-    let mut cur = scratch::take_filled(blen, 0.0);
-    let mut nxt = scratch::take_filled(blen, 0.0);
-    pack_block(trans_b, bd, &mut cur, 0, KC.min(k), k, n);
-    let mut p0 = 0;
-    while p0 < k {
-        let kc = KC.min(k - p0);
-        let next_p0 = p0 + KC;
-        if next_p0 < k {
-            pack_block(trans_b, bd, &mut nxt, next_p0, KC.min(k - next_p0), k, n);
-        }
-        let cur_ref: &[f32] = &cur;
-        backend::parallel_chunks_mut(od, MC * n, |ci, oc| {
-            let rows = oc.len() / n;
-            let ablock = &ad[ci * MC * k + p0..];
-            let mut j0 = 0;
-            let mut ji = 0;
-            while j0 < n {
-                let nr = NR.min(n - j0);
-                let panel = &cur_ref[ji * KC * NR..(ji + 1) * KC * NR];
-                microkernel(ablock, k, panel, oc, rows, kc, n, j0, nr, simd);
-                j0 += NR;
-                ji += 1;
-            }
-        });
-        std::mem::swap(&mut cur, &mut nxt);
-        p0 += KC;
-    }
-    scratch::give(nxt);
-    scratch::give(cur);
-}
-
-/// Packs all `NR`-wide panels of one `kc`-deep block of op(B) into a
-/// contiguous panel run (`panels × KC × NR`, only the first `kc` rows of
-/// each panel are meaningful).
-fn pack_block(
-    trans_b: bool,
-    bd: &[f32],
-    buf: &mut [f32],
-    p0: usize,
-    kc: usize,
-    k: usize,
-    n: usize,
-) {
-    let mut j0 = 0;
-    let mut ji = 0;
-    while j0 < n {
-        let nr = NR.min(n - j0);
-        let panel = &mut buf[ji * KC * NR..(ji + 1) * KC * NR];
-        pack_b(trans_b, bd, panel, p0, kc, j0, nr, k, n);
-        j0 += NR;
-        ji += 1;
-    }
-}
-
-/// Cache-blocked transpose: `src` is `(k, m)` row-major, `dst` becomes
-/// `(m, k)` row-major. Pure data movement — parallel over destination
+/// Cache-blocked transpose (the conv weight and weight-gradient
+/// layouts): `src` is `(k, m)` row-major, `dst` becomes `(m, k)`
+/// row-major. Pure data movement — parallel over destination
 /// row blocks with disjoint writes, so scheduling cannot affect values.
 pub(crate) fn transpose_into(src: &[f32], dst: &mut [f32], k: usize, m: usize) {
     const TB: usize = 32;
@@ -572,17 +324,6 @@ pub fn q_routines() -> &'static [&'static dyn QRoutine] {
     &REGISTRY
 }
 
-/// Names of the quantized routines that support the given problem, in
-/// registry order.
-pub fn q_candidate_names(m: usize, k: usize, n: usize) -> Vec<&'static str> {
-    let p = QProblem::new(m, k, n);
-    q_routines()
-        .iter()
-        .filter(|r| r.supports(&p))
-        .map(|r| r.name())
-        .collect()
-}
-
 /// Runs one named quantized routine directly, bypassing the shape rule
 /// (test hook). Returns `false` if the routine is unknown or does not
 /// support the problem.
@@ -640,78 +381,38 @@ mod tests {
     use crate::Tensor;
 
     #[test]
-    fn registry_names_are_unique_and_every_problem_has_candidates() {
-        let names: Vec<_> = routines().iter().map(|r| r.name()).collect();
-        let mut dedup = names.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), names.len(), "duplicate routine name");
-        for (ta, tb) in [(false, false), (true, false), (false, true)] {
-            for (m, k, n) in [(2, 3, 4), (256, 256, 256)] {
-                assert!(
-                    !candidate_names(ta, tb, m, k, n).is_empty(),
-                    "no candidate for ({ta},{tb}) {m}x{k}x{n}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn supports_sets_never_cross_the_class_boundary() {
-        let small = Problem::new(false, false, 4, 5, 8);
-        let blocked = Problem::new(false, false, 256, 256, 256);
-        assert!(small.small() && !blocked.small());
-        for r in routines() {
-            assert!(
-                !(r.supports(&small) && r.supports(&blocked)),
-                "{} crosses the small/blocked boundary",
-                r.name()
-            );
-        }
-    }
-
-    #[test]
     fn shape_rule_picks_the_timed_routine_on_workload_and_bench_shapes() {
-        // (trans_a, trans_b, m, k, n, routine): the heaviest blocked
-        // shapes of the three benchmark workloads, both sides of every
-        // threshold, and bench_kernels' full-mode and smoke shapes.
+        // (trans_a, trans_b, m, k, n, kernel): blocked shapes of every
+        // kind, bench_kernels' full-mode and smoke shapes, and
+        // sub-threshold problems, which keep the fixed small kernels.
         let table = [
-            // train_resnet20 / mc_faults_vgg9 heavy shapes.
-            (false, false, 4096, 4, 36, "direct_a"),
+            (false, false, 4096, 4, 36, "packed_blocked"),
             (false, false, 16, 17, 144, "packed_blocked"),
-            (true, false, 4, 4096, 36, "tn_packed"),
+            (true, false, 4, 4096, 36, "packed_blocked"),
             (true, false, 17, 16, 144, "packed_blocked"),
-            // Thresholds, one step either side.
-            (false, false, DIRECT_A_MIN_M, 64, 64, "direct_a"),
-            (false, true, DIRECT_A_MIN_M - 1, 64, 64, "packed_blocked"),
-            (true, false, TN_PACKED_MIN_M, 64, 64, "tn_packed"),
-            (true, false, TN_PACKED_MIN_M - 1, 64, 64, "packed_blocked"),
-            (true, false, 8, TN_PACKED_MIN_K, 16, "tn_packed"),
-            (true, false, 8, TN_PACKED_MIN_K - 1, 16, "packed_blocked"),
             // bench_kernels full mode.
-            (false, false, 256, 256, 256, "direct_a"),
-            (true, false, 256, 256, 256, "tn_packed"),
-            (false, true, 256, 256, 256, "direct_a"),
-            (false, true, 2048, 150, 16, "direct_a"),
+            (false, false, 256, 256, 256, "packed_blocked"),
+            (true, false, 256, 256, 256, "packed_blocked"),
+            (false, true, 256, 256, 256, "packed_blocked"),
             (false, true, 32, 400, 120, "packed_blocked"),
-            (false, true, 2048, 576, 128, "direct_a"),
-            (false, true, 8192, 288, 32, "direct_a"),
-            (true, false, 400, 32, 120, "tn_packed"),
+            (true, false, 400, 32, 120, "packed_blocked"),
             // bench_kernels smoke mode.
             (false, false, 33, 65, 17, "packed_blocked"),
-            (false, true, 64, 64, 64, "direct_a"),
+            (false, true, 64, 64, 64, "packed_blocked"),
             (true, false, 64, 64, 64, "packed_blocked"),
-            // Sub-threshold problems keep the fixed small kernels.
+            // Sub-threshold problems.
             (false, false, 4096, 36, 4, "single_chunk"),
             (true, false, 4, 5, 27, "single_chunk"),
             (false, true, 4096, 36, 4, "small_nt_unrolled"),
         ];
         for (ta, tb, m, k, n, want) in table {
+            assert_eq!(
+                selection_for(ta, tb, m, k, n),
+                want,
+                "({ta},{tb}) {m}x{k}x{n}"
+            );
+            let small_kernel = want != "packed_blocked";
             let p = Problem::new(ta, tb, m, k, n);
-            let r = select(&p);
-            assert_eq!(r.name(), want, "({ta},{tb}) {m}x{k}x{n}");
-            assert!(r.supports(&p), "{want} does not support {m}x{k}x{n}");
-            let small_kernel = matches!(want, "single_chunk" | "small_nt_unrolled");
             assert_eq!(small_kernel, p.small(), "{want} crosses the class split");
         }
         // int8: (m, k, n, routine with AVX2 active).
@@ -747,7 +448,7 @@ mod tests {
     #[test]
     fn tn_multi_chunk_split_is_bitwise_identical_to_one_chunk() {
         // 160x160x160 = 4.1M MACs crosses the TN parallel threshold, so
-        // the reference routine runs multiple row chunks; the
+        // the blocked engine runs multiple row chunks; the
         // single-chunk execution of the same blocked loop must agree bit
         // for bit (per-row accumulation is chunk-grouping independent).
         let (m, k, n) = (160, 160, 160);
@@ -780,61 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn every_blocked_routine_is_bitwise_identical_to_the_reference() {
-        // Ragged blocked shapes per kind; the big bench shapes live in
-        // tests/integration_dispatch.rs.
-        for (ta, tb, m, k, n) in [
-            (false, false, 70, 300, 33),
-            (false, true, 70, 300, 33),
-            (true, false, 70, 300, 33),
-            (false, false, 97, 89, 83),
-            (true, false, 97, 89, 83),
-            (false, true, 97, 89, 83),
-        ] {
-            let p = Problem::new(ta, tb, m, k, n);
-            assert!(!p.small());
-            let mut rng = XorShiftRng::new(0x9000 + m as u64 + u64::from(ta) + 2 * u64::from(tb));
-            let a_shape = if ta { [k, m] } else { [m, k] };
-            let b_shape = if tb { [n, k] } else { [k, n] };
-            let a = Tensor::rand_normal(&a_shape, 0.0, 1.0, &mut rng);
-            let b = Tensor::rand_normal(&b_shape, 0.0, 1.0, &mut rng);
-            let mut want = vec![0f32; m * n];
-            assert!(run_routine(
-                "packed_blocked",
-                ta,
-                tb,
-                a.data(),
-                b.data(),
-                &mut want,
-                m,
-                k,
-                n
-            ));
-            for name in candidate_names(ta, tb, m, k, n) {
-                let mut got = vec![0f32; m * n];
-                assert!(run_routine(
-                    name,
-                    ta,
-                    tb,
-                    a.data(),
-                    b.data(),
-                    &mut got,
-                    m,
-                    k,
-                    n
-                ));
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(
-                        g.to_bits(),
-                        w.to_bits(),
-                        "{name} differs from reference on ({ta},{tb}) {m}x{k}x{n}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn transpose_into_round_trips() {
         let (k, m) = (37, 53);
         let mut rng = XorShiftRng::new(0xABCD);
@@ -849,39 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn run_routine_rejects_unknown_and_unsupported() {
-        let a = [1.0f32; 64];
-        let mut o = [0f32; 64];
-        assert!(!run_routine(
-            "no_such", false, false, &a, &a, &mut o, 8, 8, 8
-        ));
-        // Blocked routine on a small problem is refused.
-        assert!(!run_routine(
-            "packed_blocked",
-            false,
-            false,
-            &a,
-            &a,
-            &mut o,
-            8,
-            8,
-            8
-        ));
-        // Zero dims are a successful no-op.
-        assert!(run_routine(
-            "packed_blocked",
-            false,
-            false,
-            &a,
-            &a,
-            &mut o[..0],
-            0,
-            8,
-            8
-        ));
-    }
-
-    #[test]
     fn q_registry_names_unique_and_small_problems_have_the_fixed_kernel() {
         let mut names: Vec<_> = q_routines().iter().map(|r| r.name()).collect();
         names.sort_unstable();
@@ -889,9 +502,17 @@ mod tests {
         assert_eq!(names.len(), q_routines().len());
         // q_rowdot supports everything; the blocked candidate exists for
         // blocked shapes wherever its AVX2 kernel can run.
-        assert_eq!(q_candidate_names(2, 8, 4), vec!["q_rowdot"]);
+        let supporting = |m, k, n| {
+            let p = QProblem::new(m, k, n);
+            q_routines()
+                .iter()
+                .filter(|r| r.supports(&p))
+                .map(|r| r.name())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(supporting(2, 8, 4), vec!["q_rowdot"]);
         if simd_active() {
-            assert!(q_candidate_names(256, 256, 256).len() >= 2);
+            assert!(supporting(256, 256, 256).len() >= 2);
         }
     }
 

@@ -1,11 +1,11 @@
-//! GEMM engine primitives shared by every registered routine.
+//! GEMM engine primitives shared by the dispatched kernels and the
+//! convolution GEMMs.
 //!
 //! One engine computes `C += op(A) · op(B)` for all of `matmul` (NN),
 //! `matmul_tn` (TN) and `matmul_nt` (NT). This module owns the numeric
 //! building blocks — packing, micro-kernels, the small-problem streaming
 //! kernels and the SIMD feature gate — while [`crate::dispatch`] owns the
-//! *routing*: which registered routine runs a given problem shape, picked
-//! by a fixed rule on the shape.
+//! *routing*: which kernel runs a given problem, fixed by its class.
 //!
 //! The blocked path follows the classic pack-and-tile scheme:
 //!

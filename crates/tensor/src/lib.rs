@@ -12,8 +12,8 @@
 //!   parallel kernel is bitwise identical to its serial execution;
 //! * [`linalg`] — cache-blocked, SIMD-accelerated, row-parallel matrix
 //!   multiplication kernels (plain, transposed operands, and GEMV);
-//! * [`dispatch`] — GEMM routine registry and the shape rule that picks
-//!   one per problem (every routine bitwise-identical within its class);
+//! * [`dispatch`] — the GEMM entry point: one fp32 kernel per problem
+//!   class, and the int8 routine registry with its shape rule;
 //! * [`tune`] — the routine-selection count the end-to-end benchmark
 //!   reports (always 0: nothing is tuned at run time);
 //! * [`json`] — dependency-free canonical JSON (shared with the bench

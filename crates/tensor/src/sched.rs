@@ -1,11 +1,11 @@
 //! Persistent work-stealing scheduler: the mechanism behind [`crate::backend`].
 //!
 //! This module owns the thread pool itself — per-lane work-stealing deques,
-//! the task-graph submission API ([`TaskScope`] with `spawn` / `spawn_after`
-//! / `defer`), and the journal-ordered commit stream
-//! ([`Pool::ordered_stream`]). The policy layer (`parallel_for`,
-//! `parallel_map`, chunking, grain sizes) lives in [`crate::backend`] and is
-//! a thin shim over these primitives.
+//! the task-graph submission API ([`TaskScope`] with `spawn` and the
+//! dependency-counted `defer`), and the journal-ordered commit stream
+//! ([`Pool::ordered_stream`]). The policy layer (`parallel_chunks_mut`,
+//! `parallel_map`, chunking) lives in [`crate::backend`] and is a thin
+//! shim over these primitives.
 //!
 //! # Queueing discipline
 //!
@@ -50,7 +50,6 @@
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -440,11 +439,10 @@ impl Pool {
     }
 
     /// Opens a task-graph scope: `f` receives a [`TaskScope`] on which it
-    /// may [`TaskScope::spawn`] independent tasks, chain them with
-    /// [`TaskScope::spawn_after`], and create dependency-counted deferred
-    /// tasks with [`TaskScope::defer`]. The call returns only after every
-    /// submitted task (including deferred ones) has completed, so tasks
-    /// may borrow from the caller's stack.
+    /// may [`TaskScope::spawn`] independent tasks and create
+    /// dependency-counted deferred tasks with [`TaskScope::defer`]. The
+    /// call returns only after every submitted task (including deferred
+    /// ones) has completed, so tasks may borrow from the caller's stack.
     ///
     /// When the pool is serial (no workers, [`force_serial`], or the
     /// caller is itself a pool lane) every task runs inline **at
@@ -642,50 +640,6 @@ fn worker_loop(shared: Arc<Shared>, lane: usize) {
     }
 }
 
-/// A handle to a task submitted on a [`TaskScope`] — an ordering token for
-/// [`TaskScope::spawn_after`], not a join handle (the scope itself joins
-/// everything).
-pub struct TaskHandle {
-    node: Arc<TaskNode>,
-}
-
-#[derive(Default)]
-struct TaskNode {
-    state: Mutex<NodeState>,
-}
-
-#[derive(Default)]
-struct NodeState {
-    done: bool,
-    followers: Vec<Arc<Deferred>>,
-}
-
-impl TaskNode {
-    fn finish(&self) {
-        let followers = {
-            let mut st = self.state.lock().unwrap();
-            st.done = true;
-            std::mem::take(&mut st.followers)
-        };
-        for follower in followers {
-            follower.signal();
-        }
-    }
-
-    /// Registers `follower` to be signaled when this task finishes.
-    /// Returns false when the task already finished (the caller signals
-    /// immediately instead).
-    fn subscribe(&self, follower: &Arc<Deferred>) -> bool {
-        let mut st = self.state.lock().unwrap();
-        if st.done {
-            false
-        } else {
-            st.followers.push(Arc::clone(follower));
-            true
-        }
-    }
-}
-
 /// A dependency-counted pending task: holds the job until `remaining`
 /// signals arrive, then runs it (inline in serial mode, enqueued on the
 /// signaling lane's deque otherwise).
@@ -745,9 +699,9 @@ impl Trigger {
     }
 }
 
-/// A task-graph submission scope: spawn independent tasks, chain
-/// dependents, and defer dependency-counted reductions. Created by
-/// [`Pool::scope`]; every submitted task completes before `scope` returns.
+/// A task-graph submission scope: spawn independent tasks and defer
+/// dependency-counted reductions. Created by [`Pool::scope`]; every
+/// submitted task completes before `scope` returns.
 pub struct TaskScope<'scope> {
     shared: Arc<Shared>,
     latch: Arc<Latch>,
@@ -768,60 +722,29 @@ impl<'scope> TaskScope<'scope> {
         self.shared.push(job);
     }
 
-    fn wrap<F>(&self, node: &Arc<TaskNode>, f: F) -> impl FnOnce() + Send + 'scope
+    fn wrap<F>(&self, f: F) -> impl FnOnce() + Send + 'scope
     where
         F: FnOnce() + Send + 'scope,
     {
         self.latch.add(1);
         let latch = Arc::clone(&self.latch);
-        let node = Arc::clone(node);
         move || {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-            // Release followers before the latch so a dependent enqueued
-            // by this completion is already visible to the scope's drain.
-            node.finish();
             latch.complete(result.err());
         }
     }
 
-    /// Submits an independent task. Returns a [`TaskHandle`] usable as a
-    /// dependency in [`TaskScope::spawn_after`].
-    pub fn spawn<F>(&self, f: F) -> TaskHandle
+    /// Submits an independent task.
+    pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'scope,
     {
-        let node = Arc::new(TaskNode::default());
-        let job = self.wrap(&node, f);
+        let job = self.wrap(f);
         if self.inline {
             run_job_inline(job);
         } else {
             self.submit(Box::new(job));
         }
-        TaskHandle { node }
-    }
-
-    /// Submits a task that runs only after every handle in `deps` has
-    /// completed. With an empty `deps` this is [`TaskScope::spawn`].
-    pub fn spawn_after<F>(&self, deps: &[&TaskHandle], f: F) -> TaskHandle
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        let node = Arc::new(TaskNode::default());
-        let job = self.wrap(&node, f);
-        let deferred = self.make_deferred(deps.len(), Box::new(job));
-        let mut missing = 0usize;
-        for dep in deps {
-            if !dep.node.subscribe(&deferred) {
-                missing += 1;
-            }
-        }
-        if deps.is_empty() {
-            missing = 1; // count was clamped to 1: release it
-        }
-        for _ in 0..missing {
-            deferred.signal();
-        }
-        TaskHandle { node }
     }
 
     /// Submits a task that runs after exactly `deps` explicit
@@ -834,8 +757,7 @@ impl<'scope> TaskScope<'scope> {
     where
         F: FnOnce() + Send + 'scope,
     {
-        let node = Arc::new(TaskNode::default());
-        let job = self.wrap(&node, f);
+        let job = self.wrap(f);
         let deferred = self.make_deferred(deps, Box::new(job));
         if deps == 0 {
             deferred.signal();
@@ -861,33 +783,4 @@ impl<'scope> TaskScope<'scope> {
 /// the pooled path, without the queue round-trip.
 fn run_job_inline(job: impl FnOnce()) {
     job();
-}
-
-/// Runs `f` over disjoint sub-ranges covering `0..n` — re-exported through
-/// [`crate::backend::parallel_for`]; see there for the full contract.
-pub(crate) fn parallel_for_impl<F>(pool: &Pool, n: usize, grain: usize, tasks_hint: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    let grain = grain.max(1);
-    let n_chunks = n.div_ceil(grain);
-    if n == 0 {
-        return;
-    }
-    if n_chunks <= 1 || !pool.has_workers() || serial_active() {
-        f(0..n);
-        return;
-    }
-    let groups = n_chunks.min(tasks_hint.max(1));
-    let grains_per_group = n_chunks.div_ceil(groups);
-    let step = grains_per_group * grain;
-    let f = &f;
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..n.div_ceil(step))
-        .map(|g| {
-            let start = g * step;
-            let end = (start + step).min(n);
-            Box::new(move || f(start..end)) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    pool.run_scoped(tasks);
 }
