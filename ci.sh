@@ -95,6 +95,17 @@ XBAR_SIMD=0 cargo test -q --release -p xbar-tensor --lib conv::
 XBAR_SIMD=0 cargo test -q --release -p xbar-tensor --test backend_parity conv_and_pool
 echo "    conv kernels bitwise on the scalar kernel ($(($(date +%s) - STEP_START)) s)"
 
+echo "==> quantizer bit pins, vectorised (release)"
+# Tests build at opt-level 1, where LLVM does not vectorise loops, so the
+# test phase above checks the quantizers' scalar code. The workloads run
+# the release build, whose quantizer loops are vectorised: re-run every
+# roundf_pin test (the rounding helper, the affine activation quantizer,
+# the device state snap, and QuantAct, whose Tensor::map loop runs
+# quantize_signed) there, bit for bit against the f32::round formulas.
+STEP_START=$(date +%s)
+cargo test -q --release -p xbar-tensor -p xbar-device -p xbar-nn --lib roundf_pin
+echo "    quantizers bitwise on the release build ($(($(date +%s) - STEP_START)) s)"
+
 echo "==> quantized parity gate (int8 within 1 point of fp32, thread-invariant)"
 # The fig5 --quantized arm trains the four mapped models once (pinned
 # shard count) and scores each through the fp32 emulation and the int8

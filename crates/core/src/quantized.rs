@@ -426,6 +426,59 @@ mod tests {
     }
 
     #[test]
+    fn int8_readout_equals_fp32_on_dequantized_activations() {
+        // The lossless integer readout differs from the fp32 forward only
+        // by quantizing the activations: fed the dequantized activations,
+        // the fp32 forward agrees with it to f32 rounding.
+        let mut rng = XorShiftRng::new(0x1D8);
+        for draw in 0..64 {
+            let mapping = Mapping::ALL[draw % 4];
+            let (n_out, mut n_in) = (2 + rng.below(14), 3 + rng.below(46));
+            // Half the draws untiled, half on tiles that leave a partial
+            // row block (and usually a partial column group).
+            let tile = (draw % 8 >= 4).then(|| {
+                let rows = 3 + rng.below(7);
+                if n_in % rows == 0 {
+                    n_in += 1;
+                }
+                TileShape::new(rows, 3 + rng.below(7))
+            });
+            let dev = ideal_device(2 + rng.below(7) as u8).with_tile_shape(tile);
+            let w = rand_tensor(&mut rng, &[n_out, n_in], -0.05, 0.05);
+            let xbar = CrossbarArray::program_signed(&w, mapping, dev, &mut rng).unwrap();
+            let mode = QuantReadout {
+                act_bits: 1 + rng.below(7) as u8,
+                ..QuantReadout::default()
+            };
+            let batch = 1 + rng.below(5);
+            let x = rand_tensor(&mut rng, &[batch, n_in], -1.0, 1.0);
+            let got = xbar.forward_quantized(&x, &mode).unwrap();
+            let x_dq = QuantizedTensor::quantize_affine(&x, mode.act_bits).dequantize();
+            let want = xbar.forward(&x_dq).unwrap();
+            // Each output is the difference of two column sums of n_in
+            // products with conductances ≤ g_max: the f32 sum is off by at
+            // most ~n_in·ε·Σ|x|·g_max per column, the integer path's
+            // reconstruction by a few ε of the same scale.
+            let g_max = dev.range().g_max();
+            for b in 0..batch {
+                let mag: f32 = x_dq.data()[b * n_in..][..n_in]
+                    .iter()
+                    .map(|v| v.abs())
+                    .sum();
+                let tol = 4.0 * (n_in as f32 + 8.0) * f32::EPSILON * mag * g_max;
+                for j in 0..xbar.n_out() {
+                    let (g, e) = (got.at(&[b, j]), want.at(&[b, j]));
+                    assert!(
+                        (g - e).abs() <= tol,
+                        "draw {draw} ({mapping}, {tile:?}, {} act bits): {g} vs {e}, tol {tol:e}",
+                        mode.act_bits
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn readout_is_bitwise_identical_serial_vs_parallel() {
         let mut rng = XorShiftRng::new(99);
         let w = rand_tensor(&mut rng, &[24, 60], -0.3, 0.3);

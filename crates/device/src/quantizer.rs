@@ -1,3 +1,5 @@
+use xbar_tensor::quant::round_half_away;
+
 use crate::ConductanceRange;
 
 /// Uniform `B`-bit conductance quantizer.
@@ -61,20 +63,45 @@ impl Quantizer {
 
     /// Spacing between adjacent states.
     pub fn step(&self) -> f32 {
-        self.range.span() / (self.num_states() - 1) as f32
+        self.range.span() / self.levels()
     }
 
     /// Snaps `g` to the nearest programmable state (clamping to the range
-    /// first).
+    /// first): bitwise `state_value(state_index(g))`. NaN snaps to state 0.
+    #[inline]
     pub fn quantize(&self, g: f32) -> f32 {
-        self.state_value(self.state_index(g))
+        let levels = self.levels();
+        self.range
+            .denormalize(self.nearest_state(g, levels) / levels)
     }
 
-    /// Index of the nearest state to `g` in `0..num_states()`.
+    /// Index of the nearest state to `g` in `0..num_states()`; a midpoint
+    /// takes the upper state, and NaN takes state 0.
     pub fn state_index(&self, g: f32) -> usize {
-        let levels = (self.num_states() - 1) as f32;
-        let unit = self.range.normalize(self.range.clamp(g));
-        (unit * levels).round() as usize
+        self.nearest_state(g, self.levels()) as usize
+    }
+
+    /// `2^B − 1`, the number of steps between the end states.
+    fn levels(&self) -> f32 {
+        (self.num_states() - 1) as f32
+    }
+
+    /// The one snap formula behind [`Quantizer::quantize`],
+    /// [`Quantizer::quantize_slice`] and [`Quantizer::state_index`]: the
+    /// nearest state's index as an exact `f32` in `0..=levels`.
+    #[inline]
+    fn nearest_state(&self, g: f32, levels: f32) -> f32 {
+        let (lo, hi) = (self.range.g_min(), self.range.g_max());
+        // Compares, not `max`/`min`, so NaN reaches the guard below.
+        let clamped = if g < lo {
+            lo
+        } else if g > hi {
+            hi
+        } else {
+            g
+        };
+        let y = self.range.normalize(clamped) * levels;
+        round_half_away(if y.is_nan() { 0.0 } else { y })
     }
 
     /// Conductance of state `index`.
@@ -84,11 +111,11 @@ impl Quantizer {
     /// Panics if `index >= num_states()`.
     pub fn state_value(&self, index: usize) -> f32 {
         assert!(index < self.num_states(), "state {index} out of range");
-        let levels = (self.num_states() - 1) as f32;
-        self.range.denormalize(index as f32 / levels)
+        self.range.denormalize(index as f32 / self.levels())
     }
 
-    /// Quantizes every element of a slice in place.
+    /// Quantizes every element of a slice in place, exactly as
+    /// [`Quantizer::quantize`] does one.
     pub fn quantize_slice(&self, values: &mut [f32]) {
         for v in values {
             *v = self.quantize(*v);
@@ -98,25 +125,147 @@ impl Quantizer {
 
 /// Uniform fake-quantization of a *signed* value to `bits` over
 /// `[-limit, limit]` — used for activation quantization (the paper uses
-/// 8-bit activations throughout its Fig. 5 results).
+/// 8-bit activations throughout its Fig. 5 results). ±Inf clamps to
+/// `±limit`; NaN stays NaN.
 ///
-/// # Panics
-///
-/// Panics if `bits == 0` or `limit <= 0`.
+/// The arguments must satisfy `1 ≤ bits ≤` [`Quantizer::MAX_BITS`] and
+/// `limit > 0` with `2·limit` finite. This runs once per activation, so
+/// it leaves that check to its caller (`QuantAct::new` makes it once) and
+/// only debug-asserts it; outside that domain the result is meaningless.
+#[inline]
 pub fn quantize_signed(x: f32, bits: u8, limit: f32) -> f32 {
-    assert!(bits >= 1, "need at least 1 bit");
-    assert!(limit > 0.0, "limit must be positive");
+    debug_assert!(
+        (1..=Quantizer::MAX_BITS).contains(&bits) && limit > 0.0 && (2.0 * limit).is_finite(),
+        "quantize_signed needs 1..={} bits and a positive limit with 2·limit finite",
+        Quantizer::MAX_BITS
+    );
     let levels = ((1u32 << bits) - 1) as f32;
-    let unit = ((x.clamp(-limit, limit) + limit) / (2.0 * limit) * levels).round() / levels;
+    // Compares, not `max`/`min`, so NaN passes through.
+    let clamped = if x < -limit {
+        -limit
+    } else if x > limit {
+        limit
+    } else {
+        x
+    };
+    let unit = round_half_away((clamped + limit) / (2.0 * limit) * levels) / levels;
     unit * 2.0 * limit - limit
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xbar_tensor::rng::XorShiftRng;
 
     fn q(bits: u8) -> Quantizer {
         Quantizer::new(bits, ConductanceRange::normalized())
+    }
+
+    /// `Quantizer::state_index` as it was when it rounded with
+    /// `f32::round`, copied verbatim.
+    fn roundf_state_index(q: &Quantizer, g: f32) -> usize {
+        let levels = (q.num_states() - 1) as f32;
+        let unit = q.range.normalize(q.range.clamp(g));
+        (unit * levels).round() as usize
+    }
+
+    /// `Quantizer::quantize` as it was: `state_value(state_index(g))`.
+    fn roundf_quantize(q: &Quantizer, g: f32) -> f32 {
+        q.state_value(roundf_state_index(q, g))
+    }
+
+    /// ±0, subnormals of both signs, huge finite values, ±Inf and NaN.
+    fn special_values() -> Vec<f32> {
+        let sub = f32::from_bits(1);
+        vec![
+            0.0,
+            -0.0,
+            sub,
+            -sub,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            3e9,
+            -3e9,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ]
+    }
+
+    /// `v` and its two neighbouring floats.
+    fn with_neighbours(v: f32) -> [f32; 3] {
+        [v.next_down(), v, v.next_up()]
+    }
+
+    fn same_bits(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// Every tie `(k + ½)` of a `levels`-step grid (a sample of 4096 on
+    /// the finer grids), mapped through `at`, with its neighbours.
+    fn grid_ties(levels: u32, rng: &mut XorShiftRng, at: impl Fn(f32) -> f32) -> Vec<f32> {
+        let ks: Vec<u32> = if levels <= 4096 {
+            (0..levels).collect()
+        } else {
+            (0..4096)
+                .map(|_| rng.below(levels as usize) as u32)
+                .collect()
+        };
+        ks.into_iter()
+            .flat_map(|k| with_neighbours(at((k as f32 + 0.5) / levels as f32)))
+            .collect()
+    }
+
+    #[test]
+    fn roundf_pin_state_snap() {
+        let mut rng = XorShiftRng::new(0x5A);
+        // The benchmark devices' grids (quantized_linear(4/5/8) over the
+        // normalized range), every width, and random ranges.
+        let mut quantizers: Vec<Quantizer> = [4, 5, 8].into_iter().map(q).collect();
+        quantizers.extend((1..=Quantizer::MAX_BITS).map(q));
+        for _ in 0..16 {
+            let lo = rng.uniform(0.0, 2.0);
+            let hi = lo + rng.uniform(1e-3, 3.0);
+            let bits = 1 + rng.below(Quantizer::MAX_BITS as usize) as u8;
+            quantizers.push(Quantizer::new(bits, ConductanceRange::new(lo, hi)));
+        }
+        let mut draws = 0usize;
+        for (i, q) in quantizers.iter().enumerate() {
+            let (lo, hi) = (q.range().g_min(), q.range().g_max());
+            let levels = (q.num_states() - 1) as u32;
+            let mut inputs = special_values();
+            inputs.extend(with_neighbours(lo));
+            inputs.extend(with_neighbours(hi));
+            inputs.extend(grid_ties(levels, &mut rng, |u| q.range().denormalize(u)));
+            // The three benchmark grids take most of the sweep.
+            let sweep = if i < 3 { 250_000 } else { 8_000 };
+            let span = hi - lo;
+            inputs.extend((0..sweep).map(|_| rng.uniform(lo - 0.25 * span, hi + 0.25 * span)));
+            let mut sliced = inputs.clone();
+            q.quantize_slice(&mut sliced);
+            for (&g, &s) in inputs.iter().zip(&sliced) {
+                let want = roundf_quantize(q, g);
+                assert!(same_bits(q.quantize(g), want), "{q:?} at {g:e}");
+                assert!(same_bits(s, want), "{q:?} slice at {g:e}");
+                assert_eq!(q.state_index(g), roundf_state_index(q, g), "{q:?} at {g:e}");
+            }
+            draws += inputs.len();
+        }
+        assert!(draws >= 1_000_000, "{draws} draws");
+    }
+
+    #[test]
+    fn nan_snaps_to_the_lowest_state_and_infinities_clamp() {
+        let q = Quantizer::new(3, ConductanceRange::new(0.25, 0.75));
+        assert_eq!(q.state_index(f32::NAN), 0);
+        assert_eq!(q.quantize(f32::NAN), 0.25);
+        assert_eq!(q.quantize(f32::INFINITY), 0.75);
+        assert_eq!(q.quantize(f32::NEG_INFINITY), 0.25);
+        let mut v = [f32::NAN, f32::INFINITY];
+        q.quantize_slice(&mut v);
+        assert_eq!(v, [0.25, 0.75]);
     }
 
     #[test]

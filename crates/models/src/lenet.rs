@@ -12,7 +12,8 @@ use crate::{ModelConfig, ModelScale};
 ///
 /// # Errors
 ///
-/// Returns [`NnError::Config`] if the input is too small.
+/// Returns [`NnError::Config`] if the input is too small or
+/// `cfg.act_bits` is out of range.
 pub fn lenet(
     input: (usize, usize, usize),
     classes: usize,
@@ -37,33 +38,39 @@ pub fn lenet(
     // Conv stage 1: 5x5 "same" + 2x2 pool.
     net.push(Conv2d::new(c, c1, 5, 1, 2, cfg.kind, cfg.device, &mut rng)?);
     net.push(Relu::new());
-    push_act_quant(&mut net, cfg);
+    push_act_quant(&mut net, cfg)?;
     net.push(MaxPool2d::halving());
     // Conv stage 2.
     net.push(Conv2d::new(
         c1, c2, 5, 1, 2, cfg.kind, cfg.device, &mut rng,
     )?);
     net.push(Relu::new());
-    push_act_quant(&mut net, cfg);
+    push_act_quant(&mut net, cfg)?;
     net.push(MaxPool2d::halving());
     // Classifier.
     net.push(Flatten::new());
     let flat = c2 * (h / 4) * (w / 4);
     net.push(Dense::new(flat, f1, cfg.kind, cfg.device, &mut rng)?);
     net.push(Relu::new());
-    push_act_quant(&mut net, cfg);
+    push_act_quant(&mut net, cfg)?;
     net.push(Dense::new(f1, f2, cfg.kind, cfg.device, &mut rng)?);
     net.push(Relu::new());
-    push_act_quant(&mut net, cfg);
+    push_act_quant(&mut net, cfg)?;
     net.push(Dense::new(f2, classes, cfg.kind, cfg.device, &mut rng)?);
     Ok(net)
 }
 
 /// Appends the paper's 8-bit activation quantizer when configured.
-pub(crate) fn push_act_quant(net: &mut Sequential, cfg: &ModelConfig) {
+///
+/// # Errors
+///
+/// Returns [`NnError::Config`] if `cfg.act_bits` is outside
+/// `1..=Quantizer::MAX_BITS`.
+pub(crate) fn push_act_quant(net: &mut Sequential, cfg: &ModelConfig) -> Result<(), NnError> {
     if let Some(bits) = cfg.act_bits {
-        net.push(QuantAct::new(bits, 4.0));
+        net.push(QuantAct::new(bits, 4.0)?);
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -110,6 +117,15 @@ mod tests {
     fn rejects_tiny_inputs() {
         assert!(lenet((1, 4, 4), 10, ModelScale::Tiny, &ModelConfig::baseline()).is_err());
         assert!(lenet((1, 16, 16), 0, ModelScale::Tiny, &ModelConfig::baseline()).is_err());
+    }
+
+    #[test]
+    fn out_of_range_activation_bits_are_a_config_error() {
+        for bits in [0, 17] {
+            let cfg = ModelConfig::baseline().with_act_bits(Some(bits));
+            let err = lenet((1, 16, 16), 10, ModelScale::Tiny, &cfg).unwrap_err();
+            assert!(matches!(err, NnError::Config(_)), "{bits}: {err}");
+        }
     }
 
     #[test]

@@ -14,7 +14,8 @@ use crate::ModelConfig;
 ///
 /// # Errors
 ///
-/// Returns [`NnError::Config`] on zero dimensions.
+/// Returns [`NnError::Config`] on zero dimensions or an out-of-range
+/// `cfg.act_bits`.
 pub fn mlp2(
     inputs: usize,
     hidden: usize,
@@ -31,7 +32,7 @@ pub fn mlp2(
     net.push(Flatten::new());
     net.push(Dense::new(inputs, hidden, cfg.kind, cfg.device, &mut rng)?);
     net.push(Relu::new());
-    push_act_quant(&mut net, cfg);
+    push_act_quant(&mut net, cfg)?;
     net.push(Dense::new(hidden, classes, cfg.kind, cfg.device, &mut rng)?);
     Ok(net)
 }

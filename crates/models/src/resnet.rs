@@ -15,7 +15,8 @@ use crate::{ModelConfig, ModelScale};
 ///
 /// # Errors
 ///
-/// Returns [`NnError::Config`] if the input is smaller than 8×8.
+/// Returns [`NnError::Config`] if the input is smaller than 8×8 or
+/// `cfg.act_bits` is out of range.
 pub fn resnet20(
     input: (usize, usize, usize),
     classes: usize,
@@ -40,7 +41,7 @@ pub fn resnet20(
     )?);
     net.push(BatchNorm2d::new(widths[0]));
     net.push(Relu::new());
-    push_act_quant(&mut net, cfg);
+    push_act_quant(&mut net, cfg)?;
     let mut in_c = widths[0];
     for (stage, &out_c) in widths.iter().enumerate() {
         for block in 0..3 {
@@ -69,7 +70,7 @@ fn basic_block(
     )?);
     body.push(BatchNorm2d::new(out_c));
     body.push(Relu::new());
-    push_act_quant(&mut body, cfg);
+    push_act_quant(&mut body, cfg)?;
     body.push(Conv2d::same3x3(out_c, out_c, cfg.kind, cfg.device, rng)?);
     body.push(BatchNorm2d::new(out_c));
     if in_c == out_c && stride == 1 {

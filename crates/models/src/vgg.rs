@@ -13,7 +13,8 @@ use crate::{ModelConfig, ModelScale};
 ///
 /// # Errors
 ///
-/// Returns [`NnError::Config`] if the input is too small.
+/// Returns [`NnError::Config`] if the input is too small or
+/// `cfg.act_bits` is out of range.
 pub fn vgg9(
     input: (usize, usize, usize),
     classes: usize,
@@ -44,7 +45,7 @@ pub fn vgg9(
                 in_c, out_c, cfg.kind, cfg.device, &mut rng,
             )?);
             net.push(Relu::new());
-            push_act_quant(&mut net, cfg);
+            push_act_quant(&mut net, cfg)?;
             in_c = out_c;
         }
         net.push(MaxPool2d::halving());
@@ -53,12 +54,12 @@ pub fn vgg9(
     let flat = in_c * (h / 8) * (w / 8);
     net.push(Dense::new(flat, fc_width, cfg.kind, cfg.device, &mut rng)?);
     net.push(Relu::new());
-    push_act_quant(&mut net, cfg);
+    push_act_quant(&mut net, cfg)?;
     net.push(Dense::new(
         fc_width, fc_width, cfg.kind, cfg.device, &mut rng,
     )?);
     net.push(Relu::new());
-    push_act_quant(&mut net, cfg);
+    push_act_quant(&mut net, cfg)?;
     net.push(Dense::new(
         fc_width, classes, cfg.kind, cfg.device, &mut rng,
     )?);

@@ -1,4 +1,4 @@
-use xbar_device::quantize_signed;
+use xbar_device::{quantize_signed, Quantizer};
 use xbar_tensor::Tensor;
 
 use crate::{Layer, NnError};
@@ -60,33 +60,53 @@ impl Layer for Relu {
 /// unchanged inside the clip range and zeroes them outside (the clipped-STE
 /// rule). The paper quantizes activations to 8 bits in all Fig. 5
 /// experiments — place one of these after each activation.
+///
+/// NaN activations stay NaN and ±Inf clip to `±limit`.
 #[derive(Clone, Debug)]
 pub struct QuantAct {
+    /// `1..=Quantizer::MAX_BITS`, checked at construction.
     bits: u8,
+    /// Positive with `2·limit` finite, checked at construction.
     limit: f32,
     inside: Option<Vec<bool>>,
 }
 
 impl QuantAct {
-    /// Creates an activation quantizer.
+    /// Creates an activation quantizer with `2^bits` levels over
+    /// `[-limit, limit]`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `bits == 0` or `limit <= 0`.
-    pub fn new(bits: u8, limit: f32) -> Self {
-        assert!(bits >= 1, "need at least 1 bit");
-        assert!(limit > 0.0, "limit must be positive");
-        Self {
+    /// Returns [`NnError::Config`] unless `1 ≤ bits ≤`
+    /// [`Quantizer::MAX_BITS`] and `limit` is positive with `2·limit`
+    /// finite (the quantizer divides by `2·limit`).
+    pub fn new(bits: u8, limit: f32) -> Result<Self, NnError> {
+        if !(1..=Quantizer::MAX_BITS).contains(&bits) {
+            return Err(NnError::Config(format!(
+                "activation quantizer needs 1..={} bits, got {bits}",
+                Quantizer::MAX_BITS
+            )));
+        }
+        if !(limit > 0.0 && (2.0 * limit).is_finite()) {
+            return Err(NnError::Config(format!(
+                "activation clip limit must be positive with 2·limit finite, got {limit}"
+            )));
+        }
+        Ok(Self {
             bits,
             limit,
             inside: None,
-        }
+        })
     }
 
     /// The paper's standard 8-bit activation quantizer with a ReLU-friendly
     /// clip at 4.0.
     pub fn standard() -> Self {
-        Self::new(8, 4.0)
+        Self {
+            bits: 8,
+            limit: 4.0,
+            inside: None,
+        }
     }
 
     /// Bit width.
@@ -108,7 +128,10 @@ impl Layer for QuantAct {
         if train {
             self.inside = Some(x.data().iter().map(|&v| v.abs() <= self.limit).collect());
         }
-        Ok(x.map(|v| quantize_signed(v, self.bits, self.limit)))
+        // Captured by value, so the per-element loop reads no memory but
+        // the activations and vectorises.
+        let (bits, limit) = (self.bits, self.limit);
+        Ok(x.map(move |v| quantize_signed(v, bits, limit)))
     }
 
     fn backward(&mut self, grad: &Tensor) -> Result<Tensor, NnError> {
@@ -201,7 +224,7 @@ mod tests {
 
     #[test]
     fn quant_act_quantizes_and_clips() {
-        let mut q = QuantAct::new(2, 1.0); // 4 levels over [-1, 1]
+        let mut q = QuantAct::new(2, 1.0).unwrap(); // 4 levels over [-1, 1]
         let x = Tensor::from_vec(vec![-2.0, -0.4, 0.4, 2.0], &[1, 4]).unwrap();
         let y = q.forward(&x, true).unwrap();
         assert_eq!(y.data()[0], -1.0);
@@ -221,9 +244,111 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "limit must be positive")]
     fn quant_act_rejects_bad_limit() {
-        let _ = QuantAct::new(8, 0.0);
+        let overflowing = f32::MAX / 2.0 * 1.0001;
+        for limit in [
+            0.0,
+            -1.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            overflowing,
+        ] {
+            let err = QuantAct::new(8, limit).unwrap_err();
+            assert!(matches!(err, NnError::Config(_)), "{limit}: {err}");
+        }
+        assert!(QuantAct::new(8, f32::MIN_POSITIVE).is_ok());
+        assert!(QuantAct::new(8, f32::MAX / 2.0).is_ok());
+    }
+
+    #[test]
+    fn quant_act_rejects_bad_bits() {
+        for bits in [0, Quantizer::MAX_BITS + 1, 31, 32, 33, u8::MAX] {
+            let err = QuantAct::new(bits, 4.0).unwrap_err();
+            assert!(matches!(err, NnError::Config(_)), "{bits}: {err}");
+        }
+        for bits in [1, Quantizer::MAX_BITS] {
+            assert_eq!(QuantAct::new(bits, 4.0).unwrap().bits(), bits);
+        }
+    }
+
+    /// `quantize_signed` as it was when it rounded with `f32::round`,
+    /// copied verbatim.
+    fn roundf_quantize_signed(x: f32, bits: u8, limit: f32) -> f32 {
+        assert!(bits >= 1, "need at least 1 bit");
+        assert!(limit > 0.0, "limit must be positive");
+        let levels = ((1u32 << bits) - 1) as f32;
+        let unit = ((x.clamp(-limit, limit) + limit) / (2.0 * limit) * levels).round() / levels;
+        unit * 2.0 * limit - limit
+    }
+
+    #[test]
+    fn roundf_pin_quant_act() {
+        use xbar_tensor::rng::XorShiftRng;
+        let mut rng = XorShiftRng::new(0x0A);
+        let sub = f32::from_bits(1);
+        let mut draws = 0usize;
+        for case in 0..256 {
+            let (bits, limit) = match case {
+                0 => (8, 4.0),
+                _ => (
+                    1 + rng.below(Quantizer::MAX_BITS as usize) as u8,
+                    2f32.powf(rng.uniform(-10.0, 10.0)),
+                ),
+            };
+            let levels = (1u32 << bits) - 1;
+            // NaN, +Inf and -Inf first: their outputs are checked by value
+            // below as well as against the old form.
+            let mut x = vec![
+                f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                0.0,
+                -0.0,
+                sub,
+                -sub,
+                f32::MIN_POSITIVE,
+                -f32::MIN_POSITIVE,
+                3e9,
+                -3e9,
+                f32::MAX,
+                f32::MIN,
+            ];
+            // ±limit, and every tie of the grid (a sample on fine grids),
+            // each with its neighbours.
+            let ks: Vec<u32> = if levels <= 1024 {
+                (0..levels).collect()
+            } else {
+                (0..1024)
+                    .map(|_| rng.below(levels as usize) as u32)
+                    .collect()
+            };
+            let ties = ks
+                .iter()
+                .map(|&k| (k as f32 + 0.5) / levels as f32 * 2.0 * limit - limit);
+            for v in [limit, -limit].into_iter().chain(ties) {
+                x.extend([v.next_down(), v, v.next_up()]);
+            }
+            x.extend((0..4000).map(|_| rng.uniform(-1.25 * limit, 1.25 * limit)));
+            let len = x.len();
+            let x = Tensor::from_vec(x, &[1, len]).unwrap();
+            let y = QuantAct::new(bits, limit)
+                .unwrap()
+                .forward(&x, false)
+                .unwrap();
+            for (&v, &got) in x.data().iter().zip(y.data()) {
+                let want = roundf_quantize_signed(v, bits, limit);
+                assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "{bits} bits, limit {limit:e}, x {v:e}: {got:e} vs {want:e}"
+                );
+            }
+            // NaN stays NaN; ±Inf clips to ±limit.
+            assert!(y.data()[0].is_nan(), "{bits} bits, limit {limit:e}");
+            assert_eq!(&y.data()[1..3], &[limit, -limit]);
+            draws += len;
+        }
+        assert!(draws >= 1_000_000, "{draws} draws");
     }
 
     #[test]

@@ -32,6 +32,14 @@ pub trait StateVisitor {
     ) {
         self.tensor(name, value);
     }
+
+    /// Whether this visitor may overwrite what it visits (a checkpoint
+    /// restore). Owners rebuild state derived from the visited values
+    /// only after such a visitor, so a visitor that writes must return
+    /// `true`; the default, `false`, fits every visitor that only reads.
+    fn restores(&self) -> bool {
+        false
+    }
 }
 
 /// A trainable network layer.

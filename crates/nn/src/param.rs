@@ -400,7 +400,7 @@ impl MappedParam {
                 // A pooled copy quantized in place skips the fresh
                 // allocation a `map` would page in on every call.
                 let mut out = self.shadow.clone();
-                out.map_inplace(|g| q.quantize(g));
+                q.quantize_slice(out.data_mut());
                 // Each BC reference column is a fixed, one-time-calibrated
                 // analog reference at exactly mid-range (paper Fig. 1b) —
                 // it is not re-programmed during training and is not
@@ -1227,8 +1227,11 @@ impl MappedParam {
         }
         // Self-healing state travels with the parameter; the served
         // override it implies is rebuilt (not persisted) — see
-        // `rebuild_scrub_override`. Absent when scrubbing is inactive, so
-        // pre-existing checkpoints keep their exact component list.
+        // `rebuild_scrub_override` — after a restore only: a visitor that
+        // only reads (a save, a restore's validation pass) must leave an
+        // active variation or fault override in place. Absent when
+        // scrubbing is inactive, so pre-existing checkpoints keep their
+        // exact component list.
         if let Some(scrub) = &mut self.scrub {
             visitor.checked_tensor(
                 &format!("{prefix}scrub_epoch"),
@@ -1241,7 +1244,9 @@ impl MappedParam {
                     .map_err(|e| e.to_string())
             });
             visitor.tensor(&format!("{prefix}scrub_shift"), &mut scrub.shift);
-            self.rebuild_scrub_override();
+            if visitor.restores() {
+                self.rebuild_scrub_override();
+            }
         }
     }
 }
@@ -2172,6 +2177,44 @@ mod tests {
         assert_eq!(got.data(), want.data(), "scrub restore must be bitwise");
     }
 
+    #[test]
+    fn saving_or_failing_to_restore_keeps_an_active_override() {
+        use crate::persist::{collect_state, restore_state};
+        use crate::{scrub_network, Dense, Layer};
+        let mut rng = XorShiftRng::new(166);
+        let mut net = Dense::new(
+            24,
+            12,
+            WeightKind::Mapped(Mapping::Acm),
+            lifetime_device(0.01, 24),
+            &mut rng,
+        )
+        .unwrap();
+        scrub_network(&mut net, true, &RepairPolicy::default())
+            .unwrap()
+            .unwrap();
+        net.visit_mapped(&mut |p| p.apply_variation(0.2, &mut rng));
+        let x = Tensor::rand_uniform(&[4, 24], -1.0, 1.0, &mut rng);
+        let bits = |net: &mut Dense| -> Vec<u32> {
+            let y = net.forward(&x, false).unwrap();
+            y.data().iter().map(|v| v.to_bits()).collect()
+        };
+        let varied = bits(&mut net);
+        // Saving reads the state; it must not rebuild the scrubbed view
+        // over the variation the array is serving.
+        let snapshot = collect_state(&mut net);
+        assert_eq!(bits(&mut net), varied, "saving changed the forward");
+        // A restore that fails validation writes nothing, so the served
+        // array stays as it was.
+        let bad = tampered(&snapshot, "scrub_epoch", |e| e[0] = 0.5);
+        assert!(restore_state(&mut net, &bad).is_err());
+        assert_eq!(
+            bits(&mut net),
+            varied,
+            "a failed restore changed the forward"
+        );
+    }
+
     /// `snapshot` with `tamper` applied to its tensor component whose
     /// name ends in `suffix`.
     fn tampered(
@@ -2312,6 +2355,9 @@ mod tests {
                 } else {
                     self.rngs.push_back(value.clone());
                 }
+            }
+            fn restores(&self) -> bool {
+                self.restoring
             }
         }
         let mut snapshot = Snapshot::default();

@@ -622,6 +622,10 @@ impl StateVisitor for Applier<'_> {
         }
         self.next += 1;
     }
+
+    fn restores(&self) -> bool {
+        true
+    }
 }
 
 /// Restores a snapshot produced by [`collect_state`] into `net`.

@@ -163,7 +163,7 @@ proptest! {
     #[test]
     fn quant_act_ste(seed in any::<u64>(), limit in 0.5f32..4.0) {
         let mut rng = XorShiftRng::new(seed);
-        let mut layer = QuantAct::new(8, limit);
+        let mut layer = QuantAct::new(8, limit).unwrap();
         let x = Tensor::rand_normal(&[2, 6], 0.0, 2.0, &mut rng);
         layer.forward(&x, true).unwrap();
         let g_in = Tensor::rand_normal(&[2, 6], 0.0, 1.0, &mut rng);

@@ -235,7 +235,10 @@ impl Tensor {
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         Self {
             shape: self.shape.clone(),
-            data: self.data.iter().map(|&x| f(x)).collect(),
+            // `f` moves into the iterator rather than being borrowed, so
+            // the values it captures stay in registers and the loop can
+            // vectorise.
+            data: self.data.iter().copied().map(f).collect(),
         }
     }
 
