@@ -24,7 +24,7 @@
 
 use std::time::Instant;
 
-use xbar_core::{CrossbarArray, Mapping};
+use xbar_core::Mapping;
 use xbar_device::DeviceConfig;
 use xbar_tensor::rng::XorShiftRng;
 use xbar_tensor::{backend, dispatch, linalg, simd_active, Tensor};
@@ -54,8 +54,8 @@ impl Mode {
 pub struct Entry {
     /// Entry name, e.g. `matmul_square_256`.
     pub name: String,
-    /// Kernel kind (`matmul`, `matmul_tn`, `matmul_nt`, `conv2d`,
-    /// `crossbar_forward`, `crossbar_trials`, `tiled_mvm`).
+    /// Kernel kind (`matmul`, `matmul_tn`, `matmul_nt`, `qmatmul`,
+    /// `conv2d`, `quant_mvm`, `train_step`, `sched_bag`).
     pub kind: &'static str,
     /// Human-readable problem dimensions.
     pub dims: String,
@@ -1074,86 +1074,17 @@ pub fn run(mode: Mode) -> Report {
         ));
     }
 
-    // E2E: batched crossbar inference and Monte-Carlo variation fan-out.
+    // E2E: tiled crossbar inference through a mapped parameter's integer
+    // ADC-exact readout. Serial and parallel must agree *bitwise*
+    // (asserted by `e2e_entry` — integer tile accumulation commits in
+    // submission order), and the quantized output must track the fp32
+    // forward of the same weights on the identically quantized input. The
+    // parameter keeps its readout image between calls, so the timed arm
+    // is the per-batch readout a workload pays.
     {
-        let (n_out, n_in, batch, trials) = match mode {
-            Mode::Smoke => (16, 32, 8, 4),
-            Mode::Full => (128, 256, 64, 16),
-        };
-        let mut rng = XorShiftRng::new(41);
-        let w = Tensor::rand_uniform(&[n_out, n_in], -0.02, 0.02, &mut rng);
-        let dev = DeviceConfig::quantized_linear(4).with_variation_sigma(0.05);
-        let xbar = CrossbarArray::program_signed(&w, Mapping::Acm, dev, &mut rng).unwrap();
-        let x = Tensor::rand_uniform(&[batch, n_in], -1.0, 1.0, &mut rng);
-        let fwd_flops = 2.0 * (batch * xbar.n_dev() * n_in) as f64;
-        entries.push(e2e_entry(
-            "crossbar_forward",
-            "crossbar_forward",
-            format!("{batch}x{n_in}->{n_out}"),
-            fwd_flops,
-            reps,
-            || xbar.forward(&x).unwrap(),
-        ));
-        entries.push(e2e_entry(
-            "crossbar_trials",
-            "crossbar_trials",
-            format!("{trials}x({batch}x{n_in}->{n_out})"),
-            fwd_flops * trials as f64,
-            reps,
-            || {
-                let mut trial_rng = XorShiftRng::new(4242);
-                let outs = xbar.variation_trials(&x, trials, &mut trial_rng).unwrap();
-                outs.into_iter()
-                    .flat_map(|t| t.data().to_vec())
-                    .collect::<Vec<f32>>()
-            },
-        ));
-    }
-
-    // E2E: tile-granular crossbar inference. The same weights programmed
-    // on one array and across a grid of physical tiles must agree (the
-    // per-group decomposition is exact on an ideal device); the timed arm
-    // is the tiled forward, whose per-tile MVMs fan out on the pool.
-    {
-        use xbar_core::TileShape;
-        let (n_out, n_in, batch, tile) = match mode {
-            Mode::Smoke => (16, 32, 8, TileShape::new(8, 8)),
-            Mode::Full => (128, 256, 64, TileShape::new(64, 64)),
-        };
-        let mut rng = XorShiftRng::new(43);
-        let w = Tensor::rand_uniform(&[n_out, n_in], -0.02, 0.02, &mut rng);
-        let x = Tensor::rand_uniform(&[batch, n_in], -1.0, 1.0, &mut rng);
-        let dev = DeviceConfig::ideal();
-        let mono = CrossbarArray::program_signed(&w, Mapping::Acm, dev, &mut rng).unwrap();
-        let tiled_dev = dev.with_tile_shape(Some(tile));
-        let tiled = CrossbarArray::program_signed(&w, Mapping::Acm, tiled_dev, &mut rng).unwrap();
-        let mono_out = mono.forward(&x).unwrap();
-        let tiled_out = tiled.forward(&x).unwrap();
-        assert!(
-            tiled_out.all_close(&mono_out, 1e-4),
-            "tiled_mvm: tiled forward diverged from monolithic"
-        );
-        let flops = 2.0 * (batch * tiled.n_dev() * n_in) as f64;
-        entries.push(e2e_entry(
-            "tiled_mvm",
-            "tiled_mvm",
-            format!(
-                "{batch}x{n_in}->{n_out} @{tile} ({} tiles)",
-                tiled.num_tiles()
-            ),
-            flops,
-            reps,
-            || tiled.forward(&x).unwrap(),
-        ));
-    }
-
-    // E2E: tiled crossbar inference through the integer ADC-exact
-    // readout. Serial and parallel must agree *bitwise* (asserted by
-    // `e2e_entry` — integer tile accumulation commits in submission
-    // order), and the quantized output must track the fp32 readout of the
-    // same programmed device on the identically quantized input.
-    {
+        use std::cell::RefCell;
         use xbar_core::{QuantReadout, TileShape};
+        use xbar_nn::{MappedParam, WeightKind};
         use xbar_tensor::QuantizedTensor;
         let (n_out, n_in, batch, tile) = match mode {
             Mode::Smoke => (16, 32, 8, TileShape::new(8, 8)),
@@ -1163,30 +1094,29 @@ pub fn run(mode: Mode) -> Report {
         let w = Tensor::rand_uniform(&[n_out, n_in], -0.02, 0.02, &mut rng);
         let x = Tensor::rand_uniform(&[batch, n_in], -1.0, 1.0, &mut rng);
         let dev = DeviceConfig::quantized_linear(4).with_tile_shape(Some(tile));
-        let tiled = CrossbarArray::program_signed(&w, Mapping::Acm, dev, &mut rng).unwrap();
+        let param = MappedParam::from_signed(&w, WeightKind::Mapped(Mapping::Acm), dev).unwrap();
+        let grid = param.tile_grid().expect("mapped parameters carry a grid");
+        let (n_dev, num_tiles) = (grid.nd_total(), grid.num_tiles());
         let qmode = QuantReadout::default();
-        let q_out = tiled.forward_quantized(&x, &qmode).unwrap();
+        let param = RefCell::new(param);
+        let q_out = param.borrow_mut().forward_quantized(&x, &qmode).unwrap();
         let x_deq = QuantizedTensor::quantize_affine(&x, qmode.act_bits).dequantize();
-        let f_out = tiled.forward(&x_deq).unwrap();
+        let f_out = linalg::matmul_nt(&x_deq, &param.borrow().effective_weights()).unwrap();
         assert!(
             q_out.all_close(&f_out, 5e-3),
-            "quant_mvm: integer readout diverged from the fp32 readout of the quantized input"
+            "quant_mvm: integer readout diverged from the fp32 forward of the quantized input"
         );
-        let flops = 2.0 * (batch * tiled.n_dev() * n_in) as f64;
+        let flops = 2.0 * (batch * n_dev * n_in) as f64;
         let mut entry = e2e_entry(
             "quant_mvm",
             "quant_mvm",
-            format!(
-                "{batch}x{n_in}->{n_out} @{tile} ({} tiles)",
-                tiled.num_tiles()
-            ),
+            format!("{batch}x{n_in}->{n_out} @{tile} ({num_tiles} tiles)"),
             flops,
             reps,
-            || tiled.forward_quantized(&x, &qmode).unwrap(),
+            || param.borrow_mut().forward_quantized(&x, &qmode).unwrap(),
         );
         // u8 activation codes + i8 conductance codes + f32 result.
-        entry.bytes =
-            Some((batch * n_in + tiled.n_dev() * n_in + 4 * batch * tiled.n_dev()) as f64);
+        entry.bytes = Some((batch * n_in + n_dev * n_in + 4 * batch * n_dev) as f64);
         entries.push(entry);
     }
 
@@ -1244,7 +1174,6 @@ mod tests {
             .expect("quant_mvm entry present");
         assert!(qmvm.parity);
         assert!(qmvm.gbps().is_some(), "quantized MVM reports bandwidth");
-        assert!(report.entries.iter().any(|e| e.name == "tiled_mvm"));
         let train = report
             .entries
             .iter()

@@ -14,8 +14,9 @@ use std::process::Command;
 
 use xbar_bench::json::Json;
 use xbar_bench::sweep::{run_sweep, SweepConfig};
-use xbar_core::{CrossbarArray, Mapping};
-use xbar_device::DeviceConfig;
+use xbar_core::{Mapping, QuantReadout};
+use xbar_device::{DeviceConfig, TileShape};
+use xbar_nn::{MappedParam, WeightKind};
 use xbar_tensor::rng::XorShiftRng;
 use xbar_tensor::Tensor;
 
@@ -23,8 +24,9 @@ use xbar_tensor::Tensor;
 /// parent test process.
 const CHILD_VAR: &str = "XBAR_SWEEP_CHILD_JOURNAL";
 
-/// One sweep cell per mapping scheme: program a small crossbar, run a
-/// fixed batch forward, report summary statistics. Pure in its key.
+/// One sweep cell per mapping scheme: map a small layer onto 8×8 tiles,
+/// run a fixed batch through its int8 readout (one pool task per tile),
+/// report summary statistics. Pure in its key.
 fn toy_mapping_sweep(journal: PathBuf) {
     let cells: Vec<(String, Mapping)> = [Mapping::DoubleElement, Mapping::BiasColumn, Mapping::Acm]
         .into_iter()
@@ -37,15 +39,18 @@ fn toy_mapping_sweep(journal: PathBuf) {
     let report = run_sweep(cells, &cfg, |_key, &mapping| {
         let mut rng = XorShiftRng::new(0xBEEF);
         let w = Tensor::rand_uniform(&[12, 20], -0.05, 0.05, &mut rng);
-        let dev = DeviceConfig::quantized_linear(4);
+        let dev = DeviceConfig::quantized_linear(4).with_tile_shape(Some(TileShape::new(8, 8)));
         // Cells are pure: any failure here is a bug, and a panic degrades
         // to a FailureRecord that `all_ok()` below rejects.
-        let xbar = CrossbarArray::program_signed(&w, mapping, dev, &mut rng).unwrap();
+        let mut param = MappedParam::from_signed(&w, WeightKind::Mapped(mapping), dev).unwrap();
         let x = Tensor::rand_uniform(&[6, 20], -1.0, 1.0, &mut rng);
-        let y = xbar.forward(&x).unwrap();
+        let y = param
+            .forward_quantized(&x, &QuantReadout::with_adc_bits(8))
+            .unwrap();
         let sum: f64 = y.data().iter().map(|&v| f64::from(v)).sum();
+        let n_dev = param.tile_grid().expect("mapped").nd_total();
         Ok(Json::Obj(vec![
-            ("n_dev".into(), Json::Num(xbar.n_dev() as f64)),
+            ("n_dev".into(), Json::Num(n_dev as f64)),
             ("output_sum".into(), Json::Num(sum)),
         ]))
     })

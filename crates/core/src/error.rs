@@ -46,15 +46,6 @@ pub enum MappingError {
         /// Why, in human-readable form.
         reason: String,
     },
-    /// Closed-loop programming exhausted its write budget with cells still
-    /// out of tolerance, and the caller demanded full convergence.
-    ProgrammingFailed {
-        /// Number of cells that failed to converge.
-        unconverged: usize,
-        /// The largest remaining `|realised − target|`, in conductance
-        /// units.
-        worst_residual: f32,
-    },
 }
 
 impl fmt::Display for MappingError {
@@ -82,16 +73,6 @@ impl fmt::Display for MappingError {
             }
             Self::Unsupported { op, reason } => {
                 write!(f, "{op}: unsupported configuration: {reason}")
-            }
-            Self::ProgrammingFailed {
-                unconverged,
-                worst_residual,
-            } => {
-                write!(
-                    f,
-                    "programming left {unconverged} cell(s) out of tolerance \
-                     (worst residual {worst_residual})"
-                )
             }
         }
     }
@@ -132,8 +113,10 @@ mod tests {
         let e = MappingError::from(ShapeError::new("compose", "bad dims"));
         assert!(e.to_string().contains("compose"));
 
-        let e = MappingError::NonFiniteInput { op: "mvm_raw" };
-        assert!(e.to_string().contains("mvm_raw"));
+        let e = MappingError::NonFiniteInput {
+            op: "remap_for_faults",
+        };
+        assert!(e.to_string().contains("remap_for_faults"));
         assert!(e.to_string().contains("NaN"));
 
         let e = MappingError::FaultMapMismatch {
@@ -142,12 +125,6 @@ mod tests {
         };
         assert!(e.to_string().contains("5x6"));
         assert!(e.to_string().contains("3x4"));
-
-        let e = MappingError::ProgrammingFailed {
-            unconverged: 7,
-            worst_residual: 0.25,
-        };
-        assert!(e.to_string().contains('7'));
     }
 
     #[test]

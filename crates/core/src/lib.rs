@@ -27,10 +27,13 @@
 //!   (`rank(S) = N_O` and a strictly positive null vector, Sec. III-C);
 //! * [`decompose`]/[`compose`] — constructive per-mapping decompositions
 //!   plus a generic Gaussian-elimination solver for *any* valid `S`;
-//! * [`CrossbarArray`] — a behavioural crossbar simulator that programs
-//!   `M` through a [`xbar_device::DeviceConfig`] (quantization,
-//!   variation, faults, parasitics) onto the [`TileGrid`] of the device's
-//!   tile bound — one array when it has none — and evaluates signed MVMs;
+//! * [`TileGrid`] — the layout of one layer's `M` over the physical tiles
+//!   of a device's tile bound (one array when it has none): per-group
+//!   decomposition, the block-diagonal periphery and the tile-local
+//!   parasitics; [`magnitude_permutation`] orders a group's rows for
+//!   [`Mapping::Perm`];
+//! * [`ReadoutImage`] and [`QuantReadout`] — the ADC-exact int8 readout of
+//!   a programmed array, one integer GEMM and ADC per tile;
 //! * [`remap_for_faults`] — fault-aware remapping: stuck-at defects are
 //!   absorbed into the null-space slack of `W = S·M` (shifting a column by
 //!   `c·x_h` changes no weight), with the unabsorbable residual reported;
@@ -41,6 +44,11 @@
 //! * [`analysis`] — the Sec. III-E regularization identity
 //!   (`ΣW = M̄_1 − M̄_{N_D}`), representable-sum counting, weight-range and
 //!   hardware-cost accounting.
+//!
+//! Programming those arrays (quantization, variation, write-verify,
+//! faults, parasitics, scrubbing) is the job of `xbar_nn::MappedParam`,
+//! the one owner of a layer's device state; this crate supplies the
+//! pieces it composes.
 //!
 //! # Example
 //!
@@ -66,7 +74,6 @@
 
 pub mod analysis;
 mod balance;
-mod crossbar;
 mod decompose;
 mod error;
 mod healing;
@@ -77,14 +84,13 @@ mod remap;
 mod tiling;
 
 pub use balance::{balance_profile, BalanceProfile};
-pub use crossbar::{magnitude_permutation, CrossbarArray};
 pub use decompose::{compose, decompose, decompose_with_periphery, max_representable_scale};
 pub use error::MappingError;
 pub use healing::{
     checksum_residual, HealthAction, HealthMonitor, RepairAttempt, RepairPolicy, RepairStage,
     ScrubReport, TileHealth,
 };
-pub use mapping::{Mapping, ParseMappingError};
+pub use mapping::{magnitude_permutation, Mapping, ParseMappingError};
 pub use periphery::PeripheryMatrix;
 pub use quantized::{QuantReadout, ReadoutImage};
 pub use remap::{remap_for_faults, RemapReport};

@@ -1,6 +1,7 @@
 use std::fmt;
 
 use xbar_device::ConductanceRange;
+use xbar_tensor::Tensor;
 
 use crate::PeripheryMatrix;
 
@@ -170,6 +171,32 @@ impl std::str::FromStr for Mapping {
     }
 }
 
+/// Stable descending order of the device rows of `M (N_D × N_I)` by total
+/// deviation from `mid` (`Σᵢ |m[j,i] − mid|`) — the X-CHANGR-style
+/// placement rule behind [`Mapping::Perm`]: the returned `perm` assigns
+/// logical device column `perm[p]` to physical position `p`, so the
+/// largest-magnitude rows land nearest the drivers where IR-drop
+/// attenuation is smallest. The sort is stable, so a BC reference row
+/// (all `mid`, deviation exactly zero, stored last) stays last.
+pub fn magnitude_permutation(m: &Tensor, mid: f32) -> Vec<usize> {
+    let (nd, n_in) = (m.shape()[0], m.shape()[1]);
+    let key: Vec<f32> = (0..nd)
+        .map(|j| {
+            m.data()[j * n_in..(j + 1) * n_in]
+                .iter()
+                .map(|&g| (g - mid).abs())
+                .sum()
+        })
+        .collect();
+    let mut perm: Vec<usize> = (0..nd).collect();
+    perm.sort_by(|&a, &b| {
+        key[b]
+            .partial_cmp(&key[a])
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    perm
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,5 +263,13 @@ mod tests {
         }
         let err = "adjacent".parse::<Mapping>().unwrap_err();
         assert!(err.to_string().contains("adjacent"));
+    }
+
+    #[test]
+    fn magnitude_permutation_is_stable_for_ties() {
+        // Identical rows keep their original order (stable sort), which
+        // is what pins BC's all-mid reference row to the last slot.
+        let m = Tensor::from_vec(vec![0.5, 0.5, 0.9, 0.1, 0.5, 0.5], &[3, 2]).unwrap();
+        assert_eq!(magnitude_permutation(&m, 0.5), vec![1, 0, 2]);
     }
 }

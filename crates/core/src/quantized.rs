@@ -28,11 +28,12 @@
 //!
 //! Step 2 depends only on the programmed array, so it lives in a
 //! [`ReadoutImage`] built once per set of conductances; steps 1, 3 and 4
-//! run per batch in [`ReadoutImage::raw_batch`]. Because every parallel
-//! step is integer-exact and the commit order is pinned by
+//! run per batch in [`ReadoutImage::raw_batch`], whose raw column outputs
+//! the layer's periphery combines. `xbar_nn::MappedParam::forward_quantized`
+//! caches the image of the array it serves and runs exactly that. Because
+//! every parallel step is integer-exact and the commit order is pinned by
 //! [`backend::ordered_stream`], the quantized forward is **bitwise
-//! identical for any thread count** — stronger than the fp32 path's
-//! tolerance-free determinism, and checked by `ci.sh`.
+//! identical for any thread count**, and checked by `ci.sh`.
 
 use xbar_device::{AdcSpec, DeviceConfig, Quantizer};
 use xbar_tensor::backend;
@@ -40,7 +41,6 @@ use xbar_tensor::qgemm::{self, QGEMM_MAX_K};
 use xbar_tensor::quant::{QScheme, QuantizedTensor, AFFINE_BITS_MAX};
 use xbar_tensor::{scratch, Tensor};
 
-use crate::crossbar::CrossbarArray;
 use crate::error::MappingError;
 use crate::tiling::TileGrid;
 
@@ -348,34 +348,12 @@ impl ReadoutImage {
     }
 }
 
-impl CrossbarArray {
-    /// Batched signed MVM through the integer readout:
-    /// `X (batch × N_I) → Y (batch × N_O)`, tile by tile. Activations
-    /// quantize to `mode.act_bits`, conductances are read on the device
-    /// state grid, each grid tile runs its own int8 GEMM and ADC (ranged
-    /// for the tile's row depth), digitized partial sums accumulate as
-    /// integers across row blocks, and the per-group periphery combines
-    /// the result. Builds a fresh [`ReadoutImage`] per call. Bitwise
-    /// identical for any thread count.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReadoutImage::new`] and [`ReadoutImage::raw_batch`].
-    pub fn forward_quantized(
-        &self,
-        x: &Tensor,
-        mode: &QuantReadout,
-    ) -> Result<Tensor, MappingError> {
-        let image = ReadoutImage::new(self.effective_conductances(), self.grid(), self.device())?;
-        self.periphery().combine(&image.raw_batch(mode, x)?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Mapping;
     use xbar_device::TileShape;
+    use xbar_tensor::linalg;
     use xbar_tensor::rng::XorShiftRng;
 
     fn rand_tensor(rng: &mut XorShiftRng, shape: &[usize], lo: f32, hi: f32) -> Tensor {
@@ -390,6 +368,53 @@ mod tests {
         DeviceConfig::builder().bits(bits).build()
     }
 
+    /// A programmed `n_out × n_in` layer as the readout sees it: stacked
+    /// conductances on the tile grid of `device`'s tile bound, drawn
+    /// uniformly on the device state grid when it has one (uniformly in
+    /// its range otherwise).
+    struct Array {
+        grid: TileGrid,
+        device: DeviceConfig,
+        g: Tensor,
+    }
+
+    impl Array {
+        fn new(
+            n_out: usize,
+            n_in: usize,
+            mapping: Mapping,
+            device: DeviceConfig,
+            rng: &mut XorShiftRng,
+        ) -> Self {
+            let grid = TileGrid::new(n_out, n_in, mapping, device.tile_shape()).unwrap();
+            let shape = [grid.nd_total(), n_in];
+            let g = match device.quantizer_opt() {
+                Some(q) => Tensor::from_fn(&shape, |_| q.state_value(rng.below(q.num_states()))),
+                None => {
+                    let range = device.range();
+                    rand_tensor(rng, &shape, range.g_min(), range.g_max())
+                }
+            };
+            Self { grid, device, g }
+        }
+
+        /// The integer readout of a batch, combined by the periphery.
+        fn forward_quantized(
+            &self,
+            x: &Tensor,
+            mode: &QuantReadout,
+        ) -> Result<Tensor, MappingError> {
+            let image = ReadoutImage::new(&self.g, &self.grid, &self.device)?;
+            self.grid.periphery().combine(&image.raw_batch(mode, x)?)
+        }
+
+        /// The fp32 reference: `periphery.combine(x · Gᵀ)`.
+        fn forward(&self, x: &Tensor) -> Tensor {
+            let raw = linalg::matmul_nt(x, &self.g).unwrap();
+            self.grid.periphery().combine(&raw).unwrap()
+        }
+    }
+
     #[test]
     fn monolithic_readout_matches_f32_on_the_quantized_input() {
         readout_matches_f32_on_the_quantized_input(None);
@@ -401,21 +426,20 @@ mod tests {
     }
 
     fn readout_matches_f32_on_the_quantized_input(tile: Option<TileShape>) {
-        // (seed, weights, weight bound, batch) of two layers.
-        for (seed, [n_out, n_in], lim, batch) in [(42, [11, 37], 0.05, 5), (7, [20, 50], 0.04, 4)] {
+        // (seed, weights, batch) of two layers.
+        for (seed, [n_out, n_in], batch) in [(42, [11, 37], 5), (7, [20, 50], 4)] {
             let mut rng = XorShiftRng::new(seed);
-            let w = rand_tensor(&mut rng, &[n_out, n_in], -lim, lim);
             let dev = ideal_device(6).with_tile_shape(tile);
-            let xbar = CrossbarArray::program_signed(&w, Mapping::Acm, dev, &mut rng).unwrap();
-            assert_eq!(xbar.num_tiles() > 1, tile.is_some());
+            let array = Array::new(n_out, n_in, Mapping::Acm, dev, &mut rng);
+            assert_eq!(array.grid.num_tiles() > 1, tile.is_some());
             let x = rand_tensor(&mut rng, &[batch, n_in], -1.0, 1.0);
             let mode = QuantReadout::default();
-            let got = xbar.forward_quantized(&x, &mode).unwrap();
+            let got = array.forward_quantized(&x, &mode).unwrap();
             // The same product through the fp32 path, fed the
             // dequantized activations the integer path actually sees:
             // identical math, integer-exact vs f32 accumulation.
             let x_dq = QuantizedTensor::quantize_affine(&x, mode.act_bits).dequantize();
-            let want = xbar.forward(&x_dq).unwrap();
+            let want = array.forward(&x_dq);
             for (&g, &e) in got.data().iter().zip(want.data()) {
                 assert!(
                     (g - e).abs() <= 1e-4 + 1e-3 * e.abs(),
@@ -444,17 +468,16 @@ mod tests {
                 TileShape::new(rows, 3 + rng.below(7))
             });
             let dev = ideal_device(2 + rng.below(7) as u8).with_tile_shape(tile);
-            let w = rand_tensor(&mut rng, &[n_out, n_in], -0.05, 0.05);
-            let xbar = CrossbarArray::program_signed(&w, mapping, dev, &mut rng).unwrap();
+            let array = Array::new(n_out, n_in, mapping, dev, &mut rng);
             let mode = QuantReadout {
                 act_bits: 1 + rng.below(7) as u8,
                 ..QuantReadout::default()
             };
             let batch = 1 + rng.below(5);
             let x = rand_tensor(&mut rng, &[batch, n_in], -1.0, 1.0);
-            let got = xbar.forward_quantized(&x, &mode).unwrap();
+            let got = array.forward_quantized(&x, &mode).unwrap();
             let x_dq = QuantizedTensor::quantize_affine(&x, mode.act_bits).dequantize();
-            let want = xbar.forward(&x_dq).unwrap();
+            let want = array.forward(&x_dq);
             // Each output is the difference of two column sums of n_in
             // products with conductances ≤ g_max: the f32 sum is off by at
             // most ~n_in·ε·Σ|x|·g_max per column, the integer path's
@@ -466,7 +489,7 @@ mod tests {
                     .map(|v| v.abs())
                     .sum();
                 let tol = 4.0 * (n_in as f32 + 8.0) * f32::EPSILON * mag * g_max;
-                for j in 0..xbar.n_out() {
+                for j in 0..n_out {
                     let (g, e) = (got.at(&[b, j]), want.at(&[b, j]));
                     assert!(
                         (g - e).abs() <= tol,
@@ -481,14 +504,13 @@ mod tests {
     #[test]
     fn readout_is_bitwise_identical_serial_vs_parallel() {
         let mut rng = XorShiftRng::new(99);
-        let w = rand_tensor(&mut rng, &[24, 60], -0.3, 0.3);
         let dev = ideal_device(5).with_tile_shape(Some(TileShape::new(16, 16)));
-        let xbar = CrossbarArray::program_signed(&w, Mapping::BiasColumn, dev, &mut rng).unwrap();
+        let array = Array::new(24, 60, Mapping::BiasColumn, dev, &mut rng);
         let x = rand_tensor(&mut rng, &[6, 60], -1.0, 1.0);
         let mode = QuantReadout::with_adc_bits(8);
-        let parallel = xbar.forward_quantized(&x, &mode).unwrap();
+        let parallel = array.forward_quantized(&x, &mode).unwrap();
         backend::force_serial(true);
-        let serial = xbar.forward_quantized(&x, &mode).unwrap();
+        let serial = array.forward_quantized(&x, &mode).unwrap();
         backend::force_serial(false);
         assert_eq!(serial.data(), parallel.data());
     }
@@ -496,20 +518,18 @@ mod tests {
     #[test]
     fn narrow_adc_truncates_the_readout() {
         let mut rng = XorShiftRng::new(5);
-        let w = rand_tensor(&mut rng, &[9, 64], -0.05, 0.05);
-        let xbar =
-            CrossbarArray::program_signed(&w, Mapping::Acm, ideal_device(6), &mut rng).unwrap();
+        let array = Array::new(9, 64, Mapping::Acm, ideal_device(6), &mut rng);
         let x = rand_tensor(&mut rng, &[3, 64], -1.0, 1.0);
-        let wide = xbar
+        let wide = array
             .forward_quantized(&x, &QuantReadout::default())
             .unwrap();
-        let narrow = xbar
+        let narrow = array
             .forward_quantized(&x, &QuantReadout::with_adc_bits(4))
             .unwrap();
         assert_ne!(wide.data(), narrow.data());
         // More resolution brings the readout closer to the transparent
         // converter.
-        let mid = xbar
+        let mid = array
             .forward_quantized(&x, &QuantReadout::with_adc_bits(10))
             .unwrap();
         let err = |y: &Tensor| -> f32 {
@@ -525,21 +545,19 @@ mod tests {
     #[test]
     fn unquantized_or_too_wide_devices_are_rejected() {
         let mut rng = XorShiftRng::new(1);
-        let w = rand_tensor(&mut rng, &[4, 8], -0.05, 0.05);
         let x = rand_tensor(&mut rng, &[2, 8], -1.0, 1.0);
-        let full_precision = CrossbarArray::program_signed(
-            &w,
+        let full_precision = Array::new(
+            4,
+            8,
             Mapping::Acm,
             DeviceConfig::builder().build(),
             &mut rng,
-        )
-        .unwrap();
+        );
         let err = full_precision
             .forward_quantized(&x, &QuantReadout::default())
             .unwrap_err();
         assert!(matches!(err, MappingError::Unsupported { .. }), "{err}");
-        let wide =
-            CrossbarArray::program_signed(&w, Mapping::Acm, ideal_device(9), &mut rng).unwrap();
+        let wide = Array::new(4, 8, Mapping::Acm, ideal_device(9), &mut rng);
         let err = wide
             .forward_quantized(&x, &QuantReadout::default())
             .unwrap_err();
@@ -549,18 +567,16 @@ mod tests {
     #[test]
     fn input_validation_mirrors_the_f32_path() {
         let mut rng = XorShiftRng::new(2);
-        let w = rand_tensor(&mut rng, &[4, 8], -0.05, 0.05);
-        let xbar =
-            CrossbarArray::program_signed(&w, Mapping::Acm, ideal_device(4), &mut rng).unwrap();
+        let array = Array::new(4, 8, Mapping::Acm, ideal_device(4), &mut rng);
         let bad_shape = Tensor::zeros(&[2, 9]);
         assert!(matches!(
-            xbar.forward_quantized(&bad_shape, &QuantReadout::default()),
+            array.forward_quantized(&bad_shape, &QuantReadout::default()),
             Err(MappingError::Shape(_))
         ));
         let mut bad_value = Tensor::zeros(&[2, 8]);
         bad_value.data_mut()[3] = f32::NAN;
         assert!(matches!(
-            xbar.forward_quantized(&bad_value, &QuantReadout::default()),
+            array.forward_quantized(&bad_value, &QuantReadout::default()),
             Err(MappingError::NonFiniteInput { .. })
         ));
     }
@@ -568,16 +584,14 @@ mod tests {
     #[test]
     fn activation_width_outside_1_to_7_is_a_typed_error() {
         let mut rng = XorShiftRng::new(4);
-        let w = rand_tensor(&mut rng, &[4, 8], -0.05, 0.05);
-        let xbar =
-            CrossbarArray::program_signed(&w, Mapping::Acm, ideal_device(4), &mut rng).unwrap();
+        let array = Array::new(4, 8, Mapping::Acm, ideal_device(4), &mut rng);
         let x = rand_tensor(&mut rng, &[2, 8], -1.0, 1.0);
         for act_bits in [0, 8] {
             let mode = QuantReadout {
                 act_bits,
                 ..QuantReadout::default()
             };
-            let err = xbar.forward_quantized(&x, &mode).unwrap_err();
+            let err = array.forward_quantized(&x, &mode).unwrap_err();
             assert!(matches!(err, MappingError::Unsupported { .. }), "{err}");
             assert!(err.to_string().contains("activation bit width"), "{err}");
         }
@@ -586,34 +600,31 @@ mod tests {
     #[test]
     fn an_image_reads_every_batch_like_a_fresh_one() {
         let mut rng = XorShiftRng::new(6);
-        let w = rand_tensor(&mut rng, &[20, 50], -0.04, 0.04);
         let dev = ideal_device(6).with_tile_shape(Some(TileShape::new(16, 16)));
-        let xbar = CrossbarArray::program_signed(&w, Mapping::Acm, dev, &mut rng).unwrap();
-        let image =
-            ReadoutImage::new(xbar.effective_conductances(), xbar.grid(), xbar.device()).unwrap();
+        let array = Array::new(20, 50, Mapping::Acm, dev, &mut rng);
+        let image = ReadoutImage::new(&array.g, &array.grid, &array.device).unwrap();
         let mode = QuantReadout::with_adc_bits(6);
         for _ in 0..3 {
             let x = rand_tensor(&mut rng, &[4, 50], -1.0, 1.0);
             let raw = image.raw_batch(&mode, &x).unwrap();
-            let want = xbar.forward_quantized(&x, &mode).unwrap();
-            assert_eq!(xbar.periphery().combine(&raw).unwrap().data(), want.data());
+            let want = array.forward_quantized(&x, &mode).unwrap();
+            let got = array.grid.periphery().combine(&raw).unwrap();
+            assert_eq!(got.data(), want.data());
         }
-        let mismatched = ReadoutImage::new(&Tensor::zeros(&[3, 50]), xbar.grid(), xbar.device());
+        let mismatched = ReadoutImage::new(&Tensor::zeros(&[3, 50]), &array.grid, &array.device);
         assert!(matches!(mismatched, Err(MappingError::Shape(_))));
     }
 
     #[test]
     fn calibrated_activation_range_pins_the_grid() {
         let mut rng = XorShiftRng::new(3);
-        let w = rand_tensor(&mut rng, &[6, 16], -0.05, 0.05);
-        let xbar =
-            CrossbarArray::program_signed(&w, Mapping::Acm, ideal_device(6), &mut rng).unwrap();
+        let array = Array::new(6, 16, Mapping::Acm, ideal_device(6), &mut rng);
         let x = rand_tensor(&mut rng, &[3, 16], -0.5, 0.5);
         let mode = QuantReadout {
             act_range: Some((-1.0, 1.0)),
             ..QuantReadout::default()
         };
-        let y = xbar.forward_quantized(&x, &mode).unwrap();
+        let y = array.forward_quantized(&x, &mode).unwrap();
         // A batch-dependent subrange input produces the same grid when
         // the calibrated range is pinned: scaling the batch down must not
         // change the codes' meaning, only which codes fire.
@@ -622,7 +633,7 @@ mod tests {
             t.data_mut().iter_mut().for_each(|v| *v *= 0.5);
             t
         };
-        let y_half = xbar.forward_quantized(&x_half, &mode).unwrap();
+        let y_half = array.forward_quantized(&x_half, &mode).unwrap();
         assert_ne!(y.data(), y_half.data());
         assert!(y.data().iter().all(|v| v.is_finite()));
         assert!(y_half.data().iter().all(|v| v.is_finite()));

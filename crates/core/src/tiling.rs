@@ -16,13 +16,15 @@
 //! mapping's `N_D`, so DE fits `cols/2` outputs per tile against BC/ACM's
 //! `cols − 1` — the physical origin of Table I's area gap.
 //! [`TileGrid`] exposes the grid so system-level models can count arrays.
-//! [`crate::CrossbarArray`] lays every array out on the grid of its
-//! device's tile bound and applies every operation (programming, fault
-//! sampling, fault-aware remapping, Monte-Carlo resampling, reads)
-//! tile-locally; a device with no tile bound gives the 1×1 grid.
+//! `xbar_nn::MappedParam` lays its conductances out on the grid of its
+//! device's tile bound (a device with no tile bound gives the 1×1 grid)
+//! and reads them through it: [`TileGrid::apply_parasitics`] restarts the
+//! line-resistance attenuation at every tile boundary, and the int8
+//! readout ([`crate::ReadoutImage`]) runs one integer GEMM and ADC per
+//! tile.
 
 use xbar_device::TileShape;
-use xbar_tensor::{backend, linalg, Tensor};
+use xbar_tensor::Tensor;
 
 use crate::{decompose, Mapping, MappingError, PeripheryMatrix};
 
@@ -151,7 +153,7 @@ impl TileGrid {
     /// # Errors
     ///
     /// Returns a shape error if the tile is narrower than two columns.
-    pub fn outputs_per_tile(mapping: Mapping, tile: TileShape) -> Result<usize, MappingError> {
+    fn outputs_per_tile(mapping: Mapping, tile: TileShape) -> Result<usize, MappingError> {
         let cap = match mapping {
             Mapping::DoubleElement => tile.cols / 2,
             Mapping::BiasColumn | Mapping::Acm | Mapping::Perm => tile.cols.saturating_sub(1),
@@ -318,79 +320,102 @@ impl TileGrid {
     }
 }
 
-/// Raw accumulated column outputs `X · Gᵀ (batch × N_D)` of a batch
-/// `X (batch × N_I)` read through the tiles of `grid`, where
-/// `conductances` is the stacked `(N_D × N_I)` matrix the tiles hold. Each
-/// tile's partial product is a pool task; the partial products are
-/// summed digitally across grid rows on the calling thread in submission
-/// order, so the result is bitwise identical at any thread count and
-/// under any steal interleaving. Callers check the input shape.
-pub(crate) fn raw_batch(grid: &TileGrid, conductances: &Tensor, x: &Tensor) -> Tensor {
-    let batch = x.shape()[0];
-    let nd = grid.nd_total();
-    let mut items = Vec::with_capacity(grid.num_tiles());
-    for &(r0, rl) in grid.row_blocks() {
-        for g in grid.col_groups() {
-            items.push(((r0, rl), *g));
-        }
-    }
-    let mut raw = Tensor::zeros(&[batch, nd]);
-    let raw_data = raw.data_mut();
-    backend::ordered_stream(
-        items,
-        |_, ((r0, rl), g)| {
-            let x_block = x.block(0, batch, r0, rl);
-            let m_block = conductances.block(g.dev_start, g.dev_len, r0, rl);
-            let partial = linalg::matmul_nt(&x_block, &m_block)
-                .expect("tile dimensions agree by construction");
-            (g, partial)
-        },
-        |_, (g, partial)| {
-            for b in 0..batch {
-                let dst = &mut raw_data[b * nd + g.dev_start..b * nd + g.dev_start + g.dev_len];
-                for (d, &p) in dst.iter_mut().zip(&partial.data()[b * g.dev_len..]) {
-                    *d += p;
-                }
-            }
-        },
-    );
-    raw
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crossbar::tests as twins;
-    use crate::CrossbarArray;
-    use xbar_device::DeviceConfig;
-    use xbar_tensor::rng::XorShiftRng;
+    use crate::{magnitude_permutation, remap_for_faults, QuantReadout, ReadoutImage};
+    use xbar_device::{ConductanceRange, DeviceConfig, FaultMap, FaultModel, LineResistanceModel};
+    use xbar_tensor::{backend, linalg, rng::XorShiftRng};
 
     fn rng() -> XorShiftRng {
         XorShiftRng::new(171)
     }
 
-    /// `device` bounded to `rows × cols` tiles.
-    fn on_tiles(device: DeviceConfig, rows: usize, cols: usize) -> DeviceConfig {
-        device.with_tile_shape(Some(TileShape::new(rows, cols)))
+    fn tiles(rows: usize, cols: usize) -> Option<TileShape> {
+        Some(TileShape::new(rows, cols))
+    }
+
+    /// The signed outputs `x · (S·M)ᵀ` of a batch read through `grid`'s
+    /// periphery: a mapped layer's fp32 forward, up to its scale `α`.
+    fn forward(grid: &TileGrid, m: &Tensor, x: &Tensor) -> Tensor {
+        let raw = linalg::matmul_nt(x, m).unwrap();
+        grid.periphery().combine(&raw).unwrap()
+    }
+
+    /// `W` laid out on `grid` the way a [`Mapping::Perm`] layer stores it:
+    /// each column group's rows in descending mid-deviation order, with
+    /// the group's inverse permutation folded into its stencil.
+    fn perm_layout(
+        grid: &TileGrid,
+        w: &Tensor,
+        range: ConductanceRange,
+    ) -> (PeripheryMatrix, Tensor) {
+        let mut m = grid.decompose(w, range).unwrap();
+        let blocks: Vec<PeripheryMatrix> = grid
+            .col_groups()
+            .iter()
+            .map(|g| {
+                let group = m.block(g.dev_start, g.dev_len, 0, grid.n_in());
+                let perm = magnitude_permutation(&group, range.midpoint());
+                m.write_block(g.dev_start, 0, &group.permute_rows(&perm));
+                grid.mapping().periphery(g.out_len).permuted(&perm)
+            })
+            .collect();
+        (PeripheryMatrix::block_diagonal(&blocks), m)
+    }
+
+    /// Weight-space error `‖S·G − W‖` of `m` programmed over `faults`,
+    /// naively and after remapping each column group against its own
+    /// stencil and its own defects (as separate physical arrays would),
+    /// with the summed residuals the remap reported.
+    fn group_remap_errors(
+        grid: &TileGrid,
+        periphery: &PeripheryMatrix,
+        m: &Tensor,
+        faults: &FaultMap,
+        w: &Tensor,
+    ) -> (f32, f32, f32, f32) {
+        let range = DeviceConfig::ideal().range();
+        let n_in = grid.n_in();
+        let mut remapped = m.clone();
+        let (mut before, mut after) = (0.0f32, 0.0f32);
+        for g in grid.col_groups() {
+            let stencil = periphery
+                .diagonal_block(g.out_start, g.out_len, g.dev_start, g.dev_len)
+                .unwrap();
+            let (shifted, report) = remap_for_faults(
+                &m.block(g.dev_start, g.dev_len, 0, n_in),
+                &stencil,
+                &faults.block(g.dev_start, g.dev_len, 0, n_in),
+                range,
+            )
+            .unwrap();
+            remapped.write_block(g.dev_start, 0, &shifted);
+            before += report.residual_before().powi(2);
+            after += report.residual_after().powi(2);
+        }
+        let err = |g: &Tensor| {
+            let programmed = faults.apply(g, range);
+            let read = periphery.apply(&programmed).unwrap();
+            read.sub(w).unwrap().norm_sq().sqrt()
+        };
+        (err(m), err(&remapped), before.sqrt(), after.sqrt())
     }
 
     #[test]
     fn tiled_matches_monolithic_ideal() {
         let mut r = rng();
         let w = Tensor::rand_uniform(&[12, 30], -0.02, 0.02, &mut r);
-        let x = Tensor::rand_uniform(&[30], -1.0, 1.0, &mut r);
+        let x = Tensor::rand_uniform(&[1, 30], -1.0, 1.0, &mut r);
+        let range = DeviceConfig::ideal().range();
         for mapping in Mapping::ALL {
-            let mono =
-                CrossbarArray::program_signed(&w, mapping, DeviceConfig::ideal(), &mut r).unwrap();
-            let tiled = CrossbarArray::program_signed(
-                &w,
-                mapping,
-                on_tiles(DeviceConfig::ideal(), 8, 8),
-                &mut r,
-            )
-            .unwrap();
-            let ym = mono.mvm_signed(&x).unwrap();
-            let yt = tiled.mvm_signed(&x).unwrap();
+            let mono = TileGrid::new(12, 30, mapping, None).unwrap();
+            let tiled = TileGrid::new(12, 30, mapping, tiles(8, 8)).unwrap();
+            assert!(tiled.num_tiles() > 1, "{mapping}");
+            let ym = forward(&mono, &mono.decompose(&w, range).unwrap(), &x);
+            let yt = forward(&tiled, &tiled.decompose(&w, range).unwrap(), &x);
+            let exact = linalg::matmul_nt(&x, &w).unwrap();
+            assert!(ym.all_close(&exact, 1e-5), "{mapping}: ideal array != W·x");
             assert!(yt.all_close(&ym, 1e-4), "{mapping}: tiled != monolithic");
         }
     }
@@ -402,151 +427,116 @@ mod tests {
         let mut r = rng();
         let w = Tensor::rand_uniform(&[13, 21], -0.02, 0.02, &mut r);
         let x = Tensor::rand_uniform(&[5, 21], -1.0, 1.0, &mut r);
+        let range = DeviceConfig::ideal().range();
         for mapping in Mapping::ALL {
-            let mono =
-                CrossbarArray::program_signed(&w, mapping, DeviceConfig::ideal(), &mut r).unwrap();
-            let tiled = CrossbarArray::program_signed(
-                &w,
-                mapping,
-                on_tiles(DeviceConfig::ideal(), 8, 8),
-                &mut r,
-            )
-            .unwrap();
-            let ym = mono.forward(&x).unwrap();
-            let yt = tiled.forward(&x).unwrap();
+            let mono = TileGrid::new(13, 21, mapping, None).unwrap();
+            let tiled = TileGrid::new(13, 21, mapping, tiles(8, 8)).unwrap();
+            let m = tiled.decompose(&w, range).unwrap();
+            let ym = forward(&mono, &mono.decompose(&w, range).unwrap(), &x);
+            let yt = forward(&tiled, &m, &x);
             assert!(yt.all_close(&ym, 1e-4), "{mapping}: tiled != monolithic");
-            assert_eq!(tiled.effective_weights().shape(), w.shape());
-            assert!(tiled.effective_weights().all_close(&w, 1e-4), "{mapping}");
+            let weights = tiled.periphery().apply(&m).unwrap();
+            assert_eq!(weights.shape(), w.shape());
+            assert!(weights.all_close(&w, 1e-4), "{mapping}");
         }
     }
 
     #[test]
     fn parallel_forward_is_bitwise_identical_to_serial() {
+        // The int8 readout is the per-tile fan-out left: one integer GEMM
+        // and ADC per tile, committed in tile order.
         let mut r = rng();
         let w = Tensor::rand_uniform(&[40, 70], -0.01, 0.01, &mut r);
         let x = Tensor::rand_uniform(&[9, 70], -1.0, 1.0, &mut r);
-        let dev = on_tiles(DeviceConfig::ideal(), 16, 16);
-        let tiled = CrossbarArray::program_signed(&w, Mapping::Acm, dev, &mut r).unwrap();
+        let dev = DeviceConfig::quantized_linear(4);
+        let grid = TileGrid::new(40, 70, Mapping::Acm, tiles(16, 16)).unwrap();
+        let g = grid
+            .decompose(&w, dev.range())
+            .unwrap()
+            .map(|v| dev.snap(v));
+        let image = ReadoutImage::new(&g, &grid, &dev).unwrap();
+        let mode = QuantReadout::with_adc_bits(8);
         backend::force_serial(true);
-        let serial = tiled.forward(&x).unwrap();
+        let serial = image.raw_batch(&mode, &x).unwrap();
         backend::force_serial(false);
-        let parallel = tiled.forward(&x).unwrap();
+        let parallel = image.raw_batch(&mode, &x).unwrap();
         assert_eq!(serial.data(), parallel.data(), "per-tile fan-out raced");
     }
 
     #[test]
     fn grid_dimensions_are_ceilings() {
-        let mut r = rng();
-        let w = Tensor::rand_uniform(&[20, 50], -0.01, 0.01, &mut r);
         // ACM on 16x16 tiles: 15 outputs per group -> ceil(20/15) = 2
         // groups; ceil(50/16) = 4 row blocks.
-        let dev = on_tiles(DeviceConfig::ideal(), 16, 16);
-        let t = CrossbarArray::program_signed(&w, Mapping::Acm, dev, &mut r).unwrap();
-        assert_eq!(t.tile_grid(), (4, 2));
-        assert_eq!(t.num_tiles(), 8);
-        assert_eq!(t.n_in(), 50);
-        assert_eq!(t.n_out(), 20);
+        let grid = TileGrid::new(20, 50, Mapping::Acm, tiles(16, 16)).unwrap();
+        assert_eq!(grid.grid(), (4, 2));
+        assert_eq!(grid.num_tiles(), 8);
+        assert_eq!(grid.n_in(), 50);
+        assert_eq!(grid.n_out(), 20);
         // Per-group ND accounting: 20 outputs + one reference per group.
-        assert_eq!(t.n_dev(), 22);
-        assert_eq!(t.grid().replicated_reference_columns(), 1);
+        assert_eq!(grid.nd_total(), 22);
+        assert_eq!(grid.replicated_reference_columns(), 1);
+    }
+
+    #[test]
+    fn grid_partitions_are_exact() {
+        // The grid covers every logical output and input exactly once,
+        // and the per-group `N_D` accounting sums to the grid total: 64
+        // seeded draws over shapes up to 39x39 and tiles up to 11x11.
+        let mut draw = XorShiftRng::new(0x6E1D);
+        for case in 0..64 {
+            let mapping = Mapping::ALL[draw.below(Mapping::ALL.len())];
+            let (n_out, n_in) = (1 + draw.below(39), 1 + draw.below(39));
+            let tile = TileShape::new(1 + draw.below(11), 2 + draw.below(10));
+            let tag = format!("case {case}: {mapping} {n_out}x{n_in} @{tile}");
+            let grid = TileGrid::new(n_out, n_in, mapping, Some(tile)).unwrap();
+            let rows: usize = grid.row_blocks().iter().map(|&(_, len)| len).sum();
+            assert_eq!(rows, n_in, "{tag}");
+            let outs: usize = grid.col_groups().iter().map(|g| g.out_len).sum();
+            assert_eq!(outs, n_out, "{tag}");
+            let nd: usize = grid.col_groups().iter().map(|g| g.dev_len).sum();
+            assert_eq!(nd, grid.nd_total(), "{tag}");
+            assert_eq!(
+                grid.nd_total(),
+                mapping.num_device_columns(n_out) + grid.replicated_reference_columns(),
+                "{tag}"
+            );
+        }
     }
 
     #[test]
     fn de_needs_more_tiles_than_acm() {
-        let mut r = rng();
-        let dev = DeviceConfig::ideal().with_tile_shape(Some(TileShape::standard()));
-        let w = Tensor::rand_uniform(&[60, 100], -0.002, 0.002, &mut r);
-        let tiles = |mapping| {
-            CrossbarArray::program_signed(&w, mapping, dev, &mut XorShiftRng::new(1))
+        let tiles_for = |n_out, mapping| {
+            TileGrid::new(n_out, 100, mapping, Some(TileShape::standard()))
                 .unwrap()
                 .num_tiles()
         };
-        assert!(tiles(Mapping::DoubleElement) >= tiles(Mapping::Acm));
-        let w2 = Tensor::rand_uniform(&[100, 100], -0.002, 0.002, &mut r);
-        let tiles2 = |mapping| {
-            CrossbarArray::program_signed(&w2, mapping, dev, &mut XorShiftRng::new(2))
-                .unwrap()
-                .num_tiles()
-        };
+        assert!(tiles_for(60, Mapping::DoubleElement) >= tiles_for(60, Mapping::Acm));
         // DE fits 64 outputs per 128-wide tile -> 2 groups; ACM fits 127 -> 1.
-        assert_eq!(tiles2(Mapping::DoubleElement), 2 * tiles2(Mapping::Acm));
+        assert_eq!(
+            tiles_for(100, Mapping::DoubleElement),
+            2 * tiles_for(100, Mapping::Acm)
+        );
     }
 
     #[test]
     fn quantization_and_variation_apply_per_tile() {
         let mut r = rng();
         let w = Tensor::rand_uniform(&[8, 20], -0.02, 0.02, &mut r);
-        let dev = on_tiles(
-            DeviceConfig::quantized_linear(4).with_variation_sigma(0.05),
-            8,
-            8,
-        );
-        let tiled = CrossbarArray::program_signed(&w, Mapping::DoubleElement, dev, &mut r).unwrap();
-        let x = Tensor::ones(&[20]);
+        let dev = DeviceConfig::quantized_linear(4).with_variation_sigma(0.05);
+        let grid = TileGrid::new(8, 20, Mapping::DoubleElement, tiles(8, 8)).unwrap();
+        assert!(grid.num_tiles() > 1);
+        let targets = grid
+            .decompose(&w, dev.range())
+            .unwrap()
+            .map(|v| dev.snap(v));
+        let g = dev.variation().sample_tensor(&targets, dev.range(), &mut r);
+        let x = Tensor::ones(&[1, 20]);
         // Must still approximate the ideal result. Per-output noise std is
         // ~sigma*sqrt(2*n_in) ~ 0.32, so 1.0 is a ~3-sigma bound on the
         // worst of 8 outputs.
-        let ideal = linalg::matvec(&w, &x).unwrap();
-        let y = tiled.mvm_signed(&x).unwrap();
+        let ideal = linalg::matmul_nt(&x, &w).unwrap();
+        let y = forward(&grid, &g, &x);
         assert!(y.sub(&ideal).unwrap().abs_max() < 1.0);
-    }
-
-    #[test]
-    fn remap_never_crosses_tile_boundaries() {
-        use xbar_device::FaultModel;
-        // A fault in one tile must leave every fault-free tile region's
-        // targets untouched: the compensation is tile-local. Compare a
-        // faulty remapped grid against the same grid with no fault model.
-        let mut r = rng();
-        let w = Tensor::rand_uniform(&[12, 8], -0.02, 0.02, &mut r);
-        let dev = on_tiles(DeviceConfig::ideal(), 8, 8);
-        let clean =
-            CrossbarArray::program_signed(&w, Mapping::Acm, dev, &mut XorShiftRng::new(7)).unwrap();
-        let (remapped, _) = CrossbarArray::program_signed_remapped(
-            &w,
-            Mapping::Acm,
-            dev.with_faults(FaultModel::uniform(0.04)),
-            &mut XorShiftRng::new(7),
-        )
-        .unwrap();
-        assert!(remapped.fault_map().num_stuck() > 0);
-        // Any group with no faults anywhere in a given input column must
-        // hold exactly the clean targets in that column.
-        for g in remapped.grid().col_groups() {
-            for col in 0..remapped.n_in() {
-                let group_has_fault = remapped.fault_map().iter_stuck().any(|(row, c, _)| {
-                    c == col && (g.dev_start..g.dev_start + g.dev_len).contains(&row)
-                });
-                if group_has_fault {
-                    continue;
-                }
-                for row in g.dev_start..g.dev_start + g.dev_len {
-                    assert_eq!(
-                        remapped.targets().at(&[row, col]),
-                        clean.targets().at(&[row, col]),
-                        "remap leaked into fault-free tile region ({row}, {col})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn program_conductances_infers_output_count() {
-        let mut r = rng();
-        let w = Tensor::rand_uniform(&[13, 10], -0.02, 0.02, &mut r);
-        let dev = on_tiles(DeviceConfig::ideal(), 8, 8);
-        for mapping in Mapping::ALL {
-            let grid = TileGrid::new(13, 10, mapping, dev.tile_shape()).unwrap();
-            let m = grid.decompose(&w, dev.range()).unwrap();
-            let tiled = CrossbarArray::program_conductances(&m, mapping, dev, &mut r).unwrap();
-            assert_eq!(tiled.n_out(), 13, "{mapping}");
-            assert!(tiled.effective_weights().all_close(&w, 1e-4), "{mapping}");
-        }
-        // An inconsistent stacked row count is rejected (ACM on 8-wide
-        // tiles: nd = n_out + ceil(n_out/7); nd = 9 has no solution).
-        let bad = Tensor::zeros(&[9, 10]);
-        assert!(CrossbarArray::program_conductances(&bad, Mapping::Acm, dev, &mut r).is_err());
     }
 
     #[test]
@@ -596,88 +586,156 @@ mod tests {
 
     #[test]
     fn tiled_line_resistance_restarts_at_tile_boundaries() {
-        use xbar_device::LineResistanceModel;
-        // The same layer split over smaller tiles has shorter wire runs,
-        // so the worst-case attenuation is milder than monolithic.
         let mut r = rng();
         let w = Tensor::rand_uniform(&[12, 30], 0.005, 0.02, &mut r);
-        let x = Tensor::ones(&[30]);
         let dev = DeviceConfig::ideal().with_line_resistance(LineResistanceModel::new(0.01));
-        let ideal = linalg::matvec(&w, &x).unwrap();
+        let layout = |tile: usize| {
+            let grid = TileGrid::new(12, 30, Mapping::Acm, tiles(tile, tile)).unwrap();
+            let m = grid.decompose(&w, dev.range()).unwrap();
+            let mut g = m.clone();
+            grid.apply_parasitics(&mut g, &dev, &FaultMap::pristine(grid.nd_total(), 30));
+            (grid, m, g)
+        };
+        // Every tile is its own array: its block attenuates exactly as a
+        // whole array of the block's size would.
+        let (grid, m, g) = layout(8);
+        assert!(grid.num_tiles() > 1);
+        for &(r0, rl) in grid.row_blocks() {
+            for cg in grid.col_groups() {
+                let mut want = m.block(cg.dev_start, cg.dev_len, r0, rl);
+                dev.line_resistance().apply_tile(&mut want);
+                let got = g.block(cg.dev_start, cg.dev_len, r0, rl);
+                assert_eq!(got.data(), want.data(), "tile at ({r0}, {})", cg.dev_start);
+            }
+        }
+        // So the same layer split over smaller tiles has shorter wire
+        // runs, and a milder worst-case error than monolithic.
+        let x = Tensor::ones(&[1, 30]);
+        let ideal = linalg::matmul_nt(&x, &w).unwrap();
         let err = |tile: usize| {
-            let t = CrossbarArray::program_signed(
-                &w,
-                Mapping::Acm,
-                on_tiles(dev, tile, tile),
-                &mut rng(),
-            )
-            .unwrap();
-            t.mvm_signed(&x).unwrap().sub(&ideal).unwrap().abs_max()
+            let (grid, _, g) = layout(tile);
+            forward(&grid, &g, &x).sub(&ideal).unwrap().abs_max()
         };
         assert!(err(8) < err(128));
     }
 
     #[test]
     fn tiled_perm_remap_still_recovers_faults() {
-        use xbar_device::FaultModel;
         let mut r = rng();
         let w = Tensor::rand_uniform(&[12, 24], -0.02, 0.02, &mut r);
-        let dev = on_tiles(
-            DeviceConfig::ideal().with_faults(FaultModel::uniform(0.02)),
-            8,
-            8,
-        );
-        let naive = CrossbarArray::program_signed(&w, Mapping::Perm, dev, &mut XorShiftRng::new(5))
-            .unwrap();
-        let (remapped, report) = CrossbarArray::program_signed_remapped(
-            &w,
-            Mapping::Perm,
-            dev,
-            &mut XorShiftRng::new(5),
-        )
-        .unwrap();
-        assert!(naive.fault_map().num_stuck() > 0);
-        let err = |xb: &CrossbarArray| xb.effective_weights().sub(&w).unwrap().norm_sq().sqrt();
+        let range = DeviceConfig::ideal().range();
+        let grid = TileGrid::new(12, 24, Mapping::Perm, tiles(8, 8)).unwrap();
+        let (periphery, m) = perm_layout(&grid, &w, range);
+        let faults = FaultModel::uniform(0.02).sample_map(grid.nd_total(), 24, &mut r);
+        assert!(faults.num_stuck() > 0);
+        let (naive, remapped, before, after) =
+            group_remap_errors(&grid, &periphery, &m, &faults, &w);
         assert!(
-            err(&remapped) < err(&naive),
+            remapped < naive,
             "null-space slack survives the permutation"
         );
-        assert!(report.residual_after() <= report.residual_before());
+        assert!(after <= before);
     }
 
-    // Twins of the untiled tests in `crossbar.rs`, on a grid of 8×8 tiles.
     #[test]
     fn rejects_bad_input_length() {
-        twins::rejects_bad_input_length_on(Some(TileShape::new(8, 8)));
-    }
-
-    #[test]
-    fn per_tile_fault_maps_and_programming_reports_merge() {
-        twins::fault_model_freezes_cells_through_programming_on(Some(TileShape::new(8, 8)));
+        let dev = DeviceConfig::quantized_linear(4);
+        let mut r = XorShiftRng::new(171);
+        let w = Tensor::rand_uniform(&[4, 10], -0.05, 0.05, &mut r);
+        let grid = TileGrid::new(4, 10, Mapping::Acm, tiles(8, 8)).unwrap();
+        assert!(grid
+            .decompose(&Tensor::zeros(&[4, 11]), dev.range())
+            .is_err());
+        let g = grid
+            .decompose(&w, dev.range())
+            .unwrap()
+            .map(|v| dev.snap(v));
+        let image = ReadoutImage::new(&g, &grid, &dev).unwrap();
+        let mode = QuantReadout::default();
+        assert!(image.raw_batch(&mode, &Tensor::zeros(&[2, 11])).is_err());
+        let bad = Tensor::from_vec(vec![f32::NAN; 10], &[1, 10]).unwrap();
+        assert!(matches!(
+            image.raw_batch(&mode, &bad),
+            Err(MappingError::NonFiniteInput { .. })
+        ));
     }
 
     #[test]
     fn tile_local_remap_recovers_weight_accuracy() {
-        twins::remapped_programming_recovers_weight_accuracy_on(Some(TileShape::new(8, 8)));
-    }
-
-    #[test]
-    fn resample_keeps_fault_pattern_but_redraws_noise() {
-        twins::resample_keeps_fault_pattern_but_redraws_noise_on(Some(TileShape::new(8, 8)));
-    }
-
-    #[test]
-    fn variation_trials_match_serial_resample_loop() {
-        twins::variation_trials_match_serial_resample_loop_on(Some(TileShape::new(8, 8)));
+        let range = DeviceConfig::ideal().range();
+        for (seed, [n_out, n_in]) in [(81, [8, 16]), (171, [12, 24])] {
+            let w = Tensor::rand_uniform(&[n_out, n_in], -0.02, 0.02, &mut XorShiftRng::new(seed));
+            let grid = TileGrid::new(n_out, n_in, Mapping::Acm, tiles(8, 8)).unwrap();
+            assert!(grid.num_tiles() > 1);
+            let m = grid.decompose(&w, range).unwrap();
+            let faults = FaultModel::uniform(0.02).sample_map(
+                grid.nd_total(),
+                n_in,
+                &mut XorShiftRng::new(5),
+            );
+            assert!(faults.num_stuck() > 0);
+            let (naive, remapped, before, after) =
+                group_remap_errors(&grid, &grid.periphery(), &m, &faults, &w);
+            assert!(
+                remapped < naive * 0.5,
+                "{n_out}x{n_in}: remapped error {remapped} vs naive {naive}"
+            );
+            assert!(after <= before);
+        }
     }
 
     #[test]
     fn tiled_parasitics_off_effective_is_bitwise_programmed() {
-        twins::parasitics_off_effective_is_bitwise_programmed_on(Some(TileShape::new(8, 8)));
+        let dev = DeviceConfig::quantized_linear(4).with_variation_sigma(0.03);
+        let mut r = XorShiftRng::new(171);
+        let w = Tensor::rand_uniform(&[12, 30], -0.02, 0.02, &mut r);
+        for mapping in Mapping::ALL {
+            let grid = TileGrid::new(12, 30, mapping, tiles(8, 8)).unwrap();
+            let targets = grid
+                .decompose(&w, dev.range())
+                .unwrap()
+                .map(|v| dev.snap(v));
+            let programmed = dev.variation().sample_tensor(&targets, dev.range(), &mut r);
+            let faults = FaultModel::uniform(0.05).sample_map(grid.nd_total(), 30, &mut r);
+            let mut effective = programmed.clone();
+            grid.apply_parasitics(&mut effective, &dev, &faults);
+            assert_eq!(
+                effective.data(),
+                programmed.data(),
+                "{mapping}: parasitics off must be a pure pass-through"
+            );
+        }
     }
 
     #[test]
     fn tiled_perm_sorts_each_group_and_stays_exact() {
-        twins::perm_places_large_magnitude_rows_near_the_driver_on(Some(TileShape::new(8, 8)));
+        let range = DeviceConfig::ideal().range();
+        let mut r = XorShiftRng::new(171);
+        let small = Tensor::from_vec(vec![0.3, -0.2, 0.1, -0.4, 0.25, 0.05], &[2, 3]).unwrap();
+        for w in [small, Tensor::rand_uniform(&[13, 21], -0.02, 0.02, &mut r)] {
+            let (n_out, n_in) = (w.shape()[0], w.shape()[1]);
+            let grid = TileGrid::new(n_out, n_in, Mapping::Perm, tiles(8, 8)).unwrap();
+            let (periphery, m) = perm_layout(&grid, &w, range);
+            assert!(periphery.apply(&m).unwrap().all_close(&w, 1e-4));
+            // Within every column group the physical rows are in
+            // descending mid-deviation order.
+            let mid = range.midpoint();
+            for g in grid.col_groups() {
+                let dev: Vec<f32> = (g.dev_start..g.dev_start + g.dev_len)
+                    .map(|j| {
+                        m.data()[j * n_in..(j + 1) * n_in]
+                            .iter()
+                            .map(|&v| (v - mid).abs())
+                            .sum()
+                    })
+                    .collect();
+                for pair in dev.windows(2) {
+                    assert!(
+                        pair[0] >= pair[1] - 1e-6,
+                        "physical rows must be sorted by descending mid-deviation: {dev:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -264,23 +264,6 @@ impl ProgrammingReport {
     pub fn all_converged(&self) -> bool {
         self.unconverged.is_empty()
     }
-
-    /// Folds the report of one sub-array into this one — used by tiled
-    /// crossbars that program each physical tile independently. The
-    /// sub-array's cell coordinates are translated by `(row_offset,
-    /// col_offset)` into the logical conductance-matrix frame.
-    pub fn merge(&mut self, other: ProgrammingReport, row_offset: usize, col_offset: usize) {
-        self.total_cells += other.total_cells;
-        self.converged += other.converged;
-        self.stuck += other.stuck;
-        self.total_writes += other.total_writes;
-        self.unconverged
-            .extend(other.unconverged.into_iter().map(|mut c| {
-                c.row += row_offset;
-                c.col += col_offset;
-                c
-            }));
-    }
 }
 
 #[cfg(test)]

@@ -42,6 +42,7 @@
 
 mod activations;
 mod conv;
+mod crossbar;
 mod dense;
 mod dropout;
 mod error;
@@ -53,6 +54,7 @@ mod param;
 pub mod persist;
 mod pool;
 mod residual;
+mod tiling;
 mod train;
 
 pub use activations::{Flatten, QuantAct, Relu};

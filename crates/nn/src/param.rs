@@ -21,7 +21,8 @@ use crate::NnError;
 /// Everything is kept as tensors so it rides the ordinary
 /// [`crate::StateVisitor`] checkpoint path; the served conductance
 /// override is *not* persisted — it is a pure function of
-/// `(shadow, shift, health, epoch)` and is rebuilt after a restore.
+/// `(shadow, shift, health, epoch)` and is rebuilt after a restore and
+/// after every weight update.
 #[derive(Debug, Clone)]
 struct ScrubState {
     /// Scrub epoch counter, shape `[1]` (0 = never scrubbed).
@@ -640,7 +641,9 @@ impl MappedParam {
     /// Applies one vanilla-SGD step `shadow ← shadow − lr·grad`, clipped to
     /// the device range (mapped weights), and — when the device has a
     /// nonlinear [`xbar_device::UpdateModel`] — routed element-wise through the pulse
-    /// transfer curve.
+    /// transfer curve. A parameter that has scrubbed then serves the
+    /// refresh-programmed array of its new weights, the same array a
+    /// checkpoint restore rebuilds.
     pub fn apply_update(&mut self, lr: f32) {
         self.int8 = None;
         match self.kind {
@@ -695,6 +698,7 @@ impl MappedParam {
                 }
             }
         }
+        self.rebuild_scrub_override();
     }
 
     /// Samples device variation around the quantized conductances and
@@ -1025,12 +1029,8 @@ impl MappedParam {
                                     Some(rr.residual_after())
                                 }
                             };
-                            let t_block = {
-                                let shift_block = scrub.shift.block(g.dev_start, g.dev_len, r0, rl);
-                                let mut t = q_block.add(&shift_block).map_err(NnError::Shape)?;
-                                t.map_inplace(|v| range.clamp(v));
-                                t
-                            };
+                            let shift_block = scrub.shift.block(g.dev_start, g.dev_len, r0, rl);
+                            let t_block = scrub_targets(&q_block, &shift_block, range);
                             let (prog2, prep2) = programming.program_tensor(
                                 &t_block,
                                 &xbar_device::VariationModel::none(),
@@ -1422,6 +1422,33 @@ fn init_conductances(wc: &Tensor, mapping: Mapping, device: &DeviceConfig) -> Te
             }
             m
         }
+    }
+}
+
+/// Read access to the programmed array for the device-level tests in
+/// `crate::crossbar` and `crate::tiling`.
+#[cfg(test)]
+impl MappedParam {
+    /// The conductances forward passes read: the active override, or the
+    /// quantized shadow.
+    pub(crate) fn served_conductances(&self) -> Tensor {
+        match &self.variation_override {
+            Some(g) => g.clone(),
+            None => self.quantized_shadow(),
+        }
+    }
+
+    /// The stuck-at map the last [`MappedParam::apply_faults`] dealt, until
+    /// the next override replaces that array.
+    pub(crate) fn fault_map(&self) -> Option<&xbar_device::FaultMap> {
+        self.fault_map.as_ref()
+    }
+
+    /// The layer periphery `S`, with any `Perm` row order folded in.
+    pub(crate) fn periphery(&self) -> &PeripheryMatrix {
+        self.periphery
+            .as_ref()
+            .expect("mapped parameters always carry a periphery")
     }
 }
 
@@ -2212,6 +2239,49 @@ mod tests {
             bits(&mut net),
             varied,
             "a failed restore changed the forward"
+        );
+    }
+
+    #[test]
+    fn training_after_a_scrub_serves_what_a_restore_rebuilds() {
+        // The sharded trainer restores every replica from the primary's
+        // state each step, which rebuilds the scrubbed array from the
+        // current weights; the primary must serve that same array after
+        // its own update, or the shard count picks the conductances.
+        use crate::persist::{collect_state, restore_state};
+        use crate::{scrub_network, Dense, Layer};
+        let make = || {
+            let mut rng = XorShiftRng::new(169);
+            Dense::new(
+                24,
+                12,
+                WeightKind::Mapped(Mapping::Acm),
+                lifetime_device(0.01, 24),
+                &mut rng,
+            )
+            .unwrap()
+        };
+        let mut net = make();
+        let mut rng = XorShiftRng::new(170);
+        let x = Tensor::rand_uniform(&[4, 24], -1.0, 1.0, &mut rng);
+        let target = Tensor::rand_uniform(&[4, 12], -0.5, 0.5, &mut rng);
+        scrub_network(&mut net, true, &RepairPolicy::default())
+            .unwrap()
+            .unwrap();
+        let y = net.forward(&x, true).unwrap();
+        net.zero_grad();
+        net.backward(&y.sub(&target).unwrap()).unwrap();
+        net.update(0.5);
+        let mut restored = make();
+        restore_state(&mut restored, &collect_state(&mut net)).unwrap();
+        let bits = |net: &mut Dense| -> Vec<u32> {
+            let y = net.forward(&x, false).unwrap();
+            y.data().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(
+            bits(&mut net),
+            bits(&mut restored),
+            "the trained primary and its restored copy serve different arrays"
         );
     }
 

@@ -1,11 +1,12 @@
 //! Quickstart: map a signed weight matrix onto a non-negative crossbar
-//! array with the ACM periphery and run a matrix-vector multiply.
+//! array with the ACM periphery, program it onto a noisy 4-bit device and
+//! run a matrix-vector multiply.
 //!
 //! ```text
 //! cargo run --release -p xbar --example quickstart
 //! ```
 
-use xbar_core::{analysis, decompose, CrossbarArray, Mapping};
+use xbar_core::{analysis, decompose, Mapping};
 use xbar_device::{ConductanceRange, DeviceConfig};
 use xbar_tensor::{linalg, rng::XorShiftRng, Tensor};
 
@@ -38,16 +39,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (lhs, rhs) = analysis::acm_sum_identity(&m)?;
     println!("Eq.(4): sum(W) = {lhs:.4} vs M1 - M_nd = {rhs:.4}");
 
-    // 3. Program a crossbar with a 4-bit device and 5% variation, then
-    //    evaluate an MVM against the exact result.
+    // 3. Program M onto a 4-bit device with 5% variation: snap every
+    //    conductance to its nearest device state, write the states through
+    //    the device's programming model, and read the signed weights the
+    //    array realises through the periphery, S·G. Then evaluate an MVM
+    //    against the exact result.
     let device = DeviceConfig::builder()
         .bits(4)
         .variation_sigma(0.05)
         .build();
-    let xbar = CrossbarArray::program_signed(&w, Mapping::Acm, device, &mut rng)?;
+    let targets = m.map(|g| device.snap(g));
+    let (g, _report) = device.programming().program_tensor(
+        &targets,
+        &device.variation(),
+        device.range(),
+        None,
+        &mut rng,
+    );
+    let w_xbar = s.apply(&g)?;
     let x = Tensor::rand_uniform(&[6], -1.0, 1.0, &mut rng);
     let y_ideal = linalg::matvec(&w, &x)?;
-    let y_xbar = xbar.mvm_signed(&x)?;
+    let y_xbar = linalg::matvec(&w_xbar, &x)?;
     println!("\n   input x: {:?}", x.data());
     println!(" ideal W.x: {:?}", y_ideal.data());
     println!("crossbar y: {:?}", y_xbar.data());

@@ -9,11 +9,11 @@
 
 use std::sync::{Mutex, Once};
 
-use xbar_core::{CrossbarArray, Mapping};
+use xbar_core::{Mapping, QuantReadout};
 use xbar_data::SyntheticMnist;
 use xbar_device::DeviceConfig;
 use xbar_models::{mlp2, ModelConfig};
-use xbar_nn::{evaluate, train, Layer, Sequential, TrainConfig};
+use xbar_nn::{evaluate, train, Layer, MappedParam, Sequential, TrainConfig, WeightKind};
 use xbar_tensor::rng::XorShiftRng;
 use xbar_tensor::{backend, Tensor};
 
@@ -83,24 +83,41 @@ fn training_run_is_bitwise_identical_serial_vs_parallel() {
 #[test]
 fn crossbar_variation_trials_parity_and_rng_stream() {
     pool4();
+    // Monte-Carlo variation trials of one mapped layer: trial `t` programs
+    // a clone from the stream forked for it, in trial order, and reads a
+    // batch through the int8 readout; the trials fan across the pool.
     let mut wrng = XorShiftRng::new(101);
     let w = Tensor::rand_uniform(&[24, 48], -0.05, 0.05, &mut wrng);
-    let dev = DeviceConfig::quantized_linear(4).with_variation_sigma(0.1);
-    let xbar = CrossbarArray::program_signed(&w, Mapping::Acm, dev, &mut wrng).unwrap();
+    let dev = DeviceConfig::quantized_linear(4);
+    let param = MappedParam::from_signed(&w, WeightKind::Mapped(Mapping::Acm), dev).unwrap();
     let x = Tensor::rand_uniform(&[9, 48], -1.0, 1.0, &mut wrng);
+    let trial = |mut rng: XorShiftRng| {
+        let mut chip = param.clone();
+        chip.apply_variation(0.1, &mut rng);
+        chip.forward_quantized(&x, &QuantReadout::default())
+            .unwrap()
+    };
 
     let (mut s, mut p) = both(|| {
         let mut rng = XorShiftRng::new(777);
-        let outs = xbar.variation_trials(&x, 12, &mut rng).unwrap();
-        (outs, rng)
+        // Fork serially, in trial order, before going parallel.
+        let forks: Vec<XorShiftRng> = (0..12).map(|t| rng.fork(t)).collect();
+        (backend::parallel_map(forks, |_, r| trial(r)), rng)
     });
     assert_eq!(s.0.len(), 12);
-    for (a, b) in s.0.iter().zip(&p.0) {
+    let mut serial_loop = XorShiftRng::new(777);
+    for (t, (a, b)) in s.0.iter().zip(&p.0).enumerate() {
         assert_eq!(a.data(), b.data(), "trial outputs must match bitwise");
+        let want = trial(serial_loop.fork(t as u64));
+        assert_eq!(a.data(), want.data(), "trial {t} left the serial loop");
     }
+    // Variation is actually redrawn between trials.
+    assert_ne!(s.0[0].data(), s.0[1].data());
     // The parent stream must advance identically too — callers may keep
     // drawing from it after the fan-out.
-    assert_eq!(s.1.next_u64(), p.1.next_u64());
+    let next = s.1.next_u64();
+    assert_eq!(next, p.1.next_u64());
+    assert_eq!(next, serial_loop.next_u64());
 }
 
 #[test]

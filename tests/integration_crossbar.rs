@@ -1,80 +1,15 @@
-//! Integration tests of the crossbar simulator against the mathematical
-//! layer stack: an ideal crossbar must agree exactly with the dense math,
-//! and non-idealities must degrade it in bounded, predictable ways.
+//! Integration tests of the crossbar array a mapped layer programs:
+//! device variation perturbs it in proportion to sigma and re-draws
+//! deterministically per seed, the variation model's clamp modes behave as
+//! documented, and BC and ACM occupy the same number of cells.
 
-use xbar_core::{CrossbarArray, Mapping};
+use xbar_core::Mapping;
 use xbar_device::{ClampMode, DeviceConfig, VariationModel};
-use xbar_tensor::{linalg, rng::XorShiftRng, Tensor};
+use xbar_nn::{MappedParam, WeightKind};
+use xbar_tensor::{rng::XorShiftRng, Tensor};
 
-// The property-based half of this suite needs the proptest registry crate,
-// unavailable offline; it is gated behind the non-default `slow-proptests`
-// feature (see crates/xbar/Cargo.toml).
-#[cfg(feature = "slow-proptests")]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Ideal crossbar MVM == mathematical MVM for all mappings, any
-    /// representable W, any input.
-    #[test]
-    fn ideal_crossbar_is_exact(
-        seed in any::<u64>(),
-        n_out in 1usize..10,
-        n_in in 1usize..10,
-    ) {
-        let mut rng = XorShiftRng::new(seed);
-        let amp = 0.3 / n_out as f32;
-        let w = Tensor::rand_uniform(&[n_out, n_in], -amp, amp, &mut rng);
-        let x = Tensor::rand_uniform(&[n_in], -1.0, 1.0, &mut rng);
-        let expected = linalg::matvec(&w, &x).expect("dims");
-        for mapping in Mapping::ALL {
-            let xbar =
-                CrossbarArray::program_signed(&w, mapping, DeviceConfig::ideal(), &mut rng)
-                    .expect("representable");
-            let y = xbar.mvm_signed(&x).expect("dims");
-            prop_assert!(y.all_close(&expected, 1e-4), "{} diverged", mapping);
-        }
-    }
-
-    /// Quantized programming error is bounded by the state spacing: the
-    /// effective weight error per element is at most one quantizer step
-    /// per contributing device (2 for all our mappings).
-    #[test]
-    fn quantized_weight_error_is_bounded(
-        seed in any::<u64>(),
-        bits in 2u8..8,
-    ) {
-        let mut rng = XorShiftRng::new(seed);
-        let w = Tensor::rand_uniform(&[4, 6], -0.05, 0.05, &mut rng);
-        for mapping in Mapping::ALL {
-            let dev = DeviceConfig::quantized_linear(bits);
-            let xbar = CrossbarArray::program_signed(&w, mapping, dev, &mut rng)
-                .expect("representable");
-            let err = xbar.effective_weights().sub(&w).expect("dims").abs_max();
-            let bound = dev.quantizer().step() * 1.01; // nearest-state snap: half step per element, 2 elements
-            prop_assert!(err <= bound, "{}: error {} > bound {}", mapping, err, bound);
-        }
-    }
-
-    /// Monte-Carlo resampling leaves targets untouched and produces
-    /// different programmed arrays each time.
-    #[test]
-    fn resampling_is_fresh_noise(seed in any::<u64>()) {
-        let mut rng = XorShiftRng::new(seed);
-        let w = Tensor::rand_uniform(&[4, 4], -0.05, 0.05, &mut rng);
-        let dev = DeviceConfig::quantized_linear(4).with_variation_sigma(0.1);
-        let mut xbar =
-            CrossbarArray::program_signed(&w, Mapping::Acm, dev, &mut rng).expect("ok");
-        let t0 = xbar.targets().clone();
-        let p0 = xbar.conductances().clone();
-        xbar.resample_variation(&mut rng);
-        prop_assert!(xbar.targets().all_close(&t0, 0.0));
-        prop_assert!(!xbar.conductances().all_close(&p0, 1e-7));
-    }
-    }
+fn mapped(w: &Tensor, mapping: Mapping, device: DeviceConfig) -> MappedParam {
+    MappedParam::from_signed(w, WeightKind::Mapped(mapping), device).unwrap()
 }
 
 #[test]
@@ -83,13 +18,16 @@ fn variation_noise_statistics_scale_with_sigma() {
     // RMS should roughly double when sigma doubles.
     let mut rng = XorShiftRng::new(97);
     let w = Tensor::rand_uniform(&[16, 64], -0.01, 0.01, &mut rng);
+    let param = mapped(
+        &w,
+        Mapping::DoubleElement,
+        DeviceConfig::quantized_linear(6),
+    );
+    let targets = param.effective_weights();
     let rms_at = |sigma: f32, rng: &mut XorShiftRng| {
-        let dev = DeviceConfig::quantized_linear(6).with_variation_sigma(sigma);
-        let xbar = CrossbarArray::program_signed(&w, Mapping::DoubleElement, dev, rng).unwrap();
-        let diff = xbar
-            .effective_weights()
-            .sub(&linalg::matmul(xbar.periphery().matrix(), xbar.targets()).unwrap())
-            .unwrap();
+        let mut chip = param.clone();
+        chip.apply_variation(sigma, rng);
+        let diff = chip.effective_weights().sub(&targets).unwrap();
         (diff.norm_sq() / diff.len() as f32).sqrt()
     };
     let r1 = rms_at(0.05, &mut rng);
@@ -140,19 +78,19 @@ fn clamp_mode_controls_out_of_range_conductances() {
 
 #[test]
 fn resampling_is_deterministic_under_a_fixed_seed() {
-    // Monte-Carlo studies re-seed per sample; two arrays resampled with
+    // Monte-Carlo studies re-seed per sample; two chips programmed with
     // equal seeds must agree bit-for-bit, and a different seed must not.
     let mut rng = XorShiftRng::new(101);
     let w = Tensor::rand_uniform(&[8, 16], -0.02, 0.02, &mut rng);
-    let dev = DeviceConfig::quantized_linear(5).with_variation_sigma(0.08);
-    let mut a = CrossbarArray::program_signed(&w, Mapping::Acm, dev, &mut rng).unwrap();
-    let mut b = a.clone();
-    a.resample_variation(&mut XorShiftRng::new(7));
-    b.resample_variation(&mut XorShiftRng::new(7));
-    assert_eq!(a.conductances(), b.conductances());
-    assert_eq!(a.targets(), b.targets());
-    b.resample_variation(&mut XorShiftRng::new(8));
-    assert_ne!(a.conductances(), b.conductances());
+    let param = mapped(&w, Mapping::Acm, DeviceConfig::quantized_linear(5));
+    let chip = |seed: u64| {
+        let mut p = param.clone();
+        p.apply_variation(0.08, &mut XorShiftRng::new(seed));
+        assert_eq!(p.shadow(), param.shadow(), "variation moved the targets");
+        p.effective_weights()
+    };
+    assert_eq!(chip(7).data(), chip(7).data());
+    assert_ne!(chip(7).data(), chip(8).data());
 }
 
 #[test]
@@ -160,14 +98,7 @@ fn bc_and_acm_arrays_use_identical_element_counts() {
     // Table I's "same hardware" claim at the simulator level.
     let mut rng = XorShiftRng::new(99);
     let w = Tensor::rand_uniform(&[8, 16], -0.02, 0.02, &mut rng);
-    let bc =
-        CrossbarArray::program_signed(&w, Mapping::BiasColumn, DeviceConfig::ideal(), &mut rng)
-            .unwrap();
-    let acm =
-        CrossbarArray::program_signed(&w, Mapping::Acm, DeviceConfig::ideal(), &mut rng).unwrap();
-    let de =
-        CrossbarArray::program_signed(&w, Mapping::DoubleElement, DeviceConfig::ideal(), &mut rng)
-            .unwrap();
-    assert_eq!(bc.num_elements(), acm.num_elements());
-    assert!(de.num_elements() > acm.num_elements() * 17 / 10);
+    let cells = |mapping| mapped(&w, mapping, DeviceConfig::ideal()).num_params();
+    assert_eq!(cells(Mapping::BiasColumn), cells(Mapping::Acm));
+    assert!(cells(Mapping::DoubleElement) > cells(Mapping::Acm) * 17 / 10);
 }

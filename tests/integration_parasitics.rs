@@ -1,20 +1,20 @@
 //! Parasitic non-ideality integration: inactive line-resistance/drift
-//! models are a bitwise no-op on both the monolithic and tiled forward
-//! paths (the degenerate-point contract), a `Mapping::Perm` model
+//! models are a bitwise no-op on a mapped layer's monolithic and tiled
+//! arrays (the degenerate-point contract), a `Mapping::Perm` model
 //! checkpoint round-trips bitwise through the file codec, and drift at a
 //! fixed seed/time is invariant to the thread count.
 
 use std::fs;
 use std::path::PathBuf;
 
-use xbar_core::{CrossbarArray, Mapping};
+use xbar_core::Mapping;
 use xbar_data::SyntheticMnist;
 use xbar_device::{DeviceConfig, DriftModel, LineResistanceModel, TileShape};
 use xbar_models::{mlp2, ModelConfig};
 use xbar_nn::persist;
-use xbar_nn::{evaluate, train, Layer, TrainConfig};
+use xbar_nn::{evaluate, train, Layer, MappedParam, TrainConfig, WeightKind};
 use xbar_tensor::rng::XorShiftRng;
-use xbar_tensor::{backend, Tensor};
+use xbar_tensor::{backend, linalg, Tensor};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("xbar-parasitic-{tag}-{}", std::process::id()));
@@ -37,58 +37,46 @@ fn quick_cfg(epochs: usize) -> TrainConfig {
 
 #[test]
 fn inactive_parasitics_are_a_bitwise_noop_on_monolithic_and_tiled() {
-    // A config that *carries* parasitic models — zero line resistance and
-    // a drift law read at t = 0 — must reproduce the parasitic-free
-    // forward bit for bit. This is the degenerate-point contract the
-    // enlarged sweep grid relies on.
+    // Parasitic models that are *carried* but inactive — zero line
+    // resistance and a drift law read at t = 0 — must leave the programmed
+    // array and its forward bit for bit as they were. This is the
+    // degenerate-point contract the enlarged sweep grid relies on.
     let mut rng = XorShiftRng::new(71);
     let w = Tensor::rand_uniform(&[13, 21], -0.05, 0.05, &mut rng);
     let xb = Tensor::rand_uniform(&[5, 21], -1.0, 1.0, &mut rng);
+    let forward = |p: &MappedParam| linalg::matmul_nt(&xb, &p.effective_weights()).unwrap();
 
     for mapping in Mapping::ALL {
-        let plain = DeviceConfig::ideal();
-        let loaded = DeviceConfig::ideal()
-            .with_line_resistance(LineResistanceModel::none())
-            .with_drift(DriftModel::new(0.05, 0.02, 0xD217).at_time(0));
-
-        let mut r1 = XorShiftRng::new(5);
-        let mono_plain = CrossbarArray::program_signed(&w, mapping, plain, &mut r1).unwrap();
-        let mut r2 = XorShiftRng::new(5);
-        let mono_loaded = CrossbarArray::program_signed(&w, mapping, loaded, &mut r2).unwrap();
-        assert_eq!(
-            mono_plain.forward(&xb).unwrap(),
-            mono_loaded.forward(&xb).unwrap(),
-            "{mapping}: inactive parasitics perturbed the monolithic forward"
-        );
-
-        let tile = Some(TileShape::new(8, 8));
-        let mut r3 = XorShiftRng::new(5);
-        let tiled_plain =
-            CrossbarArray::program_signed(&w, mapping, plain.with_tile_shape(tile), &mut r3)
+        for tile in [None, Some(TileShape::new(8, 8))] {
+            let dev = DeviceConfig::ideal().with_tile_shape(tile);
+            let mut plain = MappedParam::from_signed(&w, WeightKind::Mapped(mapping), dev).unwrap();
+            assert_eq!(plain.tile_grid().unwrap().num_tiles() > 1, tile.is_some());
+            plain.apply_variation(0.05, &mut XorShiftRng::new(5));
+            let mut loaded = plain.clone();
+            loaded
+                .apply_parasitics(
+                    LineResistanceModel::none(),
+                    DriftModel::new(0.05, 0.02, 0xD217).at_time(0),
+                )
                 .unwrap();
-        let mut r4 = XorShiftRng::new(5);
-        let tiled_loaded =
-            CrossbarArray::program_signed(&w, mapping, loaded.with_tile_shape(tile), &mut r4)
-                .unwrap();
-        assert!(tiled_plain.num_tiles() > 1, "{mapping}: grid is not tiled");
-        assert_eq!(
-            tiled_plain.forward(&xb).unwrap(),
-            tiled_loaded.forward(&xb).unwrap(),
-            "{mapping}: inactive parasitics perturbed the tiled forward"
-        );
+            assert_eq!(
+                forward(&plain),
+                forward(&loaded),
+                "{mapping} {tile:?}: inactive parasitics perturbed the forward"
+            );
 
-        // Sanity: once the line model is live the output must move,
-        // proving the comparison above exercises real plumbing.
-        let dropping = DeviceConfig::ideal()
-            .with_line_resistance(LineResistanceModel::new(0.01))
-            .with_tile_shape(tile);
-        let mut r5 = XorShiftRng::new(5);
-        let tiled_ir = CrossbarArray::program_signed(&w, mapping, dropping, &mut r5).unwrap();
-        assert_ne!(
-            tiled_plain.forward(&xb).unwrap(),
-            tiled_ir.forward(&xb).unwrap(),
-            "{mapping}: a live IR-drop model left the forward unchanged"
-        );
+            // Sanity: once the line model is live the output must move,
+            // proving the comparison above exercises real plumbing.
+            let mut dropping = plain.clone();
+            dropping
+                .apply_parasitics(LineResistanceModel::new(0.01), DriftModel::none())
+                .unwrap();
+            assert_ne!(
+                forward(&plain),
+                forward(&dropping),
+                "{mapping} {tile:?}: a live IR-drop model left the forward unchanged"
+            );
+        }
     }
 }
 

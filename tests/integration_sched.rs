@@ -15,11 +15,11 @@
 
 use std::process::Command;
 
-use xbar_core::{CrossbarArray, Mapping, TileShape};
+use xbar_core::{Mapping, QuantReadout, TileShape};
 use xbar_data::SyntheticMnist;
 use xbar_device::DeviceConfig;
 use xbar_models::{mlp2, ModelConfig};
-use xbar_nn::{train, Layer, TrainConfig};
+use xbar_nn::{train, Layer, MappedParam, TrainConfig, WeightKind};
 use xbar_tensor::rng::XorShiftRng;
 use xbar_tensor::Tensor;
 
@@ -48,17 +48,18 @@ impl Digest {
     }
 }
 
-/// Tiled crossbar forward: 3×4 tile grid, batched input — every tile MVM
-/// is a separate stealable task.
+/// Tiled int8 readout of a mapped layer: a 4×3 tile grid, batched input —
+/// every tile's integer GEMM and ADC is a separate stealable task.
 fn tiled_digest() -> u64 {
     let mut rng = XorShiftRng::new(0x5EAD);
     let w = Tensor::rand_uniform(&[40, 56], -0.05, 0.05, &mut rng);
     let dev = DeviceConfig::quantized_linear(4).with_tile_shape(Some(TileShape::new(16, 16)));
-    let xbar = CrossbarArray::program_signed(&w, Mapping::Acm, dev, &mut rng).unwrap();
+    let mut param = MappedParam::from_signed(&w, WeightKind::Mapped(Mapping::Acm), dev).unwrap();
     let x = Tensor::rand_uniform(&[9, 56], -1.0, 1.0, &mut rng);
+    let mode = QuantReadout::with_adc_bits(8);
     let mut d = Digest::new();
     for _ in 0..3 {
-        let y = xbar.forward(&x).unwrap();
+        let y = param.forward_quantized(&x, &mode).unwrap();
         d.push_f32s(y.data());
     }
     d.0

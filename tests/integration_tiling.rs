@@ -1,20 +1,21 @@
 //! Tile-granular execution integration: layers larger than a physical
-//! tile train and infer through the tiled path, tiled inference agrees
-//! with the monolithic reference for every mapping (including ragged
-//! edge tiles), per-tile MVM fan-out is bitwise deterministic, and
-//! checkpoint/resume of tiled state reproduces the uninterrupted run.
+//! tile train and infer through the tiled path, every tile grid reads the
+//! same weights as the monolithic array for every mapping (including
+//! ragged edge tiles), tiled evaluation is bitwise identical serial and
+//! pooled, and checkpoint/resume of tiled state reproduces the
+//! uninterrupted run.
 
 use std::fs;
 use std::path::PathBuf;
 
-use xbar_core::{CrossbarArray, Mapping};
+use xbar_core::{Mapping, TileGrid};
 use xbar_data::SyntheticMnist;
 use xbar_device::{DeviceConfig, TileShape};
 use xbar_models::{mlp2, ModelConfig};
 use xbar_nn::persist;
 use xbar_nn::{evaluate, train, Layer, TrainConfig};
 use xbar_tensor::rng::XorShiftRng;
-use xbar_tensor::{backend, Tensor};
+use xbar_tensor::{backend, linalg, Tensor};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("xbar-tiling-{tag}-{}", std::process::id()));
@@ -70,6 +71,16 @@ fn layer_larger_than_standard_tile_trains_and_infers_tiled() {
     assert!(acc > 0.4, "tiled net only reached {acc}");
 }
 
+/// The signed weights `S·M` the grid of `tile` reads out of its own
+/// decomposition of `w`. A mapped layer's fp32 forward is
+/// `x·(α·S·q(M))ᵀ`, so tiled ≡ 1×1 is the statement that every grid
+/// reads the same weights.
+fn read_weights(w: &Tensor, mapping: Mapping, tile: Option<TileShape>) -> Tensor {
+    let grid = TileGrid::new(w.shape()[0], w.shape()[1], mapping, tile).unwrap();
+    let m = grid.decompose(w, DeviceConfig::ideal().range()).unwrap();
+    grid.periphery().apply(&m).unwrap()
+}
+
 #[test]
 fn tiled_inference_matches_monolithic_for_every_mapping_on_ragged_grids() {
     // 13×21 on 8×8 tiles: ragged in both dimensions (21 = 8+8+5 row
@@ -78,32 +89,25 @@ fn tiled_inference_matches_monolithic_for_every_mapping_on_ragged_grids() {
     // Keep weights small enough that every mapping can represent them
     // (ACM bounds the *cumulative* column spread, BC the half-span).
     let w = Tensor::rand_uniform(&[13, 21], -0.05, 0.05, &mut rng);
-    let x1 = Tensor::rand_uniform(&[21], -1.0, 1.0, &mut rng);
     let xb = Tensor::rand_uniform(&[5, 21], -1.0, 1.0, &mut rng);
+    let tile = Some(TileShape::new(8, 8));
     for mapping in Mapping::ALL {
-        let dev = DeviceConfig::ideal();
-        let mut r1 = XorShiftRng::new(7);
-        let mono = CrossbarArray::program_signed(&w, mapping, dev, &mut r1).unwrap();
-        let mut r2 = XorShiftRng::new(7);
-        let tiled_dev = dev.with_tile_shape(Some(TileShape::new(8, 8)));
-        let tiled = CrossbarArray::program_signed(&w, mapping, tiled_dev, &mut r2).unwrap();
-        assert!(tiled.num_tiles() > 1, "{mapping}: grid is not tiled");
-
-        let mono_v = mono.mvm_signed(&x1).unwrap();
-        let tiled_v = tiled.mvm_signed(&x1).unwrap();
+        let grid = TileGrid::new(13, 21, mapping, tile).unwrap();
+        assert!(grid.num_tiles() > 1, "{mapping}: grid is not tiled");
+        let mono = read_weights(&w, mapping, None);
+        let tiled = read_weights(&w, mapping, tile);
         assert!(
-            tiled_v.all_close(&mono_v, 1e-4),
-            "{mapping}: tiled mvm_signed diverged"
+            tiled.all_close(&mono, 1e-4),
+            "{mapping}: tiled weights diverged"
         );
-        let mono_b = mono.forward(&xb).unwrap();
-        let tiled_b = tiled.forward(&xb).unwrap();
+        let mono_b = linalg::matmul_nt(&xb, &mono).unwrap();
+        let tiled_b = linalg::matmul_nt(&xb, &tiled).unwrap();
         assert!(
             tiled_b.all_close(&mono_b, 1e-4),
             "{mapping}: tiled forward diverged"
         );
     }
-    // Seeded draws over the shape, tile, batch and mapping ranges of the
-    // `slow-proptests` property `tiled_matches_monolithic`.
+    // 64 seeded draws over ragged shapes, tiles, batches and mappings.
     let mut draw = XorShiftRng::new(0x711E);
     for case in 0..64 {
         let mapping = Mapping::ALL[draw.below(Mapping::ALL.len())];
@@ -116,24 +120,16 @@ fn tiled_inference_matches_monolithic_for_every_mapping_on_ragged_grids() {
         // the cumulative column spread over up to 19 outputs).
         let w = Tensor::rand_uniform(&[n_out, n_in], -0.02, 0.02, &mut rng);
         let x = Tensor::rand_uniform(&[batch, n_in], -1.0, 1.0, &mut rng);
-        let dev = DeviceConfig::ideal();
-        let mono =
-            CrossbarArray::program_signed(&w, mapping, dev, &mut XorShiftRng::new(7)).unwrap();
-        let tiled_dev = dev.with_tile_shape(Some(tile));
-        let tiled = CrossbarArray::program_signed(&w, mapping, tiled_dev, &mut XorShiftRng::new(7))
-            .unwrap();
+        let mono = read_weights(&w, mapping, None);
+        let tiled = read_weights(&w, mapping, Some(tile));
         let tag = format!("case {case}: {mapping} {n_out}x{n_in} @{tile} batch {batch}");
         assert!(
-            tiled
-                .forward(&x)
+            linalg::matmul_nt(&x, &tiled)
                 .unwrap()
-                .all_close(&mono.forward(&x).unwrap(), 1e-3),
+                .all_close(&linalg::matmul_nt(&x, &mono).unwrap(), 1e-3),
             "{tag}: forward diverged"
         );
-        assert!(
-            tiled.effective_weights().all_close(&w, 1e-3),
-            "{tag}: effective weights diverged"
-        );
+        assert!(tiled.all_close(&w, 1e-3), "{tag}: weights diverged");
     }
 }
 
