@@ -14,7 +14,7 @@
 //! * **Crash-safe resume** — completed cells stream to an append-only
 //!   JSONL journal (one fsynced line per cell), committed on the calling
 //!   thread in *submission order*: the journal bytes are identical at any
-//!   thread count or steal order, not merely set-equal. After a crash
+//!   thread count or completion order, not merely set-equal. After a crash
 //!   (`kill -9` included), rerunning with [`SweepConfig::resume`] skips
 //!   journaled cells, and the assembled output is byte-identical to an
 //!   uninterrupted run because cell values round-trip canonically through
@@ -261,8 +261,8 @@ where
     // no I/O), consume on the calling thread strictly in submission order
     // (journal append + outcome placement). Committing the journal in
     // submission order makes its bytes identical at any `XBAR_THREADS`
-    // and under any steal order — not merely set-equal — which the resume
-    // and steal-order determinism gates verify.
+    // and in any completion order — not merely set-equal — which the
+    // resume and completion-order determinism gates verify.
     backend::ordered_stream(
         todo,
         |_i, (idx, key, input)| {

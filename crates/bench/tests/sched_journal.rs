@@ -1,12 +1,12 @@
-//! Sweep journal byte-determinism under the work-stealing scheduler.
+//! Sweep journal byte-determinism on the worker pool.
 //!
 //! The sweep runner journals completed cells on the *calling* thread in
 //! submission order, so the JSONL bytes must be identical — not merely
-//! set-equal — at every pool width and under any steal order. The pool's
-//! lane count is fixed at first use, so the test re-invokes this binary
-//! as a child per `XBAR_THREADS ∈ {1, 2, 4}` (plus steal-order jitter
-//! seeds when built with `--features sched-fuzz`), points each child at
-//! its own journal file, and compares the raw bytes.
+//! set-equal — at every pool width and whatever order the cells finish
+//! in. The pool's lane count is fixed at first use, so the test
+//! re-invokes this binary as a child per `XBAR_THREADS ∈ {1, 2, 4}` (plus
+//! per-task jitter seeds when built with `--features sched-fuzz`), points
+//! each child at its own journal file, and compares the raw bytes.
 
 use std::fs;
 use std::path::PathBuf;

@@ -73,7 +73,6 @@ pub struct TileGrid {
     mapping: Mapping,
     n_out: usize,
     n_in: usize,
-    tile: Option<TileShape>,
     /// `(start, len)` input runs, one per grid row.
     row_blocks: Vec<(usize, usize)>,
     col_groups: Vec<ColGroup>,
@@ -140,7 +139,6 @@ impl TileGrid {
             mapping,
             n_out,
             n_in,
-            tile,
             row_blocks,
             col_groups,
         })
@@ -183,11 +181,6 @@ impl TileGrid {
     /// Logical inputs.
     pub fn n_in(&self) -> usize {
         self.n_in
-    }
-
-    /// The physical tile bound (`None` for the monolithic grid).
-    pub fn tile_shape(&self) -> Option<TileShape> {
-        self.tile
     }
 
     /// Grid dimensions `(row blocks, column groups)`.
@@ -558,6 +551,17 @@ mod tests {
         let big = TileGrid::new(10, 30, Mapping::Acm, Some(TileShape::standard())).unwrap();
         assert!(big.is_monolithic());
         assert_eq!(big.nd_total(), 11);
+    }
+
+    #[test]
+    fn grids_with_the_same_layout_compare_equal() {
+        // A tile bound that yields the monolithic layout builds the same
+        // grid as no bound at all.
+        let untiled = TileGrid::new(5, 10, Mapping::Acm, None).unwrap();
+        let tiled = TileGrid::new(5, 10, Mapping::Acm, Some(TileShape::new(16, 16))).unwrap();
+        assert_eq!(untiled, tiled);
+        let split = TileGrid::new(5, 10, Mapping::Acm, Some(TileShape::new(4, 4))).unwrap();
+        assert_ne!(untiled, split);
     }
 
     #[test]

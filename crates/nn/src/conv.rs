@@ -243,11 +243,6 @@ impl Layer for Conv2d {
         visit(&mut self.bias_grad);
     }
 
-    fn visit_grad_segments(&mut self, visit: &mut dyn FnMut(usize)) {
-        self.weights.visit_grad_segments(visit);
-        visit(self.bias_grad.len());
-    }
-
     fn visit_state(&mut self, prefix: &str, visitor: &mut dyn crate::StateVisitor) {
         self.weights.visit_state(&format!("{prefix}w."), visitor);
         visitor.tensor(&format!("{prefix}bias"), &mut self.bias);

@@ -156,17 +156,10 @@ pub trait Layer: Send + Sync {
         let _ = visit;
     }
 
-    /// Visits the *reduction segment* lengths of this layer's flattened
-    /// gradient — the finest contiguous pieces of the
-    /// [`Layer::visit_grads`] flat layout that can be reduced
-    /// independently. Crossbar-mapped layers split their weight gradient
-    /// per [`xbar_core::TileGrid`] column group (each group's device rows
-    /// are contiguous in the row-major shadow gradient), so the
-    /// sharded trainer can commit and reduce a shard's group-g gradient as
-    /// soon as it lands instead of waiting for the whole layer. The
-    /// lengths must sum to the total [`Layer::visit_grads`] length and be
-    /// emitted in the same order; the default is one segment per gradient
-    /// tensor.
+    /// Visits the lengths of this layer's gradient tensors, in
+    /// [`Layer::visit_grads`] order. Nothing in the workspace calls it; it
+    /// is kept because the benchmark's span-recording wrapper layer
+    /// (`benchmark/src/trace.rs`) overrides it.
     fn visit_grad_segments(&mut self, visit: &mut dyn FnMut(usize)) {
         self.visit_grads(&mut |g| visit(g.len()));
     }
@@ -339,12 +332,6 @@ impl Layer for Sequential {
     fn visit_grads(&mut self, visit: &mut dyn FnMut(&mut Tensor)) {
         for layer in &mut self.layers {
             layer.visit_grads(visit);
-        }
-    }
-
-    fn visit_grad_segments(&mut self, visit: &mut dyn FnMut(usize)) {
-        for layer in &mut self.layers {
-            layer.visit_grad_segments(visit);
         }
     }
 

@@ -1185,27 +1185,6 @@ impl MappedParam {
         visit(&mut self.grad);
     }
 
-    /// Visits the reduction-segment lengths of the shadow gradient — one
-    /// per [`TileGrid`] column group when the parameter is tiled (a
-    /// group's logical output rows are contiguous in the row-major
-    /// `(n_out, n_in)` gradient, so each group is one contiguous flat
-    /// range of `out_len * n_in` values), one whole-tensor segment
-    /// otherwise. Backs [`crate::Layer::visit_grad_segments`].
-    pub fn visit_grad_segments(&self, visit: &mut dyn FnMut(usize)) {
-        match &self.grid {
-            // The shadow (and its gradient) is laid out `[nd_total, n_in]`
-            // with group g occupying device rows `dev_start..dev_start +
-            // dev_len`, so each group's gradient is one contiguous flat
-            // slice of `dev_len * n_in` floats.
-            Some(grid) if grid.col_groups().len() > 1 => {
-                for g in grid.col_groups() {
-                    visit(g.dev_len * self.n_in);
-                }
-            }
-            _ => visit(self.grad.len()),
-        }
-    }
-
     /// Visits this parameter's persistent state: the trained master tensor
     /// (`M` or `W`) and the stochastic pulse-rounding stream. The gradient
     /// and any variation override are transient and excluded (see

@@ -11,25 +11,19 @@
 //! With a resolved shard count > 1 ([`TrainConfig::shards`], auto-tuned
 //! from the batch size and worker-pool width when unset) every mini-batch
 //! is split into that many fixed, contiguous row shards; each shard runs
-//! forward/backward on its own model replica as a task on the
-//! [`xbar_tensor::backend`] work-stealing scheduler. Gradients are
-//! reduced **per segment** — one segment per [`xbar_core::TileGrid`]
-//! column group for crossbar-mapped weights
-//! ([`Layer::visit_grad_segments`]) — as dependency-counted deferred
-//! tasks: shard *k* signals segment *g* the moment its copy of that
-//! segment commits, and the reduction for *g* fires on the final signal,
-//! summing shard buffers in fixed shard-index order. Shard boundaries,
-//! dropout streams (forked per shard from the primary's persisted
-//! streams), the segment plan, and the reduction order depend only on the
-//! shard count and model shape — never on the thread count or steal order
-//! — so an `XBAR_THREADS=N` sharded run is bitwise identical to the same
-//! run executed serially, and checkpoint/resume keeps working unchanged
-//! (all state lives in the primary network; the resolved shard count is
-//! recorded in the checkpoint and [`History`]).
+//! forward/backward on its own model replica as one
+//! [`xbar_tensor::backend::parallel_map`] task. After the shards join, the
+//! calling thread sums the replicas' gradients ([`Layer::visit_grads`]) in
+//! fixed shard-index order and takes one SGD step on the primary. Shard
+//! boundaries, dropout streams (forked per shard from the primary's
+//! persisted streams) and the reduction order depend only on the shard
+//! count and model shape — never on the thread count or which lane ran
+//! which shard — so an `XBAR_THREADS=N` sharded run is bitwise identical
+//! to the same run executed serially, and checkpoint/resume keeps working
+//! unchanged (all state lives in the primary network; the resolved shard
+//! count is recorded in the checkpoint and [`History`]).
 
-use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
 
 use xbar_tensor::rng::XorShiftRng;
 use xbar_tensor::{backend, elementwise, Tensor};
@@ -407,31 +401,15 @@ pub fn train(
         (None, None) => auto_shards(cfg.batch_size, backend::threads()),
     };
     history.resolved_shards = shards;
-    // Data-parallel state: one replica + one flat gradient buffer per
-    // shard, one reduced buffer, and the fixed per-segment reduction plan
-    // — allocated once (after a possible resume restored the primary) and
-    // reused across every step of the run.
-    let mut replicas: Vec<Box<dyn Layer>> = if shards > 1 {
-        (0..shards).map(|_| net.clone_box()).collect()
-    } else {
-        Vec::new()
-    };
-    let grad_len = {
-        let mut n = 0usize;
-        net.visit_grads(&mut |g| n += g.len());
-        n
-    };
-    let mut grad_bufs: Vec<Vec<f32>> = (0..replicas.len()).map(|_| vec![0.0; grad_len]).collect();
-    let mut reduced: Vec<f32> = if shards > 1 {
-        vec![0.0; grad_len]
-    } else {
-        Vec::new()
-    };
-    let segments = if shards > 1 {
-        grad_segments(net, grad_len)
-    } else {
-        Vec::new()
-    };
+    // Data-parallel state: one replica per shard and one flat reduced
+    // gradient buffer — allocated once (after a possible resume restored
+    // the primary) and reused across every step of the run.
+    let mut replicas: Vec<Box<dyn Layer>> = Vec::new();
+    let mut reduced: Vec<f32> = Vec::new();
+    if shards > 1 {
+        replicas = (0..shards).map(|_| net.clone_box()).collect();
+        net.visit_grads(&mut |g| reduced.resize(reduced.len() + g.len(), 0.0));
+    }
     for epoch in start_epoch..cfg.epochs {
         rng.shuffle(&mut order);
         let mut loss_sum = 0.0f64;
@@ -442,9 +420,7 @@ pub fn train(
                 let (loss, acc) = sharded_step(
                     net,
                     &mut replicas,
-                    &mut grad_bufs,
                     &mut reduced,
-                    &segments,
                     train_split.x,
                     train_split.labels,
                     chunk,
@@ -535,134 +511,6 @@ pub fn auto_shards(batch_size: usize, lanes: usize) -> usize {
     lanes.max(1).min((batch_size / 8).max(1))
 }
 
-/// Minimum reduction-segment length, in floats. Segment plans finer than
-/// this (small bias vectors, tiny column groups) are coalesced into their
-/// predecessor so per-segment task overhead stays negligible.
-const MIN_SEGMENT_LEN: usize = 256;
-
-/// Builds the fixed per-segment reduction plan over `net`'s flat gradient
-/// layout: the [`Layer::visit_grad_segments`] boundaries (one segment per
-/// `TileGrid` column group for crossbar-mapped weights), coalesced to at
-/// least [`MIN_SEGMENT_LEN`] floats. The plan depends only on the model
-/// shape. Falls back to one whole-buffer segment if a layer's plan
-/// disagrees with its flat gradient length.
-fn grad_segments(net: &mut dyn Layer, grad_len: usize) -> Vec<Range<usize>> {
-    let mut segs: Vec<Range<usize>> = Vec::new();
-    let mut off = 0usize;
-    net.visit_grad_segments(&mut |len| {
-        if len == 0 {
-            return;
-        }
-        let start = off;
-        off += len;
-        match segs.last_mut() {
-            Some(prev) if prev.len() < MIN_SEGMENT_LEN => prev.end = off,
-            _ => segs.push(start..off),
-        }
-    });
-    if off != grad_len {
-        debug_assert!(
-            false,
-            "segment plan covers {off} of {grad_len} gradient floats"
-        );
-        segs.clear();
-    }
-    if segs.is_empty() && grad_len > 0 {
-        segs.push(0..grad_len);
-    }
-    segs
-}
-
-/// Raw views over the per-shard gradient buffers and the reduced output
-/// buffer, shared between concurrent shard writers and segment-reduction
-/// readers.
-///
-/// Safety protocol: every access materialises a slice over one index
-/// range only. A shard task writes only its own buffer, at monotonically
-/// increasing offsets, and signals a segment's trigger only after its
-/// writes passed the segment's end; a reduction task reads shard buffers
-/// only within its segment's range, only after all shards signalled it
-/// (the scheduler's dependency-count release/acquire chain orders the
-/// writes before the reads), and is the unique writer of that range of
-/// `reduced`. No two live slices ever overlap.
-struct RawBufs {
-    shards: Vec<*mut f32>,
-    reduced: *mut f32,
-    len: usize,
-}
-
-// SAFETY: the raw pointers are only dereferenced under the disjoint
-// segment-range protocol documented on the struct.
-unsafe impl Send for RawBufs {}
-unsafe impl Sync for RawBufs {}
-
-impl RawBufs {
-    /// Shared view of shard `k`'s floats in `range`.
-    ///
-    /// # Safety
-    ///
-    /// Shard `k` must have committed (signalled) `range` already, and no
-    /// writer may touch it again this step.
-    unsafe fn shard(&self, k: usize, range: &Range<usize>) -> &[f32] {
-        debug_assert!(range.end <= self.len);
-        std::slice::from_raw_parts(self.shards[k].add(range.start), range.len())
-    }
-
-    /// Exclusive view of shard `k`'s floats in `range`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must be shard `k`'s own task and must not have signalled any
-    /// segment overlapping `range` yet.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn shard_mut(&self, k: usize, range: &Range<usize>) -> &mut [f32] {
-        debug_assert!(range.end <= self.len);
-        std::slice::from_raw_parts_mut(self.shards[k].add(range.start), range.len())
-    }
-
-    /// Exclusive view of the reduced buffer's floats in `range`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must be the unique reduction task for `range`'s segment.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn reduced_mut(&self, range: &Range<usize>) -> &mut [f32] {
-        debug_assert!(range.end <= self.len);
-        std::slice::from_raw_parts_mut(self.reduced.add(range.start), range.len())
-    }
-}
-
-/// Signals each segment's reduction trigger exactly once, in segment
-/// order, as a shard's flat-gradient commit offset advances past the
-/// segment's end. Dropping the guard signals every remaining trigger, so
-/// a failed (or short-circuited) shard still releases the deferred
-/// reductions instead of deadlocking the scope — their output is garbage
-/// in that case, but the step checks shard errors before using it.
-struct SegmentSignals<'a> {
-    triggers: Vec<backend::Trigger>,
-    segments: &'a [Range<usize>],
-    next: usize,
-}
-
-impl SegmentSignals<'_> {
-    fn advance_through(&mut self, committed: usize) {
-        while self.next < self.segments.len() && self.segments[self.next].end <= committed {
-            self.triggers[self.next].signal();
-            self.next += 1;
-        }
-    }
-}
-
-impl Drop for SegmentSignals<'_> {
-    fn drop(&mut self) {
-        self.advance_through(usize::MAX);
-    }
-}
-
-/// A shard task's exclusive result slot: `(sum_loss, weighted_acc)` or
-/// the first error the shard hit.
-type ShardResult = Mutex<Option<Result<(f64, f64), NnError>>>;
-
 /// One shard's slice of a data-parallel step: its model replica, its
 /// forked forward-RNG streams, and its batch rows.
 struct ShardRun<'a> {
@@ -681,19 +529,16 @@ struct ShardRun<'a> {
 /// primary so resume replays the same forks); per-row CE gradients are
 /// divided by the *total* batch size inside each shard
 /// ([`SoftmaxCrossEntropy::forward_scaled`]), making them independent of
-/// the split; and the per-shard gradients are combined per reduction
-/// segment (`segments`, see [`grad_segments`]) by deferred tasks that sum
-/// the shard buffers in fixed shard-index order the moment the last shard
-/// commits that segment. The reduced bytes depend only on the shard count
-/// and segment plan — never on how many worker threads execute the
-/// fan-out or in what order segments complete.
-#[allow(clippy::too_many_arguments)] // per-step reuse buffers are all load-bearing
+/// the split; and once every shard's backward pass has finished, the
+/// caller sums the replicas' gradients into `reduced` in fixed shard
+/// order (shard 0 copied, each later shard added with
+/// [`elementwise::axpy`]). The reduced bytes depend only on the shard
+/// count — never on how many worker threads run the shards or in what
+/// order they finish.
 fn sharded_step(
     net: &mut dyn Layer,
     replicas: &mut [Box<dyn Layer>],
-    grad_bufs: &mut [Vec<f32>],
     reduced: &mut [f32],
-    segments: &[Range<usize>],
     x: &Tensor,
     labels: &[usize],
     chunk: &[usize],
@@ -732,109 +577,54 @@ fn sharded_step(
         });
     }
     let shard_counts: Vec<usize> = tasks.iter().map(|t| t.rows.len()).collect();
-    let raw = Arc::new(RawBufs {
-        shards: grad_bufs.iter_mut().map(|b| b.as_mut_ptr()).collect(),
-        reduced: reduced.as_mut_ptr(),
-        len: reduced.len(),
-    });
-    // One result slot per shard, written exclusively by that shard's task.
-    let results: Vec<ShardResult> = (0..shards).map(|_| Mutex::new(None)).collect();
-    // Fan out on the task-graph scheduler. Each segment's reduction is a
-    // deferred task with a dependency count of `shards`; each shard task
-    // signals segment g the moment its flat-gradient commit passes g's
-    // end, so reductions start while later layers are still flattening.
-    // A reduction sums the shard buffers in fixed shard-index order, so
-    // the reduced bytes are independent of execution and steal order; in
-    // forced-serial/inline mode everything runs at the signalling point
-    // in submission order, producing the same bytes.
-    backend::scope(|s| {
-        let triggers: Vec<backend::Trigger> = segments
-            .iter()
-            .map(|seg| {
-                let raw = Arc::clone(&raw);
-                let seg = seg.clone();
-                s.defer(shards, move || {
-                    // SAFETY: all `shards` signals for `seg` fired, so
-                    // every shard's writes to this range are committed and
-                    // final; this task is the unique writer of
-                    // `reduced[seg]`.
-                    unsafe {
-                        let dst = raw.reduced_mut(&seg);
-                        dst.copy_from_slice(raw.shard(0, &seg));
-                        for k in 1..raw.shards.len() {
-                            elementwise::axpy(dst, raw.shard(k, &seg), 1.0);
-                        }
-                    }
-                })
-            })
-            .collect();
-        for (r, task) in tasks.into_iter().enumerate() {
-            let raw = Arc::clone(&raw);
-            let trigs = triggers.clone();
-            let slot = &results[r];
-            s.spawn(move || {
-                let ShardRun {
-                    replica,
-                    rngs,
-                    rows,
-                } = task;
-                let mut signals = SegmentSignals {
-                    triggers: trigs,
-                    segments,
-                    next: 0,
-                };
-                let out = (|| -> Result<(f64, f64), NnError> {
-                    let mut streams = rngs.into_iter();
-                    replica.visit_forward_rngs(&mut |rng| {
-                        if let Some(st) = streams.next() {
-                            *rng = st;
-                        }
-                    });
-                    if rows.is_empty() {
-                        // SAFETY: shard r's own buffer, nothing signalled.
-                        unsafe { raw.shard_mut(r, &(0..raw.len)) }.fill(0.0);
-                        signals.advance_through(raw.len);
-                        return Ok((0.0, 0.0));
-                    }
-                    let xb = gather_rows(x, &rows);
-                    let yb: Vec<usize> = rows.iter().map(|&i| labels[i]).collect();
-                    let logits = replica.forward(&xb, true)?;
-                    let (sum_loss, grad) =
-                        SoftmaxCrossEntropy::forward_scaled(&logits, &yb, b_total)?;
-                    let weighted_acc = f64::from(accuracy(&logits, &yb)?) * rows.len() as f64;
-                    replica.zero_grad();
-                    replica.backward(&grad)?;
-                    let mut off = 0usize;
-                    replica.visit_grads(&mut |g| {
-                        // SAFETY: shard r's own buffer; no segment
-                        // overlapping this range has been signalled yet
-                        // (signals trail the commit offset).
-                        unsafe { raw.shard_mut(r, &(off..off + g.len())) }
-                            .copy_from_slice(g.data());
-                        off += g.len();
-                        signals.advance_through(off);
-                    });
-                    Ok((sum_loss, weighted_acc))
-                })();
-                // The guard releases any segments an error path never
-                // reached, so the deferred reductions always fire and the
-                // scope can close; the step discards the reduced bytes
-                // when a shard failed.
-                drop(signals);
-                *slot.lock().expect("shard result lock") = Some(out);
-            });
+    // Fan out forward and backward, one task per shard; each task touches
+    // only its own replica.
+    let results = backend::parallel_map(tasks, |_, task| -> Result<(f64, f64), NnError> {
+        let ShardRun {
+            replica,
+            rngs,
+            rows,
+        } = task;
+        let mut streams = rngs.into_iter();
+        replica.visit_forward_rngs(&mut |rng| {
+            if let Some(st) = streams.next() {
+                *rng = st;
+            }
+        });
+        // An empty shard still takes part in the reduction below, adding
+        // zeros.
+        replica.zero_grad();
+        if rows.is_empty() {
+            return Ok((0.0, 0.0));
         }
+        let xb = gather_rows(x, &rows);
+        let yb: Vec<usize> = rows.iter().map(|&i| labels[i]).collect();
+        let logits = replica.forward(&xb, true)?;
+        let (sum_loss, grad) = SoftmaxCrossEntropy::forward_scaled(&logits, &yb, b_total)?;
+        let weighted_acc = f64::from(accuracy(&logits, &yb)?) * rows.len() as f64;
+        replica.backward(&grad)?;
+        Ok((sum_loss, weighted_acc))
     });
     let mut loss_sum = 0.0f64;
     let mut acc_sum = 0.0f64;
-    for slot in &results {
-        let (l, a) = slot
-            .lock()
-            .expect("shard result lock")
-            .take()
-            .expect("every shard task stores a result")?;
+    for result in results {
+        let (l, a) = result?;
         loss_sum += l;
         acc_sum += a;
+    }
+    // Reduce in fixed shard order: shard 0's gradient, then each later
+    // shard's added on top.
+    for (k, rep) in replicas.iter_mut().enumerate() {
+        let mut off = 0usize;
+        rep.visit_grads(&mut |g| {
+            let dst = &mut reduced[off..off + g.len()];
+            if k == 0 {
+                dst.copy_from_slice(g.data());
+            } else {
+                elementwise::axpy(dst, g.data(), 1.0);
+            }
+            off += g.len();
+        });
     }
     // Scatter the reduced gradient into the primary and take the single
     // SGD step there (the update RNG for nonlinear devices is consumed by
@@ -1349,8 +1139,8 @@ mod tests {
     }
 
     /// Random 64-feature two-class data plus a tiled crossbar MLP whose
-    /// weight gradient splits into several `TileGrid` column-group
-    /// reduction segments (16-column tiles over 64 outputs).
+    /// first layer spans several `TileGrid` column groups (16-column tiles
+    /// over 64 outputs).
     fn tiled_net_and_data(seed: u64) -> (Tensor, Vec<usize>, Sequential) {
         let mut rng = XorShiftRng::new(seed);
         let n = 48;
@@ -1374,28 +1164,10 @@ mod tests {
     }
 
     #[test]
-    fn tiled_grad_segments_follow_column_groups() {
-        let (_, _, mut net) = tiled_net_and_data(200);
-        let grad_len = {
-            let mut n = 0usize;
-            net.visit_grads(&mut |g| n += g.len());
-            n
-        };
-        let segs = grad_segments(&mut net, grad_len);
-        assert!(segs.len() > 1, "tiled net should split, got {segs:?}");
-        assert_eq!(segs.first().unwrap().start, 0);
-        assert_eq!(segs.last().unwrap().end, grad_len);
-        for w in segs.windows(2) {
-            assert_eq!(w[0].end, w[1].start, "plan must be contiguous");
-            assert!(!w[0].is_empty());
-        }
-    }
-
-    #[test]
     fn tiled_sharded_training_is_serial_parallel_bitwise() {
-        // Multi-segment variant of the determinism contract: per-column-
-        // group reductions commit in steal-dependent order, but the bytes
-        // must match the forced-serial run exactly.
+        // Tiled variant of the determinism contract: the shards of a
+        // multi-tile network finish in any order, but the bytes must
+        // match the forced-serial run exactly.
         let (x, labels, _) = tiled_net_and_data(201);
         let run = |serial: bool| {
             xbar_tensor::backend::force_serial(serial);

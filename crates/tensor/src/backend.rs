@@ -1,20 +1,18 @@
-//! Parallel compute backend: a dependency-free persistent work-stealing
-//! scheduler (its mechanism lives in the private `sched` module) plus
-//! the data-parallel helpers every hot kernel in the workspace is
-//! written against.
+//! Parallel compute backend: a dependency-free persistent worker pool
+//! with one FIFO job queue (its mechanism lives in the private `sched`
+//! module) plus the data-parallel helpers every hot kernel in the
+//! workspace is written against.
 //!
-//! Every hot kernel in the workspace runs through one of four entry
+//! Every hot kernel in the workspace runs through one of three entry
 //! points:
 //!
 //! * [`parallel_chunks_mut`] — disjoint output chunks (GEMM row chunks,
 //!   convolution and pooling planes, transposes);
 //! * [`parallel_map`] / [`parallel_map_with`] — independent items with
-//!   results in input order (Monte-Carlo trials, per-sample conv work);
-//! * [`scope`] — a task graph of [`TaskScope::spawn`]ed tasks and
-//!   dependency-counted [`TaskScope::defer`] reductions (sharded
-//!   gradient reduction);
-//! * [`ordered_stream`] — results committed in submission order (per-tile
-//!   MVM, the int8 readout, the sweep runner).
+//!   results in input order (Monte-Carlo trials, per-sample conv work,
+//!   the sharded trainer's shards);
+//! * [`ordered_stream`] — results committed in submission order (the
+//!   int8 readout's tiles, the sweep runner).
 //!
 //! The design goals, in order:
 //!
@@ -23,9 +21,8 @@
 //!    depend only on the problem size, every chunk writes a disjoint
 //!    region of the output, and per-element arithmetic is the same code
 //!    on the serial and parallel paths. Reductions over chunk results are
-//!    always performed in chunk order on the calling thread — or, for the
-//!    task-graph paths, committed in submission order via
-//!    [`ordered_stream`] / fixed-order [`TaskScope::defer`] reductions.
+//!    always performed in chunk order on the calling thread, and
+//!    [`ordered_stream`] commits its results in submission order.
 //! 2. **Zero dependencies** — `std::thread` + `Mutex`/`Condvar` only, so
 //!    the workspace keeps building fully offline.
 //! 3. **Graceful degradation** — on a single-core host (whatever
@@ -44,20 +41,21 @@
 //!   — used by the benchmark harness to time the serial baseline, and by
 //!   parity tests to compare serial and parallel results in one process.
 //! * `XBAR_SCHED_JITTER=<seed>` (with the `sched-fuzz` cargo feature)
-//!   injects a per-task pseudo-random sleep to fuzz steal order — the
-//!   determinism tests assert results are bitwise identical anyway.
+//!   injects a per-task pseudo-random sleep to fuzz which lane runs each
+//!   task and the order tasks finish in — the determinism tests assert
+//!   results are bitwise identical anyway.
 //!
 //! # Nested parallelism
 //!
 //! A task already running on a pool lane — a spawned worker, or the
-//! calling thread while it drains scoped jobs — that calls back into a
-//! helper or opens a scope executes its sub-work inline. Lanes never block
-//! on other lanes, so pool-in-pool usage cannot deadlock, and a nested
-//! kernel call costs nothing beyond the serial loop it runs.
+//! calling thread while it runs queued jobs — that calls back into a
+//! helper executes its sub-work inline. Lanes never block on other lanes,
+//! so pool-in-pool usage cannot deadlock, and a nested kernel call costs
+//! nothing beyond the serial loop it runs.
 
 use std::sync::OnceLock;
 
-pub use crate::sched::{force_serial, serial_active, Pool, TaskScope, Trigger};
+pub use crate::sched::{force_serial, serial_active, Pool};
 
 /// Resolves the configured lane count: `XBAR_THREADS` if set and valid,
 /// otherwise [`std::thread::available_parallelism`]. This is what the
@@ -94,14 +92,9 @@ pub fn threads() -> usize {
     global().threads()
 }
 
-/// Opens a task-graph scope on the global pool — see [`Pool::scope`].
-pub fn scope<'scope, R>(f: impl FnOnce(&TaskScope<'scope>) -> R) -> R {
-    global().scope(f)
-}
-
 /// Journal-ordered commit stream on the global pool: `produce` runs on the
-/// pool (one stealable task per item), `consume` runs on the calling
-/// thread strictly in submission order — see [`Pool::ordered_stream`].
+/// pool (one queued task per item), `consume` runs on the calling thread
+/// strictly in submission order — see [`Pool::ordered_stream`].
 pub fn ordered_stream<I, R, F, C>(items: Vec<I>, produce: F, consume: C)
 where
     I: Send,
@@ -415,89 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn scope_spawn_runs_all_tasks() {
-        let pool = Pool::new(4);
-        let counter = AtomicUsize::new(0);
-        pool.scope(|s| {
-            for _ in 0..64 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 64);
-    }
-
-    #[test]
-    fn scope_defer_fires_on_final_signal() {
-        let pool = Pool::new(4);
-        let fired = AtomicUsize::new(0);
-        let signaled = AtomicUsize::new(0);
-        pool.scope(|s| {
-            let trigger = s.defer(3, || {
-                assert_eq!(signaled.load(Ordering::SeqCst), 3);
-                fired.fetch_add(1, Ordering::SeqCst);
-            });
-            for _ in 0..3 {
-                let trigger = trigger.clone();
-                let signaled = &signaled;
-                s.spawn(move || {
-                    signaled.fetch_add(1, Ordering::SeqCst);
-                    trigger.signal();
-                });
-            }
-        });
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn scope_defer_zero_deps_fires_immediately() {
-        let pool = Pool::new(2);
-        let fired = AtomicUsize::new(0);
-        pool.scope(|s| {
-            let _trigger = s.defer(0, || {
-                fired.fetch_add(1, Ordering::SeqCst);
-            });
-        });
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn scope_serial_runs_in_submission_order() {
-        let pool = Pool::new(1);
-        let order = Mutex::new(Vec::new());
-        pool.scope(|s| {
-            for i in 0..4 {
-                let order = &order;
-                s.spawn(move || order.lock().unwrap().push(i));
-            }
-            let t = s.defer(2, || order.lock().unwrap().push(99));
-            s.spawn({
-                let t = t.clone();
-                move || t.signal()
-            });
-            s.spawn(move || t.signal());
-        });
-        // Inline mode: spawns run at submission; the deferred task fires
-        // inside the second signaling spawn.
-        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3, 99]);
-    }
-
-    #[test]
-    fn scope_task_panic_propagates() {
-        let pool = Pool::new(2);
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                s.spawn(|| panic!("scoped boom"));
-            });
-        }));
-        std::panic::set_hook(hook);
-        assert!(result.is_err(), "task panic must reach the scope caller");
-    }
-
-    #[test]
     fn ordered_stream_commits_in_submission_order() {
         let pool = Pool::new(4);
         // Heterogeneous costs: early items are the slowest, so completion
@@ -567,28 +477,31 @@ mod tests {
 
     #[test]
     fn nested_scope_inside_stolen_task_is_inline() {
-        // Regression (caller-lane starvation): a stolen task that opens
-        // its own scope and a nested parallel_chunks_mut must complete
-        // without blocking any lane on another lane.
+        // Regression (caller-lane starvation): a queued task — whichever
+        // lane takes it, a worker or the waiting caller — that fans out
+        // again through parallel_map, ordered_stream and
+        // parallel_chunks_mut must complete without blocking any lane on
+        // another lane.
         let pool = Pool::new(4);
         let total = AtomicUsize::new(0);
-        pool.scope(|s| {
-            for _ in 0..16 {
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..16)
+            .map(|_| {
                 let total = &total;
-                s.spawn(move || {
-                    crate::backend::global().scope(|inner| {
-                        for _ in 0..4 {
-                            inner.spawn(|| {
-                                let mut cells = [0u8; 8];
-                                parallel_chunks_mut(&mut cells, 1, |_, c| {
-                                    total.fetch_add(c.len(), Ordering::SeqCst);
-                                });
-                            });
-                        }
+                Box::new(move || {
+                    let counts = parallel_map((0..4).collect::<Vec<usize>>(), |_, _| {
+                        let mut cells = [0u8; 8];
+                        parallel_chunks_mut(&mut cells, 1, |_, c| {
+                            total.fetch_add(c.len(), Ordering::SeqCst);
+                        });
+                        cells.len()
                     });
-                });
-            }
-        });
+                    let mut committed = 0;
+                    ordered_stream(counts, |_, n| n, |_, n| committed += n);
+                    assert_eq!(committed, 4 * 8, "nested stream returned early");
+                }) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        pool.run_scoped(tasks);
         assert_eq!(total.load(Ordering::SeqCst), 16 * 4 * 8);
     }
 }

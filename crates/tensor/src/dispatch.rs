@@ -21,9 +21,11 @@
 //! every output element's dot product accumulates row-locally, so the
 //! blocked engine is bitwise identical at any thread count.
 //!
-//! The int8 (`u8 × i8 → i32`) GEMM keeps a two-routine registry with its
-//! own shape rule ([`q_selection_for`]): its kernels are exact integer
-//! arithmetic, so the choice never changes a result.
+//! The int8 (`u8 × i8 → i32`) GEMM has its own shape rule, named by
+//! [`q_selection_for`]: `q_maddubs` (the AVX2 kernel) for blocked problems
+//! at least `Q_MADDUBS_MIN_K` deep while AVX2 is active, `q_rowdot` (the
+//! serial streaming kernel) for everything else. Its kernels are exact
+//! integer arithmetic, so the choice never changes a result.
 
 use crate::gemm::{
     microkernel, pack_a, pack_b, simd_active, small_nn, small_nt, small_tn, KC, MC, MR, NR,
@@ -239,139 +241,39 @@ pub(crate) fn transpose_into(src: &[f32], dst: &mut [f32], k: usize, m: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Quantized (u8 × i8 → i32) routine registry and shape rule
+// Quantized (u8 × i8 → i32) shape rule
 // ---------------------------------------------------------------------------
 
-/// One quantized NT GEMM problem: `a` is `(m, k)` unsigned codes, `b` is
-/// `(n, k)` signed codes, output is `m × n` i32. There is only one
-/// transpose kind (NT — every quantized consumer is row-dot-row), so the
-/// problem is just its dims.
-#[derive(Debug, Clone, Copy)]
-pub struct QProblem {
-    /// Output rows.
-    pub m: usize,
-    /// Depth (dot-product length).
-    pub k: usize,
-    /// Output columns.
-    pub n: usize,
+/// Whether the int8 NT problem (`a` is `(m, k)` unsigned codes, `b` is
+/// `(n, k)` signed codes) runs `q_maddubs`: outside the small class (the
+/// fp32 threshold, [`Problem::small`] — here not a numeric contract, it
+/// just keeps tiny problems out of the pool), at least
+/// `Q_MADDUBS_MIN_K` deep, and with AVX2 active.
+fn q_maddubs_runs(m: usize, k: usize, n: usize) -> bool {
+    !Problem::new(false, true, m, k, n).small() && k >= Q_MADDUBS_MIN_K && simd_active()
 }
 
-impl QProblem {
-    /// Builds a problem description.
-    pub fn new(m: usize, k: usize, n: usize) -> Self {
-        Self { m, k, n }
-    }
-
-    /// Total multiply-adds.
-    pub fn macs(&self) -> usize {
-        self.m * self.k * self.n
-    }
-
-    /// Whether this problem runs the serial streaming kernel regardless
-    /// of depth. Same threshold as the f32 split. Unlike the f32 boundary
-    /// this one is *not* a numeric contract — integer kernels are all
-    /// bitwise-identical — it just keeps tiny problems out of the pool.
-    pub fn small(&self) -> bool {
-        self.n < NR / 2 || self.macs() < SMALL_MACS
-    }
-}
-
-/// A named quantized GEMM routine. All routines are exact integer
-/// arithmetic and therefore bitwise-identical wherever they overlap.
-pub trait QRoutine: Sync {
-    /// Stable registry name (appears in bench JSON).
-    fn name(&self) -> &'static str;
-    /// Whether this routine can run `p`.
-    fn supports(&self, p: &QProblem) -> bool;
-    /// Runs the routine. `od` is the row-major `m × n` output.
-    fn run(&self, p: &QProblem, ad: &[u8], bd: &[i8], od: &mut [i32]);
-}
-
-/// Serial streaming kernel: the small-class routine, and the blocked one
-/// for shallow depths (or without AVX2).
-struct QRowDot;
-
-impl QRoutine for QRowDot {
-    fn name(&self) -> &'static str {
+/// Name of the kernel that runs the given int8 problem, `q_rowdot` or
+/// `q_maddubs` — the integer twin of [`selection_for`].
+pub fn q_selection_for(m: usize, k: usize, n: usize) -> &'static str {
+    if q_maddubs_runs(m, k, n) {
+        "q_maddubs"
+    } else {
         "q_rowdot"
     }
-    fn supports(&self, _p: &QProblem) -> bool {
-        true
-    }
-    fn run(&self, p: &QProblem, ad: &[u8], bd: &[i8], od: &mut [i32]) {
-        crate::qgemm::qk_rowdot(ad, bd, od, p.m, p.k, p.n);
-    }
 }
 
-/// AVX2 `maddubs` micro-kernel, parallel over row chunks.
-struct QMaddubs;
-
-impl QRoutine for QMaddubs {
-    fn name(&self) -> &'static str {
-        "q_maddubs"
-    }
-    fn supports(&self, p: &QProblem) -> bool {
-        !p.small() && simd_active()
-    }
-    fn run(&self, p: &QProblem, ad: &[u8], bd: &[i8], od: &mut [i32]) {
-        crate::qgemm::qk_maddubs(ad, bd, od, p.m, p.k, p.n);
-    }
-}
-
-/// The quantized routine registry.
-pub fn q_routines() -> &'static [&'static dyn QRoutine] {
-    static REGISTRY: [&dyn QRoutine; 2] = [&QRowDot, &QMaddubs];
-    &REGISTRY
-}
-
-/// Runs one named quantized routine directly, bypassing the shape rule
-/// (test hook). Returns `false` if the routine is unknown or does not
-/// support the problem.
-pub fn run_q_routine(
-    name: &str,
-    ad: &[u8],
-    bd: &[i8],
-    od: &mut [i32],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> bool {
-    let Some(r) = q_routines().iter().find(|r| r.name() == name) else {
-        return false;
-    };
-    let p = QProblem::new(m, k, n);
-    if m == 0 || k == 0 || n == 0 {
-        return true;
-    }
-    if !r.supports(&p) {
-        return false;
-    }
-    r.run(&p, ad, bd, od);
-    true
-}
-
-/// The quantized shape rule: the routine that runs `p`.
-fn q_select(p: &QProblem) -> &'static dyn QRoutine {
-    if QMaddubs.supports(p) && p.k >= Q_MADDUBS_MIN_K {
-        &QMaddubs
-    } else {
-        &QRowDot
-    }
-}
-
-/// Registry name of the routine that runs the given quantized problem —
-/// the integer twin of [`selection_for`].
-pub fn q_selection_for(m: usize, k: usize, n: usize) -> &'static str {
-    q_select(&QProblem::new(m, k, n)).name()
-}
-
-/// Quantized GEMM entry point: runs the routine the shape rule picks.
+/// Quantized GEMM entry point: runs the kernel the shape rule picks.
+/// `od` is the row-major `m × n` output.
 pub(crate) fn q_dispatch(ad: &[u8], bd: &[i8], od: &mut [i32], m: usize, k: usize, n: usize) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let p = QProblem::new(m, k, n);
-    q_select(&p).run(&p, ad, bd, od);
+    if q_maddubs_runs(m, k, n) {
+        crate::qgemm::qk_maddubs(ad, bd, od, m, k, n);
+    } else {
+        crate::qgemm::qk_rowdot(ad, bd, od, m, k, n);
+    }
 }
 
 #[cfg(test)]
@@ -425,11 +327,8 @@ mod tests {
             (32, 400, 120, "q_maddubs"),
             (2, 8, 4, "q_rowdot"),
         ] {
-            let p = QProblem::new(m, k, n);
-            let r = q_select(&p);
             let want = if simd_active() { want } else { "q_rowdot" };
-            assert_eq!(r.name(), want, "int8 {m}x{k}x{n}");
-            assert!(r.supports(&p), "{want} does not support int8 {m}x{k}x{n}");
+            assert_eq!(q_selection_for(m, k, n), want, "int8 {m}x{k}x{n}");
         }
     }
 
@@ -492,40 +391,5 @@ mod tests {
                 assert_eq!(dst[i * k + j].to_bits(), src.data()[j * m + i].to_bits());
             }
         }
-    }
-
-    #[test]
-    fn q_registry_names_unique_and_small_problems_have_the_fixed_kernel() {
-        let mut names: Vec<_> = q_routines().iter().map(|r| r.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), q_routines().len());
-        // q_rowdot supports everything; the blocked candidate exists for
-        // blocked shapes wherever its AVX2 kernel can run.
-        let supporting = |m, k, n| {
-            let p = QProblem::new(m, k, n);
-            q_routines()
-                .iter()
-                .filter(|r| r.supports(&p))
-                .map(|r| r.name())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(supporting(2, 8, 4), vec!["q_rowdot"]);
-        if simd_active() {
-            assert!(supporting(256, 256, 256).len() >= 2);
-        }
-    }
-
-    #[test]
-    fn run_q_routine_rejects_unknown_and_unsupported() {
-        let (m, k, n) = (2, 8, 4);
-        let a = vec![1u8; m * k];
-        let b = vec![1i8; n * k];
-        let mut out = vec![0i32; m * n];
-        assert!(!run_q_routine("nope", &a, &b, &mut out, m, k, n));
-        // Blocked-only routine on a small problem.
-        assert!(!run_q_routine("q_maddubs", &a, &b, &mut out, m, k, n));
-        assert!(run_q_routine("q_rowdot", &a, &b, &mut out, m, k, n));
-        assert!(out.iter().all(|&v| v == k as i32));
     }
 }

@@ -1,89 +1,74 @@
-//! Persistent work-stealing scheduler: the mechanism behind [`crate::backend`].
+//! Persistent worker pool: the mechanism behind [`crate::backend`].
 //!
-//! This module owns the thread pool itself — per-lane work-stealing deques,
-//! the task-graph submission API ([`TaskScope`] with `spawn` and the
-//! dependency-counted `defer`), and the journal-ordered commit stream
+//! This module owns the thread pool itself — one shared FIFO job queue,
+//! the workers that drain it, the fork-join entry point
+//! ([`Pool::run_scoped`]) and the journal-ordered commit stream
 //! ([`Pool::ordered_stream`]). The policy layer (`parallel_chunks_mut`,
 //! `parallel_map`, chunking) lives in [`crate::backend`] and is a thin
 //! shim over these primitives.
 //!
 //! # Queueing discipline
 //!
-//! Every spawned worker owns a deque. The owner pushes and pops at the
-//! *back* (LIFO — newest first, keeping its cache hot), thieves steal from
-//! the *front* (FIFO — oldest first, so stolen work is the work least
-//! likely to be touched by the owner next). Tasks submitted from outside
-//! the pool land in a shared *injector* queue that every lane drains FIFO
-//! before trying to steal from siblings. The calling thread of a scope is
-//! a lane too: while it waits for its latch it steals exactly like a
-//! worker.
+//! Every submission appends its jobs, in submission order, to the one
+//! queue, and every lane takes from its front, so jobs start in
+//! submission order. The calling thread is a lane too: while it waits for
+//! its latch it takes queued jobs exactly like a worker.
 //!
 //! # Determinism contract
 //!
-//! Steal order is nondeterministic by construction, so determinism is
-//! enforced one level up, at the *commit* point:
+//! Which lane runs a job, and when it finishes, is nondeterministic, so
+//! determinism is enforced one level up, at the *commit* point:
 //!
 //! * every task writes only state it owns (a disjoint output slot or
 //!   buffer range), and
 //! * results are consumed in **submission order** on the calling thread —
 //!   [`Pool::ordered_stream`] buffers each task's result in its
 //!   submission-indexed slot and releases the consumer callback strictly
-//!   in index order, and reductions behind [`TaskScope::defer`] run their
-//!   accumulation loops in a fixed (shard/segment) order that does not
-//!   depend on which lane executed them.
+//!   in index order, and `run_scoped` callers reduce their tasks' outputs
+//!   in task order after the join.
 //!
 //! Under that discipline the bitwise result is a pure function of the
 //! submission sequence, which depends only on the problem shape — never on
-//! thread count, steal interleaving, or injected jitter.
+//! thread count, completion order, or injected jitter.
 //!
 //! # Why lanes never block
 //!
-//! Workers never wait on a latch — only the thread that *opened* a scope
-//! does, and while waiting it drains queues itself. A task that opens a
-//! nested scope runs the nested work inline on its own lane
-//! ([`serial_active`] is true on every pool lane). Deferred tasks are
-//! enqueued by whichever lane delivers the final dependency signal, onto
-//! that lane's own deque, so dependency chains cannot strand work on a
-//! sleeping thread. Together these rules make the scheduler deadlock-free
-//! for arbitrarily nested submissions (see the regression tests in
-//! `tests/integration_sched.rs`).
+//! Workers never wait on a latch — only the thread that *submitted* a
+//! batch does, and while waiting it drains the queue itself. A task that
+//! submits nested work runs it inline on its own lane ([`serial_active`]
+//! is true on every pool lane). Together these rules make the pool
+//! deadlock-free for arbitrarily nested submissions (see the regression
+//! tests in `tests/integration_sched.rs`).
 
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// A unit of queued work. Lifetime-erased to `'static`; soundness is
-/// provided by the scope that submitted it, which does not return until
-/// every task it enqueued has finished (see [`Pool::scope`] /
-/// [`Pool::run_scoped`]).
-pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
+/// provided by the call that submitted it, which does not return until
+/// every job it enqueued has finished (see [`Pool::run_scoped`] /
+/// [`Pool::ordered_stream`]).
+type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Shared state of one pool: the per-worker deques, the injector queue,
-/// and the sleep protocol.
-pub(crate) struct Shared {
-    /// One work-stealing deque per spawned worker lane. The owning worker
-    /// pushes/pops at the back; everyone else steals from the front.
-    lanes: Vec<Mutex<VecDeque<Job>>>,
-    /// Submission queue for tasks spawned off-pool (scope callers) —
-    /// drained FIFO by every lane, so submission order is the base
-    /// execution order when nobody is stealing.
-    injector: Mutex<VecDeque<Job>>,
-    /// Count of queued-but-not-yet-taken jobs across all queues. Lags a
-    /// pop (decremented after the job leaves a queue), which errs on the
-    /// side of keeping lanes awake — never on the side of losing a wake.
+/// Shared state of one pool: the job queue and the sleep protocol.
+struct Shared {
+    /// The one FIFO queue every lane takes from, so submission order is
+    /// the start order.
+    queue: Mutex<VecDeque<Job>>,
+    /// Count of queued-but-not-yet-taken jobs. Lags a pop (decremented
+    /// after the job leaves the queue), which errs on the side of keeping
+    /// lanes awake — never on the side of losing a wake.
     pending: AtomicUsize,
-    /// Sleep mutex + condvar, deliberately separate from every queue lock:
+    /// Sleep mutex + condvar, deliberately separate from the queue lock:
     /// waking a sleeper never contends with lanes pushing or popping work.
     sleep: Mutex<()>,
     available: Condvar,
 }
 
 impl Shared {
-    fn new(workers: usize) -> Self {
+    fn new() -> Self {
         Self {
-            lanes: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(VecDeque::new()),
             pending: AtomicUsize::new(0),
             sleep: Mutex::new(()),
             available: Condvar::new(),
@@ -101,82 +86,31 @@ impl Shared {
         self.available.notify_one();
     }
 
-    /// Enqueues one job, preferring the current lane's own deque when the
-    /// calling thread is a worker of this pool (owner-LIFO keeps the
-    /// just-unblocked dependency chain hot), falling back to the injector.
-    pub(crate) fn push(self: &Arc<Self>, job: Job) {
-        match current_lane_of(self) {
-            Some(lane) => self.lanes[lane].lock().unwrap().push_back(job),
-            None => self.injector.lock().unwrap().push_back(job),
-        }
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        self.wake_one();
-    }
-
-    /// Bulk-enqueues jobs into the injector in submission order. One wake;
-    /// the taker chain (see [`Shared::take`]) fans out to further lanes.
+    /// Enqueues jobs in submission order. One wake; the taker chain (see
+    /// [`Shared::take`]) fans out to further lanes.
     fn push_batch(&self, jobs: Vec<Job>) {
         let count = jobs.len();
-        {
-            let mut q = self.injector.lock().unwrap();
-            q.extend(jobs);
-        }
+        self.queue.lock().unwrap().extend(jobs);
         self.pending.fetch_add(count, Ordering::SeqCst);
         self.wake_one();
     }
 
-    /// Takes one job: own deque back (LIFO) when called from worker
-    /// `lane`, then injector front, then sibling deque fronts (FIFO
-    /// steal). Chains a wake to the next sleeper while work remains, so a
-    /// burst of N jobs costs N wakes total instead of a thundering herd
-    /// per push.
-    fn take(&self, lane: Option<usize>) -> Option<Job> {
-        let job = self.pop_any(lane)?;
+    /// Takes the oldest queued job. Chains a wake to the next sleeper
+    /// while work remains, so a burst of N jobs costs N wakes total
+    /// instead of a thundering herd per push.
+    fn take(&self) -> Option<Job> {
+        let job = self.queue.lock().unwrap().pop_front()?;
         if self.pending.fetch_sub(1, Ordering::SeqCst) > 1 {
             self.wake_one();
         }
         Some(job)
     }
-
-    fn pop_any(&self, lane: Option<usize>) -> Option<Job> {
-        if let Some(own) = lane {
-            if let Some(job) = self.lanes[own].lock().unwrap().pop_back() {
-                return Some(job);
-            }
-        }
-        if let Some(job) = self.injector.lock().unwrap().pop_front() {
-            return Some(job);
-        }
-        let n = self.lanes.len();
-        let start = lane.map_or(0, |l| l + 1);
-        for off in 0..n {
-            let victim = (start + off) % n;
-            if Some(victim) == lane {
-                continue;
-            }
-            if let Some(job) = self.lanes[victim].lock().unwrap().pop_front() {
-                return Some(job);
-            }
-        }
-        None
-    }
 }
 
 thread_local! {
-    /// True on pool lanes (spawned workers, and scope callers while they
-    /// drain); nested parallel helpers on a lane run inline.
+    /// True on pool lanes (spawned workers, and waiting callers while they
+    /// run a queued job); nested parallel helpers on a lane run inline.
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-    /// Worker identity: (address of the owning pool's `Shared`, lane + 1).
-    /// `(0, 0)` on non-worker threads. Worker threads keep their pool's
-    /// `Arc<Shared>` alive forever, so the address is never reused.
-    static WORKER_CTX: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
-}
-
-/// The lane index of the current thread *within this pool*, or `None` when
-/// the thread is not one of this pool's workers.
-fn current_lane_of(shared: &Arc<Shared>) -> Option<usize> {
-    let (addr, lane1) = WORKER_CTX.with(std::cell::Cell::get);
-    (lane1 > 0 && addr == Arc::as_ptr(shared) as usize).then(|| lane1 - 1)
 }
 
 /// Process-wide serial override (see [`force_serial`]).
@@ -200,7 +134,7 @@ pub fn serial_active() -> bool {
 
 /// Marks the current thread as a pool lane for the guard's lifetime, so
 /// nested parallel helpers inside a job run inline. Restores the previous
-/// state on drop (scope callers toggle this around each stolen job).
+/// state on drop (waiting callers toggle this around each job they take).
 struct LaneGuard {
     prev: bool,
 }
@@ -219,7 +153,7 @@ impl Drop for LaneGuard {
     }
 }
 
-/// Executes one dequeued job on the current thread (with the steal-order
+/// Executes one dequeued job on the current thread (with the jitter
 /// fuzz hook applied first when the `sched-fuzz` feature is enabled).
 fn run_job(job: Job) {
     #[cfg(feature = "sched-fuzz")]
@@ -227,11 +161,12 @@ fn run_job(job: Job) {
     job();
 }
 
-/// Injected per-task jitter for steal-order fuzzing: sleeps a few dozen
-/// deterministic-pseudo-random microseconds before each pooled task when
-/// `XBAR_SCHED_JITTER=<nonzero seed>` is set. Perturbs which lane wins
-/// each steal race without touching any computed value — the determinism
-/// tests assert results are bitwise identical anyway.
+/// Injected per-task jitter for completion-order fuzzing: sleeps a few
+/// dozen deterministic-pseudo-random microseconds before each pooled task
+/// when `XBAR_SCHED_JITTER=<nonzero seed>` is set. Perturbs which lane
+/// takes each job and the order jobs finish in without touching any
+/// computed value — the determinism tests assert results are bitwise
+/// identical anyway.
 #[cfg(feature = "sched-fuzz")]
 fn fuzz_jitter() {
     use std::sync::OnceLock;
@@ -258,18 +193,17 @@ struct LatchState {
     panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
-/// Counts outstanding tasks of one scope and captures the first panic so
-/// it can be re-thrown on the caller. Notifies on *every* completion (not
-/// only the last) because scope callers and ordered-stream consumers wake
-/// per completion to re-check for newly committable results or newly
-/// stealable work.
-pub(crate) struct Latch {
+/// Counts outstanding tasks of one submission and captures the first
+/// panic so it can be re-thrown on the caller. Notifies on *every*
+/// completion (not only the last) because ordered-stream consumers wake
+/// per completion to re-check for newly committable results.
+struct Latch {
     state: Mutex<LatchState>,
     done: Condvar,
 }
 
 impl Latch {
-    pub(crate) fn new(count: usize) -> Self {
+    fn new(count: usize) -> Self {
         Self {
             state: Mutex::new(LatchState {
                 remaining: count,
@@ -279,13 +213,7 @@ impl Latch {
         }
     }
 
-    /// Registers `n` more outstanding tasks (called at submission time —
-    /// before the task is enqueued or can possibly complete).
-    fn add(&self, n: usize) {
-        self.state.lock().unwrap().remaining += n;
-    }
-
-    pub(crate) fn complete(&self, panic: Option<Box<dyn std::any::Any + Send>>) {
+    fn complete(&self, panic: Option<Box<dyn std::any::Any + Send>>) {
         let mut st = self.state.lock().unwrap();
         st.remaining -= 1;
         if st.panic.is_none() {
@@ -300,10 +228,10 @@ impl Latch {
 /// [`crate::backend::global`] pool; explicit construction exists for tests
 /// and embedders.
 pub struct Pool {
-    pub(crate) shared: Arc<Shared>,
+    shared: Arc<Shared>,
     threads: usize,
     /// Spawned worker threads — `min(threads, available_parallelism) - 1`.
-    /// Zero means every scope runs inline on the caller.
+    /// Zero means every submission runs inline on the caller.
     workers: usize,
 }
 
@@ -330,12 +258,12 @@ impl Pool {
         let workers = threads
             .min(crate::backend::hardware_threads())
             .saturating_sub(1);
-        let shared = Arc::new(Shared::new(workers));
+        let shared = Arc::new(Shared::new());
         for lane in 0..workers {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name(format!("xbar-worker-{}", lane + 1))
-                .spawn(move || worker_loop(shared, lane))
+                .spawn(move || worker_loop(&shared))
                 .expect("spawning pool worker");
         }
         Self {
@@ -360,14 +288,14 @@ impl Pool {
     }
 
     /// Waits until every task accounted to `latch` has completed, helping
-    /// by stealing queued jobs (from any scope — helping a sibling scope
+    /// by running queued jobs (from any submission — helping a sibling
     /// is sound because *its* caller waits on its own latch) while
     /// waiting. Returns the first captured task panic, if any.
     fn wait_latch(&self, latch: &Latch) -> Option<Box<dyn std::any::Any + Send>> {
         loop {
-            match self.shared.take(None) {
+            match self.shared.take() {
                 Some(job) => {
-                    // While running a stolen job the caller is a lane:
+                    // While running a queued job the caller is a lane:
                     // nested parallel helpers inside it run inline, same
                     // as on spawned workers.
                     let _lane = LaneGuard::enter();
@@ -378,10 +306,10 @@ impl Pool {
                     if st.remaining == 0 {
                         return st.panic.take();
                     }
-                    // Nothing to steal and tasks still in flight: sleep
+                    // Nothing queued and tasks still in flight: sleep
                     // until a completion (every complete() notifies), then
-                    // re-check the queues — a running task may have pushed
-                    // follow-on work (deferred tasks, nested spawns).
+                    // re-check the queue — a sibling submission may have
+                    // queued work meanwhile.
                     let _st = latch.done.wait(st).unwrap();
                 }
             }
@@ -438,66 +366,14 @@ impl Pool {
         }
     }
 
-    /// Opens a task-graph scope: `f` receives a [`TaskScope`] on which it
-    /// may [`TaskScope::spawn`] independent tasks and create
-    /// dependency-counted deferred tasks with [`TaskScope::defer`]. The
-    /// call returns only after every submitted task (including deferred
-    /// ones) has completed, so tasks may borrow from the caller's stack.
-    ///
-    /// When the pool is serial (no workers, [`force_serial`], or the
-    /// caller is itself a pool lane) every task runs inline **at
-    /// submission** — spawns in submission order, deferred tasks at the
-    /// moment their final dependency signal arrives — which is exactly the
-    /// order the parallel path commits in, preserving bitwise parity.
-    ///
-    /// # Panics
-    ///
-    /// Task panics are captured and the first is re-thrown here after all
-    /// tasks finish. Panics in `f` itself are re-thrown after the tasks it
-    /// already spawned have drained.
-    pub fn scope<'scope, R>(&self, f: impl FnOnce(&TaskScope<'scope>) -> R) -> R {
-        let scope = TaskScope {
-            shared: Arc::clone(&self.shared),
-            latch: Arc::new(Latch::new(0)),
-            inline: self.workers == 0 || serial_active(),
-            _marker: PhantomData,
-        };
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&scope)));
-        let task_panic = if scope.inline {
-            // Inline tasks ran (and completed) at submission, so there is
-            // nothing to wait for; a non-zero latch means a deferred
-            // task's trigger was never fully signaled, which in pooled
-            // mode would hang — fail loudly instead (unless `f` panicked
-            // first, in which case its panic wins below).
-            let mut st = scope.latch.state.lock().unwrap();
-            assert!(
-                st.remaining == 0 || result.is_err(),
-                "TaskScope closed with {} deferred task(s) whose triggers were never signaled",
-                st.remaining
-            );
-            st.panic.take()
-        } else {
-            self.wait_latch(&scope.latch)
-        };
-        match result {
-            Ok(value) => {
-                if let Some(payload) = task_panic {
-                    std::panic::resume_unwind(payload);
-                }
-                value
-            }
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-
     /// Streams `items` through `produce` on the pool and feeds each result
     /// to `consume` **in submission order** on the calling thread — the
     /// journal-ordered commit buffer. Task `i`'s result is buffered in
     /// slot `i`; the consumer cursor only ever advances to the lowest
     /// unconsumed index, so the observable commit sequence is independent
-    /// of steal order and thread count. While the next-in-order result is
-    /// pending the caller steals queued tasks instead of sleeping, so
-    /// lanes stay busy across heterogeneous item costs.
+    /// of completion order and thread count. While the next-in-order
+    /// result is pending the caller runs queued tasks instead of
+    /// sleeping, so lanes stay busy across heterogeneous item costs.
     ///
     /// Equivalent to `for (i, it) in items { consume(i, produce(i, it)) }`
     /// — and runs exactly that loop when serial.
@@ -588,7 +464,7 @@ impl Pool {
                 if next == n {
                     break;
                 }
-                if let Some(job) = self.shared.take(None) {
+                if let Some(job) = self.shared.take() {
                     let _lane = LaneGuard::enter();
                     run_job(job);
                     continue;
@@ -620,11 +496,10 @@ impl Pool {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, lane: usize) {
+fn worker_loop(shared: &Shared) {
     IN_WORKER.with(|f| f.set(true));
-    WORKER_CTX.with(|c| c.set((Arc::as_ptr(&shared) as usize, lane + 1)));
     loop {
-        if let Some(job) = shared.take(Some(lane)) {
+        if let Some(job) = shared.take() {
             run_job(job);
             continue;
         }
@@ -638,149 +513,4 @@ fn worker_loop(shared: Arc<Shared>, lane: usize) {
         }
         let _guard = shared.available.wait(guard).unwrap();
     }
-}
-
-/// A dependency-counted pending task: holds the job until `remaining`
-/// signals arrive, then runs it (inline in serial mode, enqueued on the
-/// signaling lane's deque otherwise).
-struct Deferred {
-    remaining: AtomicUsize,
-    job: Mutex<Option<Job>>,
-    shared: Arc<Shared>,
-    inline: bool,
-}
-
-impl Deferred {
-    fn signal(self: &Arc<Self>) {
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
-            return;
-        }
-        let job = self.job.lock().unwrap().take();
-        let Some(job) = job else { return };
-        if self.inline {
-            // Serial mode: dependencies completed synchronously in
-            // submission order, so firing here — at the final signal —
-            // is the deterministic commit point.
-            run_job(job);
-        } else {
-            self.shared.push(job);
-        }
-    }
-}
-
-/// The explicit dependency-count handle returned by [`TaskScope::defer`].
-///
-/// The deferred task runs after exactly `deps` [`Trigger::signal`] calls.
-/// **Contract:** every trigger must receive its full signal count before
-/// the scope closes — an unsignaled trigger leaves the scope waiting
-/// forever (the inline path asserts on it). Call sites guard their signal
-/// loops so early returns and panics still deliver the remaining signals.
-///
-/// Clones share the same count; `Trigger` is `Send + Sync` so shard tasks
-/// can signal segment triggers from any lane.
-pub struct Trigger {
-    deferred: Arc<Deferred>,
-}
-
-impl Clone for Trigger {
-    fn clone(&self) -> Self {
-        Self {
-            deferred: Arc::clone(&self.deferred),
-        }
-    }
-}
-
-impl Trigger {
-    /// Delivers one dependency signal. The deferred task runs when the
-    /// count reaches zero. Signaling more than `deps` times is a bug (the
-    /// extra signals are ignored).
-    pub fn signal(&self) {
-        self.deferred.signal();
-    }
-}
-
-/// A task-graph submission scope: spawn independent tasks and defer
-/// dependency-counted reductions. Created by [`Pool::scope`]; every
-/// submitted task completes before `scope` returns.
-pub struct TaskScope<'scope> {
-    shared: Arc<Shared>,
-    latch: Arc<Latch>,
-    /// Serial mode: run every task inline at its (deterministic)
-    /// submission point instead of enqueueing.
-    inline: bool,
-    /// Invariant over 'scope: a longer-lived scope must not be usable
-    /// where a shorter one is expected (spawned tasks borrow for 'scope).
-    _marker: PhantomData<std::cell::Cell<&'scope ()>>,
-}
-
-impl<'scope> TaskScope<'scope> {
-    fn submit(&self, job: Box<dyn FnOnce() + Send + 'scope>) {
-        // SAFETY: erased to 'static to sit in a queue; `Pool::scope` does
-        // not return until this scope's latch drains, so borrows captured
-        // for 'scope outlive the job's execution.
-        let job: Job = unsafe { std::mem::transmute(job) };
-        self.shared.push(job);
-    }
-
-    fn wrap<F>(&self, f: F) -> impl FnOnce() + Send + 'scope
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        self.latch.add(1);
-        let latch = Arc::clone(&self.latch);
-        move || {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-            latch.complete(result.err());
-        }
-    }
-
-    /// Submits an independent task.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        let job = self.wrap(f);
-        if self.inline {
-            run_job_inline(job);
-        } else {
-            self.submit(Box::new(job));
-        }
-    }
-
-    /// Submits a task that runs after exactly `deps` explicit
-    /// [`Trigger::signal`] calls — the primitive behind per-segment
-    /// gradient reduction, where shard k signals segment g as soon as its
-    /// copy of that segment commits. `deps == 0` fires immediately.
-    ///
-    /// See [`Trigger`] for the signal-count contract.
-    pub fn defer<F>(&self, deps: usize, f: F) -> Trigger
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        let job = self.wrap(f);
-        let deferred = self.make_deferred(deps, Box::new(job));
-        if deps == 0 {
-            deferred.signal();
-        }
-        Trigger { deferred }
-    }
-
-    fn make_deferred(&self, deps: usize, job: Box<dyn FnOnce() + Send + 'scope>) -> Arc<Deferred> {
-        // SAFETY: same erasure argument as `submit` — the scope's latch
-        // already counts this task (wrap() added it), so `Pool::scope`
-        // waits for it to run before any 'scope borrow dies.
-        let job: Job = unsafe { std::mem::transmute(job) };
-        Arc::new(Deferred {
-            remaining: AtomicUsize::new(deps.max(1)),
-            job: Mutex::new(Some(job)),
-            shared: Arc::clone(&self.shared),
-            inline: self.inline,
-        })
-    }
-}
-
-/// Runs a not-yet-boxed job inline (serial scopes): same panic capture as
-/// the pooled path, without the queue round-trip.
-fn run_job_inline(job: impl FnOnce()) {
-    job();
 }

@@ -1,14 +1,15 @@
-//! Steal-order determinism for the persistent work-stealing scheduler.
+//! Completion-order determinism for the persistent worker pool.
 //!
 //! The pool's lane count is fixed at construction (`XBAR_THREADS` read on
 //! first use), so a single process can only ever observe one width. These
 //! tests therefore re-invoke the test binary as a child process per
 //! configuration — `XBAR_THREADS ∈ {1, 2, 4, 8}`, and, when the
-//! `sched-fuzz` feature is enabled, deterministic steal-order jitter
-//! seeds on top — run the workload there, and compare an FNV-1a digest
-//! of every bit the workload produced. The digest must be identical in
-//! every child: the repo's determinism contract says results depend only
-//! on inputs, never on lane count or which lane won a steal race.
+//! `sched-fuzz` feature is enabled, deterministic per-task jitter seeds
+//! on top — run the workload there, and compare an FNV-1a digest of every
+//! bit the workload produced. The digest must be identical in every
+//! child: the repo's determinism contract says results depend only on
+//! inputs, never on lane count, which lane ran a task, or the order tasks
+//! finished in.
 //!
 //! Run the fuzzed matrix with:
 //! `cargo test -p xbar --test integration_sched --features sched-fuzz`.
@@ -49,7 +50,7 @@ impl Digest {
 }
 
 /// Tiled int8 readout of a mapped layer: a 4×3 tile grid, batched input —
-/// every tile's integer GEMM and ADC is a separate stealable task.
+/// every tile's integer GEMM and ADC is a separate queued task.
 fn tiled_digest() -> u64 {
     let mut rng = XorShiftRng::new(0x5EAD);
     let w = Tensor::rand_uniform(&[40, 56], -0.05, 0.05, &mut rng);
@@ -65,10 +66,10 @@ fn tiled_digest() -> u64 {
     d.0
 }
 
-/// Sharded data-parallel training: a fixed 3-shard run whose gradient
-/// reduction commits per column-group segment through deferred tasks.
-/// The shard count is pinned (not auto-tuned) so every thread count
-/// resolves the same reduction tree.
+/// Sharded data-parallel training: a fixed 3-shard run whose shards run
+/// as pool tasks and whose gradients the caller sums in shard order after
+/// the join. The shard count is pinned (not auto-tuned) so every thread
+/// count resolves the same reduction order.
 fn train_digest() -> u64 {
     let data = SyntheticMnist::builder()
         .train(120)
@@ -112,8 +113,8 @@ fn child_emit_digest() {
     println!("DIGEST {digest:016x}");
 }
 
-/// The fuzz matrix: jitter off always; two nonzero steal-order jitter
-/// seeds when the `sched-fuzz` feature compiled the hook in.
+/// The fuzz matrix: jitter off always; two nonzero jitter seeds when the
+/// `sched-fuzz` feature compiled the hook in.
 fn jitter_seeds() -> &'static [u64] {
     #[cfg(feature = "sched-fuzz")]
     {
@@ -179,39 +180,31 @@ fn tiled_forward_digest_is_thread_count_and_steal_order_invariant() {
 }
 
 /// Nested submissions must drain, never deadlock: a pooled task that
-/// fans out again through a parallel helper or a fresh scope runs that
-/// work inline on its own lane, and a nested scope finishes every task
-/// it spawned before its enclosing task goes on.
+/// fans out again through `parallel_map`, `ordered_stream` or
+/// `parallel_chunks_mut` runs that work inline on its own lane, and each
+/// nested call finishes every item it submitted, committing in order,
+/// before its enclosing task goes on.
 #[test]
 fn nested_task_graph_submissions_drain_in_dependency_order() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use xbar_tensor::backend;
 
     let total = AtomicUsize::new(0);
-    backend::scope(|s| {
-        for i in 0..16usize {
-            let total = &total;
-            s.spawn(move || {
-                // A parallel helper inside a pool task (inline on the lane).
-                let parts = backend::parallel_map((0..8usize).collect(), |_, j| i * 8 + j);
-                // A whole nested scope inside a pool task.
-                let done = AtomicUsize::new(0);
-                backend::scope(|inner| {
-                    for part in parts {
-                        let done = &done;
-                        inner.spawn(move || {
-                            total.fetch_add(part, Ordering::Relaxed);
-                            done.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
-                });
-                assert_eq!(
-                    done.load(Ordering::Relaxed),
-                    8,
-                    "nested scope returned early"
-                );
-            });
-        }
+    backend::parallel_map((0..16usize).collect(), |_, i| {
+        // A parallel helper inside a pool task (inline on the lane).
+        let parts = backend::parallel_map((0..8usize).collect(), |_, j| i * 8 + j);
+        // A whole ordered stream inside a pool task.
+        let mut committed = Vec::new();
+        backend::ordered_stream(parts, |_, part| part, |k, part| committed.push((k, part)));
+        assert_eq!(
+            committed,
+            (0..8).map(|j| (j, i * 8 + j)).collect::<Vec<_>>(),
+            "nested stream returned early or out of order"
+        );
+        // A chunked fan-out over the committed parts.
+        let mut cells = vec![0usize; committed.len()];
+        backend::parallel_chunks_mut(&mut cells, 1, |j, c| c[0] = committed[j].1);
+        total.fetch_add(cells.iter().sum(), Ordering::Relaxed);
     });
     let expect: usize = (0..16 * 8).sum();
     assert_eq!(total.load(Ordering::Relaxed), expect);

@@ -7,11 +7,12 @@ use xbar_data::SyntheticMnist;
 use xbar_device::DeviceConfig;
 use xbar_models::{lenet, mlp2, ModelConfig, ModelScale};
 use xbar_nn::{
-    evaluate, persist, train, Dense, Dropout, Flatten, Layer, Relu, Sequential, TrainConfig,
-    WeightKind,
+    evaluate, persist, train, Dense, Dropout, Flatten, Layer, Relu, Sequential,
+    SoftmaxCrossEntropy, Split, TrainConfig, WeightKind,
 };
 use xbar_tensor::backend;
 use xbar_tensor::rng::XorShiftRng;
+use xbar_tensor::Tensor;
 
 fn quick_cfg(epochs: usize) -> TrainConfig {
     TrainConfig {
@@ -340,6 +341,95 @@ fn shard_count_is_part_of_the_reduction_order() {
         "shards=1 and shards=4 agreed bitwise; dropout forking or \
          shard-order reduction is not actually exercising the shard count"
     );
+}
+
+/// One sharded step written out by hand on clones of `net`: shuffle with
+/// the trainer's seed, split the batch into `shards` contiguous row runs
+/// (the first `len % shards` runs one row longer), run forward and
+/// backward per shard with the loss divided by the whole batch, add the
+/// shard gradients left to right in shard order (shard 0's copied, an
+/// empty shard's zeros added too), and take one SGD step on the primary.
+fn hand_sharded_step(
+    net: &dyn Layer,
+    x: &Tensor,
+    labels: &[usize],
+    shards: usize,
+    seed: u64,
+    lr: f32,
+) -> Box<dyn Layer> {
+    let mut order: Vec<usize> = (0..labels.len()).collect();
+    XorShiftRng::new(seed).shuffle(&mut order);
+    let features = x.shape()[1];
+    let (base, rem) = (order.len() / shards, order.len() % shards);
+    let mut sum: Vec<f32> = Vec::new();
+    let mut start = 0;
+    for r in 0..shards {
+        let rows = &order[start..start + base + usize::from(r < rem)];
+        start += rows.len();
+        let mut replica = net.clone_box();
+        replica.zero_grad();
+        if !rows.is_empty() {
+            let data: Vec<f32> = rows
+                .iter()
+                .flat_map(|&i| x.data()[i * features..(i + 1) * features].to_vec())
+                .collect();
+            let xb = Tensor::from_vec(data, &[rows.len(), features]).unwrap();
+            let yb: Vec<usize> = rows.iter().map(|&i| labels[i]).collect();
+            let logits = replica.forward(&xb, true).unwrap();
+            let (_, grad) = SoftmaxCrossEntropy::forward_scaled(&logits, &yb, order.len()).unwrap();
+            replica.backward(&grad).unwrap();
+        }
+        let mut flat = Vec::new();
+        replica.visit_grads(&mut |g| flat.extend_from_slice(g.data()));
+        if r == 0 {
+            sum = flat;
+        } else {
+            for (s, g) in sum.iter_mut().zip(&flat) {
+                *s += *g;
+            }
+        }
+    }
+    let mut primary = net.clone_box();
+    let mut off = 0;
+    primary.visit_grads(&mut |g| {
+        let n = g.len();
+        g.data_mut().copy_from_slice(&sum[off..off + n]);
+        off += n;
+    });
+    primary.update(lr);
+    primary
+}
+
+#[test]
+fn sharded_step_adds_shard_gradients_in_shard_order() {
+    // Pins the reduction formula itself, not only its determinism: one
+    // epoch of one batch at 3 shards must equal the hand-written step
+    // bit for bit, on a 3/2/2 split and on a split with an empty shard.
+    for n in [7usize, 2] {
+        let mut rng = XorShiftRng::new(0x5A4D + n as u64);
+        let x = Tensor::rand_normal(&[n, 6], 0.0, 1.0, &mut rng);
+        let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
+        let kind = WeightKind::Mapped(Mapping::Acm);
+        let mut net = Sequential::new();
+        net.push(Dense::new(6, 8, kind, DeviceConfig::ideal(), &mut rng).unwrap());
+        net.push(Relu::new());
+        net.push(Dense::new(8, 3, kind, DeviceConfig::ideal(), &mut rng).unwrap());
+        let cfg = TrainConfig {
+            epochs: 1,
+            batch_size: 8,
+            lr: 0.1,
+            seed: 0x0DE5,
+            shards: Some(3),
+            ..TrainConfig::default()
+        };
+        let mut want = hand_sharded_step(&net, &x, &labels, 3, cfg.seed, cfg.lr);
+        train(&mut net, Split::new(&x, &labels).unwrap(), None, &cfg).unwrap();
+        assert_state_bitwise_eq(
+            &persist::collect_state(&mut net),
+            &persist::collect_state(want.as_mut()),
+            &format!("{n} rows over 3 shards"),
+        );
+    }
 }
 
 #[test]
