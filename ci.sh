@@ -174,6 +174,25 @@ echo "==> tile-parity smoke (tiled == monolithic through the full stack)"
 cargo test -q --release -p xbar --test integration_tiling
 cargo run --release -p xbar-bench --bin table1_system -- --tile 64x64 > /dev/null
 
+echo "==> experiment binaries (each run once at a tiny budget)"
+# Every run_experiments.sh binary that no other step runs: each must exit
+# 0. A results table whose rows outgrow its header (a mapping added to
+# ModelType::MAPPED) panics here instead of in a full regeneration.
+STEP_START=$(date +%s)
+EXP_ARGS="--tiny --epochs 1 --train 40 --test 20"
+EXP="cargo run -q --release -p xbar-bench --bin"
+# shellcheck disable=SC2086  # EXP and EXP_ARGS are intentionally word-split
+{
+    $EXP fig5_fp32 -- --net lenet $EXP_ARGS
+    $EXP fig6_variation -- $EXP_ARGS --bits 2 --samples 1
+    $EXP ablation_order -- $EXP_ARGS --bits 2 --perms 2
+    $EXP ablation_asymmetric -- $EXP_ARGS --bits 2
+    $EXP ablation_ladder -- $EXP_ARGS --bits 2
+    $EXP ablation_dropout -- --bits 2 --epochs 1 --samples 1
+    $EXP ablation_regularization
+} > /dev/null
+echo "    seven experiment binaries exited 0 ($(($(date +%s) - STEP_START)) s)"
+
 echo "==> sweep kill/resume smoke (byte-identical resumed output)"
 # A tiny sweep run straight through, then again but aborted (simulated
 # kill -9) after the first journaled cell and resumed from the journal.

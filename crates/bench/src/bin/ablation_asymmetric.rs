@@ -53,7 +53,15 @@ fn run(args: Args) -> Result<(), BenchError> {
         ),
     ];
 
-    let mut table = ResultsTable::new(&["update", "ACM-err%", "DE-err%", "BC-err%"]);
+    // One column per mapping, so the header follows `ModelType::MAPPED`.
+    let errs: Vec<String> = ModelType::MAPPED
+        .iter()
+        .map(|m| format!("{}-err%", m.label()))
+        .collect();
+    let header: Vec<&str> = std::iter::once("update")
+        .chain(errs.iter().map(String::as_str))
+        .collect();
+    let mut table = ResultsTable::new(&header);
     for (name, device) in devices {
         let mut row = vec![name.to_string()];
         for model in ModelType::MAPPED {

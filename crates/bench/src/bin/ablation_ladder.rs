@@ -43,15 +43,20 @@ fn run(args: Args) -> Result<(), BenchError> {
     eprintln!("nonuniform-ladder deployment ablation: LeNet, nu={nu}");
     let data = setup.data();
 
-    let mut table = ResultsTable::new(&[
-        "bits",
-        "ACM uni%",
-        "ACM ladder%",
-        "DE uni%",
-        "DE ladder%",
-        "BC uni%",
-        "BC ladder%",
-    ]);
+    // Two columns per mapping, so the header follows `ModelType::MAPPED`.
+    let accs: Vec<String> = ModelType::MAPPED
+        .iter()
+        .flat_map(|m| {
+            [
+                format!("{} uni%", m.label()),
+                format!("{} ladder%", m.label()),
+            ]
+        })
+        .collect();
+    let header: Vec<&str> = std::iter::once("bits")
+        .chain(accs.iter().map(String::as_str))
+        .collect();
+    let mut table = ResultsTable::new(&header);
     for &bits in &bits_list {
         let device = DeviceConfig::quantized_linear(bits);
         // Deployment device: same bit count, states on the nonlinear curve.

@@ -466,47 +466,66 @@ fn gemm_entry(
     }
 }
 
-/// Runs the int8 GEMM entry: the fixed-point kernel against the fp32
-/// blocked kernel on the same shape.
+/// Runs an int8 GEMM entry: [`xbar_tensor::qgemm::qgemm_nt`], the GEMM
+/// every tile of the crossbar's integer readout runs, on 7-bit affine
+/// activation codes × centred 8-bit state codes, against the fp32 kernel
+/// on the same shape.
 ///
 /// The fp32 arm lands in the `naive_ms` slot so the reported `speedup`
 /// reads as "fp32 kernel → int8 kernel" — both arms run with the pool
 /// enabled, so the ratio isolates the datatype, not threading. Before
-/// timing, the entry asserts *dequantization parity* (the integer kernel
-/// must reproduce the fp32 GEMM of its own dequantized operands, whose
-/// only legitimate divergence is f32 accumulation-order rounding) and the
-/// usual bitwise serial↔parallel contract. `bytes` counts the packed
-/// operand reads plus the f32 result write, giving the bandwidth
-/// headline `gbps()`.
+/// timing, the entry asserts the kernel's i32 output bit for bit against
+/// an exact integer reference, and the usual bitwise serial↔parallel
+/// contract. `bytes` counts the operand reads plus the i32 result write,
+/// giving the bandwidth headline `gbps()`.
 fn qmatmul_entry(name: &str, m: usize, k: usize, n: usize, reps: usize, seed: u64) -> Entry {
-    use xbar_tensor::{qmatmul_nt, QuantizedTensor};
+    use xbar_tensor::{qgemm, scratch, QuantizedTensor};
 
     let mut rng = XorShiftRng::new(seed);
     let a = Tensor::rand_normal(&[m, k], 0.0, 1.0, &mut rng);
-    let b = Tensor::rand_normal(&[n, k], 0.0, 1.0, &mut rng);
     let qa = QuantizedTensor::quantize_affine(&a, 7);
-    let qb = QuantizedTensor::quantize_symmetric_per_row(&b, 8);
-    let run = || qmatmul_nt(&qa, &qb);
+    // Centred state codes `index − 2^(B−1)` of an 8-bit device: all of i8.
+    let b: Vec<i8> = (0..n * k).map(|_| rng.below(256) as u8 as i8).collect();
+    let b_f32 = Tensor::from_vec(b.iter().map(|&c| f32::from(c)).collect(), &[n, k]).unwrap();
+    let run = || {
+        let mut out = scratch::take_filled_i32(m * n, 0);
+        qgemm::qgemm_nt(qa.as_unsigned(), &b, &mut out, m, k, n);
+        out
+    };
+    // Timed runs park each output in the pool, as the readout does with
+    // its accumulators.
+    let pooled = || scratch::give_i32(run());
 
     backend::force_serial(true);
     let serial_out = run();
     backend::force_serial(false);
     let parallel_out = run();
-    let parity = serial_out.data() == parallel_out.data();
+    let parity = serial_out == parallel_out;
     assert!(parity, "{name}: parallel int8 result diverged from serial");
-    let dq = linalg::matmul_nt(&qa.dequantize(), &qb.dequantize()).unwrap();
+    let codes = qa.as_unsigned();
+    let exact: Vec<i32> = (0..m * n)
+        .map(|ij| {
+            let (ar, br) = (&codes[ij / n * k..][..k], &b[ij % n * k..][..k]);
+            let dot: i64 = ar
+                .iter()
+                .zip(br)
+                .map(|(&x, &y)| i64::from(x) * i64::from(y))
+                .sum();
+            i32::try_from(dot).expect("exact sum fits i32")
+        })
+        .collect();
     assert!(
-        serial_out.all_close(&dq, 0.05),
-        "{name}: int8 kernel diverged from the fp32 GEMM of its dequantized operands"
+        serial_out == exact,
+        "{name}: int8 kernel diverged from the exact integer product"
     );
 
-    let (serial_ms, parallel_ms, vs_serial) = time_arms_ms(reps, run);
+    let (serial_ms, parallel_ms, vs_serial) = time_arms_ms(reps, pooled);
     // fp32 arm, pool enabled (time_arms_ms leaves the process pooled).
-    let fp32_ms = time_ms(reps, || linalg::matmul_nt(&a, &b).unwrap());
-    let naive_allocs = arm_allocs(|| linalg::matmul_nt(&a, &b).unwrap());
-    let parallel_allocs = arm_allocs(run);
+    let fp32_ms = time_ms(reps, || linalg::matmul_nt(&a, &b_f32).unwrap());
+    let naive_allocs = arm_allocs(|| linalg::matmul_nt(&a, &b_f32).unwrap());
+    let parallel_allocs = arm_allocs(pooled);
     backend::force_serial(true);
-    let serial_allocs = arm_allocs(run);
+    let serial_allocs = arm_allocs(pooled);
     backend::force_serial(false);
     let routine = dispatch::q_selection_for(m, k, n);
     Entry {
@@ -514,7 +533,7 @@ fn qmatmul_entry(name: &str, m: usize, k: usize, n: usize, reps: usize, seed: u6
         kind: "qmatmul",
         dims: format!("{m}x{k}x{n}"),
         flops: 2.0 * (m * k * n) as f64,
-        // u8 activation codes + i8 weight codes + f32 result.
+        // u8 activation codes + i8 state codes + i32 result.
         bytes: Some((m * k + n * k + 4 * m * n) as f64),
         naive_ms: Some(fp32_ms),
         serial_ms,

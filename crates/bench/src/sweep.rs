@@ -355,6 +355,7 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use xbar_tensor::rng::XorShiftRng;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("xbar-sweep-{tag}-{}", std::process::id()));
@@ -532,6 +533,84 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, BenchError::Journal(_)), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Applies one to three seeded edits to journal text: a byte replaced
+    /// by a character JSON gives meaning to, a byte deleted, a line
+    /// repeated, or the tail cut.
+    fn corrupt_journal(bytes: &mut Vec<u8>, rng: &mut XorShiftRng) {
+        const CHARS: &[u8] = b"{}[]\":,.-+eE0123456789 \\nultraesf\n";
+        for _ in 0..1 + rng.below(3) {
+            let at = rng.below(bytes.len() + 1);
+            match rng.below(4) {
+                0 => {
+                    if let Some(b) = bytes.get_mut(at) {
+                        *b = CHARS[rng.below(CHARS.len())];
+                    }
+                }
+                1 => {
+                    if at < bytes.len() {
+                        bytes.remove(at);
+                    }
+                }
+                2 => {
+                    let start = bytes[..at]
+                        .iter()
+                        .rposition(|&b| b == b'\n')
+                        .map_or(0, |p| p + 1);
+                    let end = bytes[at..]
+                        .iter()
+                        .position(|&b| b == b'\n')
+                        .map_or(bytes.len(), |p| at + p + 1);
+                    let line = bytes[start..end].to_vec();
+                    bytes.splice(end..end, line);
+                }
+                _ => bytes.truncate(at),
+            }
+        }
+    }
+
+    #[test]
+    fn corrupted_journals_load_or_fail_typed() {
+        // Each draw edits a real journal. Loading it returns the cells or
+        // a typed error, never a panic, and a journal that loads resumes.
+        let dir = tmp_dir("fuzz");
+        let journal = dir.join("journal.jsonl");
+        let cell = |_k: &str, &i: &usize| {
+            Ok(Json::Obj(vec![
+                ("v".into(), Json::Num(i as f64 * 0.25)),
+                ("tag".into(), Json::Str(format!("t{i}"))),
+            ]))
+        };
+        let write = SweepConfig {
+            journal: Some(journal.clone()),
+            ..SweepConfig::default()
+        };
+        run_sweep(cells(4), &write, cell).unwrap();
+        let clean = fs::read(&journal).unwrap();
+        let resume = SweepConfig {
+            resume: true,
+            ..write
+        };
+        let mut rng = XorShiftRng::new(0x10C);
+        let (mut loaded, mut rejected) = (0, 0);
+        for _ in 0..256 {
+            let mut bytes = clean.clone();
+            corrupt_journal(&mut bytes, &mut rng);
+            fs::write(&journal, &bytes).unwrap();
+            match load_journal(&journal) {
+                Ok(_) => {
+                    loaded += 1;
+                    run_sweep(cells(4), &resume, cell).unwrap();
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        assert!(
+            loaded > 0 && rejected > 0,
+            "loaded {loaded}, rejected {rejected}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

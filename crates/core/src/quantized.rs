@@ -38,7 +38,7 @@
 use xbar_device::{AdcSpec, DeviceConfig, Quantizer};
 use xbar_tensor::backend;
 use xbar_tensor::qgemm::{self, QGEMM_MAX_K};
-use xbar_tensor::quant::{QScheme, QuantizedTensor, AFFINE_BITS_MAX};
+use xbar_tensor::quant::{QuantizedTensor, AFFINE_BITS_MAX};
 use xbar_tensor::{scratch, Tensor};
 
 use crate::error::MappingError;
@@ -93,7 +93,7 @@ impl QuantReadout {
     ///
     /// [`MappingError::Unsupported`] for an activation width outside
     /// `1..=7`; [`MappingError::NonFiniteInput`] if `x` holds NaN or ±Inf.
-    pub fn check_input(&self, x: &Tensor) -> Result<(), MappingError> {
+    fn check_input(&self, x: &Tensor) -> Result<(), MappingError> {
         if !(1..=AFFINE_BITS_MAX).contains(&self.act_bits) {
             return Err(MappingError::Unsupported {
                 op: OP,
@@ -256,8 +256,9 @@ impl ReadoutImage {
     ///
     /// # Errors
     ///
-    /// A shape error unless `x` is `(batch, N_I)`; otherwise as
-    /// [`QuantReadout::check_input`].
+    /// A shape error unless `x` is `(batch, N_I)`;
+    /// [`MappingError::Unsupported`] for `mode.act_bits` outside `1..=7`;
+    /// [`MappingError::NonFiniteInput`] if `x` holds NaN or ±Inf.
     pub fn raw_batch(&self, mode: &QuantReadout, x: &Tensor) -> Result<Tensor, MappingError> {
         let (nd, k) = (self.n_dev, self.n_in);
         if x.ndim() != 2 || x.shape()[1] != k {
@@ -271,16 +272,9 @@ impl ReadoutImage {
 
         // Activation codes (unsigned affine, ≤ 127 by construction).
         let qx = QuantizedTensor::quantize_affine_with_range(x, mode.act_bits, mode.act_range);
-        let QScheme::Affine {
-            scale: sx,
-            zero_point: zp,
-            ..
-        } = *qx.scheme()
-        else {
-            unreachable!("quantize_affine always returns an affine scheme")
-        };
+        let (sx, zp) = (qx.scale, qx.zero_point);
         let codes = qx.data();
-        let max_code = ((1u32 << mode.act_bits) - 1) as i64;
+        let max_code = ((1u32 << qx.bits) - 1) as i64;
 
         // Per-batch centered input code sums S[b] = Σ_i (c_i − zp): the term
         // the grid offset c0 multiplies. Row blocks partition the inputs, so

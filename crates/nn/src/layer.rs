@@ -100,17 +100,19 @@ pub trait Layer: Send + Sync {
     }
 
     /// Runs the layer in *quantized inference* mode: layers with an
-    /// integer path (currently [`crate::Dense`]) quantize activations to
-    /// `mode.act_bits`, run the int8 kernels (through the crossbar's
-    /// ADC-exact readout for mapped weights), and dequantize the result.
-    /// Layers without an integer path — activations, pooling, and the
-    /// fp32-only `Conv2d` — fall back to the plain inference forward, so
-    /// a mixed network degrades gracefully rather than refusing to run.
+    /// integer path (currently a mapped [`crate::Dense`]) quantize
+    /// activations to `mode.act_bits`, read them through the crossbar's
+    /// ADC-exact integer readout, and dequantize the result. Layers
+    /// without an integer path — activations, pooling, and the fp32-only
+    /// `Conv2d` — fall back to the plain inference forward, so a mixed
+    /// network degrades gracefully rather than refusing to run.
     ///
     /// # Errors
     ///
     /// Returns an error if the input shape is incompatible or a mapped
-    /// parameter's device cannot support the integer readout.
+    /// parameter's device cannot support the integer readout, and
+    /// [`NnError::State`] for a baseline (signed-weight) `Dense` layer,
+    /// which has no crossbar to read out.
     fn forward_quantized(&mut self, x: &Tensor, mode: &QuantReadout) -> Result<Tensor, NnError> {
         let _ = mode;
         self.forward(x, false)

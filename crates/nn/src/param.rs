@@ -8,7 +8,7 @@ use xbar_core::{
 };
 use xbar_device::{ConductanceRange, DeviceConfig};
 use xbar_tensor::rng::XorShiftRng;
-use xbar_tensor::{qmatmul_nt, QuantizedTensor, Tensor};
+use xbar_tensor::Tensor;
 
 use crate::NnError;
 
@@ -33,20 +33,6 @@ struct ScrubState {
     /// `clamp(q(M) + shift)` elementwise, so a compensation decided at
     /// repair time keeps tracking the trained conductances.
     shift: Tensor,
-}
-
-/// The weight side of a parameter's int8 forward, derived from the
-/// weights it serves: built by the first
-/// [`MappedParam::forward_quantized`] after a weight change, dropped by
-/// every method that changes them, and never checkpointed.
-#[derive(Debug, Clone)]
-enum Int8Image {
-    /// Crossbar-mapped weights: the readout image of the served
-    /// conductances.
-    Mapped(ReadoutImage),
-    /// Baseline weights: per-row symmetric 8-bit codes for the digital
-    /// int8 GEMM.
-    Signed(QuantizedTensor),
 }
 
 /// How a layer's weights are realised.
@@ -134,9 +120,11 @@ pub struct MappedParam {
     /// Online self-healing state; `Some` iff mapped with an active
     /// lifetime fault model.
     scrub: Option<ScrubState>,
-    /// The int8 forward's weight side for the weights currently served;
-    /// `None` until the next [`MappedParam::forward_quantized`].
-    int8: Option<Int8Image>,
+    /// The readout image of the conductances currently served: built by
+    /// the first [`MappedParam::forward_quantized`] after a weight
+    /// change, dropped by every method that changes them, and never
+    /// checkpointed.
+    int8: Option<ReadoutImage>,
 }
 
 impl MappedParam {
@@ -471,31 +459,28 @@ impl MappedParam {
         }
     }
 
-    /// Int8 inference forward `X (batch × n_in) → Y (batch × n_out)`.
+    /// Int8 inference forward `X (batch × n_in) → Y (batch × n_out)`:
+    /// the crossbar's ADC-exact integer readout
+    /// ([`ReadoutImage::raw_batch`]). Activations quantize to
+    /// `mode.act_bits`, conductances (the quantized shadow, or the
+    /// variation override while one is active) are read on the device
+    /// state grid, each tile's column sums digitize through `mode.adc`,
+    /// and the digital periphery combine + `α` scaling mirror the fp32
+    /// composition exactly. Off-grid conductances (BC/Perm reference
+    /// rows, variation, drift) snap to the nearest state — the read
+    /// discretization a digital readout cannot avoid.
     ///
-    /// * **Mapped** weights run the crossbar's ADC-exact integer readout
-    ///   ([`ReadoutImage::raw_batch`]): activations quantize to
-    ///   `mode.act_bits`, conductances (the quantized shadow, or the
-    ///   variation override while one is active) are read on the device
-    ///   state grid, each tile's column sums digitize through `mode.adc`,
-    ///   and the digital periphery combine + `α` scaling mirror the fp32
-    ///   composition exactly. Off-grid conductances (BC/Perm reference
-    ///   rows, variation, drift) snap to the nearest state — the read
-    ///   discretization a digital readout cannot avoid.
-    /// * **Signed** (baseline) weights run the digital int8 GEMM
-    ///   ([`qmatmul_nt`]): per-row symmetric 8-bit weights against affine
-    ///   activations.
-    ///
-    /// The weight side of either path (the [`ReadoutImage`], or the
-    /// symmetric weights) is built on the first call after a weight change
-    /// and reused until the next one, so repeated reads of one programmed
-    /// array only pay for the activations. Both paths accumulate exactly in
-    /// i32, so the output is bitwise identical for any thread count.
+    /// The [`ReadoutImage`] is built on the first call after a weight
+    /// change and reused until the next one, so repeated reads of one
+    /// programmed array only pay for the activations. The readout
+    /// accumulates exactly in i32, so the output is bitwise identical for
+    /// any thread count.
     ///
     /// # Errors
     ///
-    /// Returns a shape error on input mismatch, and [`NnError::Mapping`]
-    /// if a mapped parameter's device has no quantizer or more than 8
+    /// Returns [`NnError::State`] for baseline signed weights, which have
+    /// no crossbar to read out; a shape error on input mismatch; and
+    /// [`NnError::Mapping`] if the device has no quantizer or more than 8
     /// bits (centered state codes must fit i8), `mode.act_bits` is outside
     /// `1..=7`, or `x` holds NaN or ±Inf.
     pub fn forward_quantized(
@@ -503,6 +488,11 @@ impl MappedParam {
         x: &Tensor,
         mode: &QuantReadout,
     ) -> Result<Tensor, NnError> {
+        let (Some(grid), Some(s)) = (&self.grid, &self.periphery) else {
+            return Err(NnError::State(
+                "baseline signed weights have no crossbar to read out".into(),
+            ));
+        };
         if x.ndim() != 2 || x.shape()[1] != self.n_in {
             return Err(NnError::Shape(xbar_tensor::ShapeError::new(
                 "forward_quantized",
@@ -510,47 +500,18 @@ impl MappedParam {
             )));
         }
         if self.int8.is_none() {
-            self.int8 = Some(self.int8_image()?);
+            let served;
+            let g = match &self.variation_override {
+                Some(noisy) => noisy,
+                None => {
+                    served = self.quantized_shadow();
+                    &served
+                }
+            };
+            self.int8 = Some(ReadoutImage::new(g, grid, &self.device)?);
         }
-        match self.int8.as_ref().expect("filled above") {
-            Int8Image::Signed(qw) => {
-                mode.check_input(x)?;
-                let qx =
-                    QuantizedTensor::quantize_affine_with_range(x, mode.act_bits, mode.act_range);
-                Ok(qmatmul_nt(&qx, qw))
-            }
-            Int8Image::Mapped(image) => {
-                let raw = image.raw_batch(mode, x)?;
-                let s = self
-                    .periphery
-                    .as_ref()
-                    .expect("mapped parameters always carry a periphery");
-                Ok(s.combine(&raw)?.scale(self.alpha))
-            }
-        }
-    }
-
-    /// Builds the int8 forward's weight side from the weights currently
-    /// served.
-    fn int8_image(&self) -> Result<Int8Image, NnError> {
-        // Only mapped parameters carry a tile grid.
-        Ok(match &self.grid {
-            None => {
-                let w = self.variation_override.as_ref().unwrap_or(&self.shadow);
-                Int8Image::Signed(QuantizedTensor::quantize_symmetric_per_row(w, 8))
-            }
-            Some(grid) => {
-                let served;
-                let g = match &self.variation_override {
-                    Some(noisy) => noisy,
-                    None => {
-                        served = self.quantized_shadow();
-                        &served
-                    }
-                };
-                Int8Image::Mapped(ReadoutImage::new(g, grid, &self.device)?)
-            }
-        })
+        let image = self.int8.as_ref().expect("filled above");
+        Ok(s.combine(&image.raw_batch(mode, x)?)?.scale(self.alpha))
     }
 
     /// Accumulates the gradient of the loss with respect to the *logical*
@@ -2431,90 +2392,50 @@ mod tests {
     fn every_weight_change_drops_the_int8_image() {
         use xbar_device::{DriftModel, FaultModel, LineResistanceModel};
         let nothing: Mutation = |_, _| {};
-        // (name, set-up before the clone, the change, mapped weights only)
-        let cases: [(&str, Mutation, Mutation, bool); 9] = [
-            ("apply_update", nothing, big_update, false),
-            (
-                "apply_variation",
-                nothing,
-                |p, rng| p.apply_variation(0.1, rng),
-                false,
-            ),
-            (
-                "apply_faults",
-                nothing,
-                |p, rng| {
-                    p.apply_faults(FaultModel::uniform(0.1), 0.02, true, rng)
-                        .unwrap();
-                },
-                true,
-            ),
-            (
-                "apply_parasitics",
-                nothing,
-                |p, _| {
-                    p.apply_parasitics(LineResistanceModel::new(0.01), DriftModel::none())
-                        .unwrap();
-                },
-                true,
-            ),
-            (
-                "set_inference_override",
-                nothing,
-                |p, rng| {
-                    let g = Tensor::rand_uniform(p.shadow().shape(), 0.0, 1.0, rng);
-                    p.set_inference_override(g);
-                },
-                false,
-            ),
+        // (name, set-up before the clone, the change)
+        let cases: [(&str, Mutation, Mutation); 9] = [
+            ("apply_update", nothing, big_update),
+            ("apply_variation", nothing, |p, rng| {
+                p.apply_variation(0.1, rng)
+            }),
+            ("apply_faults", nothing, |p, rng| {
+                p.apply_faults(FaultModel::uniform(0.1), 0.02, true, rng)
+                    .unwrap();
+            }),
+            ("apply_parasitics", nothing, |p, _| {
+                p.apply_parasitics(LineResistanceModel::new(0.01), DriftModel::none())
+                    .unwrap();
+            }),
+            ("set_inference_override", nothing, |p, rng| {
+                let g = Tensor::rand_uniform(p.shadow().shape(), 0.0, 1.0, rng);
+                p.set_inference_override(g);
+            }),
             (
                 "clear_variation",
                 |p, rng| p.apply_variation(0.1, rng),
                 |p, _| p.clear_variation(),
-                false,
             ),
-            (
-                "scrub_tick",
-                nothing,
-                |p, _| {
-                    p.scrub_tick(true, &RepairPolicy::default()).unwrap();
-                },
-                true,
-            ),
-            (
-                "checkpoint restore",
-                nothing,
-                |p, rng| {
-                    let mut trained = p.clone();
-                    big_update(&mut trained, rng);
-                    checkpoint_into(p, &mut trained);
-                },
-                false,
-            ),
-            (
-                "checkpoint restore of a scrubbed array",
-                nothing,
-                |p, _| {
-                    let mut aged = p.clone();
-                    aged.scrub_tick(true, &RepairPolicy::default()).unwrap();
-                    checkpoint_into(p, &mut aged);
-                },
-                true,
-            ),
+            ("scrub_tick", nothing, |p, _| {
+                p.scrub_tick(true, &RepairPolicy::default()).unwrap();
+            }),
+            ("checkpoint restore", nothing, |p, rng| {
+                let mut trained = p.clone();
+                big_update(&mut trained, rng);
+                checkpoint_into(p, &mut trained);
+            }),
+            ("checkpoint restore of a scrubbed array", nothing, |p, _| {
+                let mut aged = p.clone();
+                aged.scrub_tick(true, &RepairPolicy::default()).unwrap();
+                checkpoint_into(p, &mut aged);
+            }),
         ];
         let w = he_init(12, 20, 170);
         let x = Tensor::rand_uniform(&[4, 20], -1.0, 1.0, &mut XorShiftRng::new(171));
-        let kinds = std::iter::once(WeightKind::Signed).chain(Mapping::ALL.map(WeightKind::Mapped));
-        for kind in kinds {
-            for (name, prepare, mutate, mapped_only) in cases {
-                if mapped_only && kind == WeightKind::Signed {
-                    continue;
-                }
+        for kind in Mapping::ALL.map(WeightKind::Mapped) {
+            for (name, prepare, mutate) in cases {
                 let mut warm =
                     MappedParam::from_signed(&w, kind, lifetime_device(0.05, 26)).unwrap();
-                if kind != WeightKind::Signed {
-                    assert!(warm.tile_grid().unwrap().num_tiles() > 1);
-                }
+                assert!(warm.tile_grid().unwrap().num_tiles() > 1);
                 prepare(&mut warm, &mut XorShiftRng::new(172));
                 let mut cold = warm.clone();
                 let before = int8_bits(&mut warm, &x);

@@ -212,7 +212,8 @@ impl<'a> Dec<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
         if self.buf.len() - self.pos < n {
             return Err(PersistError::Truncated {
-                needed: self.pos + n,
+                // A corrupted count may be near usize::MAX.
+                needed: self.pos.saturating_add(n),
                 available: self.buf.len(),
             });
         }
@@ -381,7 +382,7 @@ fn decode_tensor(d: &mut Dec<'_>) -> Result<Tensor, PersistError> {
     let remaining = d.buf.len() - d.pos;
     if len > remaining / 4 {
         return Err(PersistError::Truncated {
-            needed: d.pos + len * 4,
+            needed: d.pos.saturating_add(len.saturating_mul(4)),
             available: d.buf.len(),
         });
     }
@@ -849,7 +850,7 @@ pub fn load_checkpoint(path: &Path) -> Result<TrainCheckpoint, PersistError> {
     let order_len = d.usize()?;
     if order_len > (d.buf.len() - d.pos) / 8 {
         return Err(PersistError::Truncated {
-            needed: d.pos + order_len * 8,
+            needed: d.pos.saturating_add(order_len.saturating_mul(8)),
             available: d.buf.len(),
         });
     }
@@ -860,7 +861,7 @@ pub fn load_checkpoint(path: &Path) -> Result<TrainCheckpoint, PersistError> {
     let hist_len = d.usize()?;
     if hist_len > (d.buf.len() - d.pos) / 21 {
         return Err(PersistError::Truncated {
-            needed: d.pos + hist_len * 21,
+            needed: d.pos.saturating_add(hist_len.saturating_mul(21)),
             available: d.buf.len(),
         });
     }

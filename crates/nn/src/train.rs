@@ -57,10 +57,11 @@ pub struct TrainConfig {
     /// uninterrupted run bitwise.
     pub checkpoint_dir: Option<PathBuf>,
     /// Number of data-parallel shards per mini-batch (`Some(1)` = classic
-    /// single-replica training). `None` auto-tunes the count from the
-    /// batch size and the worker-pool width at [`train`] start (see
-    /// [`auto_shards`]); the resolved value is recorded in the [`History`]
-    /// and in checkpoints, and a resumed run reuses the recorded count.
+    /// single-replica training), at most [`TrainConfig::batch_size`].
+    /// `None` auto-tunes the count from the batch size and the
+    /// worker-pool width at [`train`] start (see [`auto_shards`]); the
+    /// resolved value is recorded in the [`History`] and in checkpoints,
+    /// and a resumed run reuses the recorded count.
     /// The *sharding* changes the floating-point reduction order relative
     /// to one shard, but for a fixed shard count the run is bitwise
     /// independent of the thread count (`XBAR_THREADS`) and fully
@@ -318,8 +319,14 @@ pub fn train(
             "checkpoint_every set without checkpoint_dir".into(),
         ));
     }
-    if cfg.shards == Some(0) {
-        return Err(NnError::Config("shard count must be positive".into()));
+    if let Some(k) = cfg.shards {
+        // A shard past the batch size only ever gets zero rows.
+        if k == 0 || k > cfg.batch_size {
+            return Err(NnError::Config(format!(
+                "shard count {k} must be in 1..={} (the batch size)",
+                cfg.batch_size
+            )));
+        }
     }
     if cfg.scrub_every > 0
         && cfg.checkpoint_every > 0
@@ -356,12 +363,32 @@ pub fn train(
         }
         if path.exists() {
             let ckpt = persist::load_checkpoint(path)?;
+            let mismatch = |msg: String| {
+                Err(NnError::Persist(
+                    crate::persist::PersistError::StateMismatch(msg),
+                ))
+            };
             if ckpt.order.len() != n {
-                return Err(NnError::Persist(
-                    crate::persist::PersistError::StateMismatch(format!(
-                        "checkpoint was taken with {} training samples, run has {n}",
-                        ckpt.order.len()
-                    )),
+                return mismatch(format!(
+                    "checkpoint was taken with {} training samples, run has {n}",
+                    ckpt.order.len()
+                ));
+            }
+            let mut seen = vec![false; n];
+            if !ckpt
+                .order
+                .iter()
+                .all(|&i| i < n && !std::mem::replace(&mut seen[i], true))
+            {
+                return mismatch(format!(
+                    "checkpoint sample order is not a permutation of 0..{n}"
+                ));
+            }
+            // Checked before the shard count sizes the replica set.
+            if ckpt.shards == 0 || ckpt.shards > cfg.batch_size {
+                return mismatch(format!(
+                    "checkpoint shard count {} is outside 1..={} (the batch size)",
+                    ckpt.shards, cfg.batch_size
                 ));
             }
             if ckpt.epochs_done > cfg.epochs {
@@ -724,7 +751,9 @@ pub fn calibrate(net: &mut dyn Layer, x: &Tensor, batch_size: usize) -> Result<(
 /// # Errors
 ///
 /// Returns an error on shape mismatches, a zero batch size, or an
-/// unsupported device (see [`crate::MappedParam::forward_quantized`]).
+/// unsupported device, and [`NnError::State`] for a baseline network,
+/// whose signed-weight `Dense` layers have no crossbar to read out (see
+/// [`crate::MappedParam::forward_quantized`]).
 pub fn evaluate_quantized(
     net: &mut dyn Layer,
     x: &Tensor,
@@ -1066,12 +1095,13 @@ mod tests {
 
     #[test]
     fn more_shards_than_batch_rows_is_ok() {
-        // batch_size 2 with 4 shards leaves two shards empty each step.
+        // 6 samples in batches of 4 on 4 shards: each epoch's last batch
+        // has 2 rows and leaves two shards empty.
         let (x, labels) = blobs(6, 187);
         let mut net = mlp(WeightKind::Signed, 188);
         let cfg = TrainConfig {
             epochs: 2,
-            batch_size: 2,
+            batch_size: 4,
             shards: Some(4),
             ..TrainConfig::default()
         };
@@ -1089,6 +1119,21 @@ mod tests {
             ..TrainConfig::default()
         };
         assert!(train(&mut net, Split::new(&x, &labels).unwrap(), None, &cfg).is_err());
+    }
+
+    #[test]
+    fn shard_count_past_the_batch_size_is_rejected() {
+        let (x, labels) = blobs(10, 189);
+        let mut net = mlp(WeightKind::Signed, 190);
+        let cfg = |shards| TrainConfig {
+            epochs: 1,
+            batch_size: 4,
+            shards: Some(shards),
+            ..TrainConfig::default()
+        };
+        let err = train(&mut net, Split::new(&x, &labels).unwrap(), None, &cfg(5));
+        assert!(matches!(err, Err(NnError::Config(_))), "{err:?}");
+        assert!(train(&mut net, Split::new(&x, &labels).unwrap(), None, &cfg(4)).is_ok());
     }
 
     #[test]

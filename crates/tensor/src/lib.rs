@@ -13,7 +13,9 @@
 //! * [`linalg`] — cache-blocked, SIMD-accelerated, row-parallel matrix
 //!   multiplication kernels (plain, transposed operands, and GEMV);
 //! * [`dispatch`] — the GEMM entry point: one fp32 kernel per problem
-//!   class, and the int8 routine registry with its shape rule;
+//!   class, and the shape rule that picks the int8 kernel;
+//! * [`qgemm`] and [`quant`] — the integer GEMM (`u8 × i8 → i32`) and
+//!   the affine activation quantizer behind the crossbar's int8 readout;
 //! * [`tune`] — the routine-selection count the end-to-end benchmark
 //!   reports (always 0: nothing is tuned at run time);
 //! * [`json`] — dependency-free canonical JSON (shared with the bench
@@ -66,5 +68,5 @@ pub mod tune;
 
 pub use error::ShapeError;
 pub use gemm::simd_active;
-pub use quant::{qmatmul_nt, QScheme, QuantizedTensor};
+pub use quant::QuantizedTensor;
 pub use tensor::Tensor;

@@ -38,8 +38,8 @@ pub const QGEMM_MAX_K: usize = 1 << 17;
 #[cfg(target_arch = "x86_64")]
 const QMC: usize = 64;
 
-/// Quantized NT GEMM entry point: resolves a routine through the
-/// quantized half of the dispatch registry and runs it.
+/// Quantized NT GEMM entry point: runs the int8 kernel the dispatch
+/// shape rule picks ([`crate::dispatch::q_selection_for`] names it).
 ///
 /// # Panics
 ///

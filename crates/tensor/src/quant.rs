@@ -1,20 +1,13 @@
-//! Quantized tensors: i8 codes plus scale/zero-point metadata, and the
-//! integer matmul that consumes them.
+//! Quantized activations: unsigned affine i8 codes with their scale and
+//! zero point, the DAC side of the crossbar's integer readout.
 //!
-//! Two schemes cover the inference path:
-//!
-//! * **Affine** (activations): unsigned codes `0..=2^bits − 1` with a
-//!   per-tensor scale and integer zero point, `x ≈ scale · (code − zp)`.
-//!   Bits are capped at 7 so codes stay ≤ 127 — the
-//!   [`crate::qgemm::QGEMM_A_MAX`] operand contract that keeps the AVX2
-//!   `maddubs` kernel exact. The grid is the same uniform
-//!   round-to-nearest-state construction as the device `Quantizer`
-//!   (`2^bits` states spanning the clip range), with the range extended
-//!   to include zero so a zero activation is always exactly
-//!   representable.
-//! * **Symmetric per-row** (weights): signed codes `−Q..=Q`,
-//!   `Q = 2^(bits−1) − 1`, one scale per output row (the NT layout's
-//!   row = one output channel), `w ≈ scale_row · code`.
+//! Codes run over `0..=2^bits − 1` with a per-tensor scale and integer
+//! zero point, `x ≈ scale · (code − zero_point)`. Bits are capped at 7 so
+//! codes stay ≤ 127 — the [`crate::qgemm::QGEMM_A_MAX`] operand contract
+//! that keeps the AVX2 `maddubs` kernel exact. The grid is the same
+//! uniform round-to-nearest-state construction as the device `Quantizer`
+//! (`2^bits` states spanning the clip range), with the range extended to
+//! include zero so a zero activation is always exactly representable.
 //!
 //! Code buffers are scratch-pool backed ([`crate::scratch`]), so
 //! steady-state quantized inference allocates nothing.
@@ -24,15 +17,11 @@
 //! affine quantizer here and the device quantizers in `xbar-device` use
 //! it.
 
-use crate::qgemm;
 use crate::{scratch, Tensor};
 
 /// Maximum affine (activation) bit width — codes must fit the unsigned
 /// 7-bit GEMM operand.
 pub const AFFINE_BITS_MAX: u8 = 7;
-
-/// Maximum symmetric (weight) bit width — codes must fit i8.
-pub const SYMMETRIC_BITS_MAX: u8 = 8;
 
 /// Rounds half away from zero: bitwise `y.round()` for every `y`, with
 /// NaN in giving NaN out.
@@ -63,48 +52,18 @@ pub fn round_half_away(y: f32) -> f32 {
     (if fractional { r } else { mag }).copysign(y)
 }
 
-/// Quantization scheme attached to a [`QuantizedTensor`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum QScheme {
-    /// Unsigned affine codes: `value = scale · (code − zero_point)`,
-    /// codes in `0..=2^bits − 1`.
-    Affine {
-        /// Step between adjacent codes.
-        scale: f32,
-        /// The code representing zero, in `0..=2^bits − 1`.
-        zero_point: i32,
-        /// Bit width (≤ [`AFFINE_BITS_MAX`]).
-        bits: u8,
-    },
-    /// Signed symmetric codes with one scale per row:
-    /// `value = scales[row] · code`, codes in `−Q..=Q`.
-    SymmetricPerRow {
-        /// Per-row step (one entry per tensor row).
-        scales: Vec<f32>,
-        /// Bit width (≤ [`SYMMETRIC_BITS_MAX`]).
-        bits: u8,
-    },
-}
-
-/// An i8-coded tensor with its quantization scheme. 2-D row-major, like
-/// the dense [`Tensor`] it mirrors.
-#[derive(Debug, PartialEq)]
+/// The unsigned affine i8 codes of a 2-D tensor, row-major like the
+/// dense [`Tensor`] they code: `value = scale · (code − zero_point)`.
+#[derive(Debug)]
 pub struct QuantizedTensor {
     shape: [usize; 2],
     data: Vec<i8>,
-    scheme: QScheme,
-}
-
-impl Clone for QuantizedTensor {
-    fn clone(&self) -> Self {
-        let mut data = scratch::take_filled_i8(self.data.len(), 0);
-        data.copy_from_slice(&self.data);
-        Self {
-            shape: self.shape,
-            data,
-            scheme: self.scheme.clone(),
-        }
-    }
+    /// Step between adjacent codes.
+    pub scale: f32,
+    /// The code representing zero, in `0..=2^bits − 1`.
+    pub zero_point: i32,
+    /// Bit width, `1..=`[`AFFINE_BITS_MAX`].
+    pub bits: u8,
 }
 
 impl Drop for QuantizedTensor {
@@ -176,54 +135,10 @@ impl QuantizedTensor {
         Self {
             shape,
             data,
-            scheme: QScheme::Affine {
-                scale,
-                zero_point,
-                bits,
-            },
+            scale,
+            zero_point,
+            bits,
         }
-    }
-
-    /// Quantizes a 2-D weight matrix onto the signed symmetric grid with
-    /// one scale per row (output channel).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `2 ≤ bits ≤ 8` and `w` is 2-D.
-    pub fn quantize_symmetric_per_row(w: &Tensor, bits: u8) -> Self {
-        assert!(
-            (2..=SYMMETRIC_BITS_MAX).contains(&bits),
-            "symmetric bits must be 2..={SYMMETRIC_BITS_MAX}, got {bits}"
-        );
-        let shape = dims2(w);
-        let (rows, cols) = (shape[0], shape[1]);
-        let q = ((1u32 << (bits - 1)) - 1) as i32;
-        let d = w.data();
-        let mut scales = Vec::with_capacity(rows);
-        let mut data = scratch::take_filled_i8(d.len(), 0);
-        for r in 0..rows {
-            let row = &d[r * cols..][..cols];
-            let amax = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-            let scale = if amax > 0.0 && amax.is_finite() {
-                amax / q as f32
-            } else {
-                1.0
-            };
-            scales.push(scale);
-            for (c, &v) in data[r * cols..][..cols].iter_mut().zip(row) {
-                *c = ((v / scale).round() as i32).clamp(-q, q) as i8;
-            }
-        }
-        Self {
-            shape,
-            data,
-            scheme: QScheme::SymmetricPerRow { scales, bits },
-        }
-    }
-
-    /// `(rows, cols)` shape.
-    pub fn shape(&self) -> [usize; 2] {
-        self.shape
     }
 
     /// Raw i8 codes, row-major.
@@ -231,69 +146,22 @@ impl QuantizedTensor {
         &self.data
     }
 
-    /// The attached scheme.
-    pub fn scheme(&self) -> &QScheme {
-        &self.scheme
-    }
-
-    /// The codes reinterpreted as the unsigned GEMM operand. Only valid
-    /// for affine tensors, whose codes are non-negative by construction.
+    /// The codes reinterpreted as the unsigned GEMM operand (affine codes
+    /// are non-negative by construction).
     pub fn as_unsigned(&self) -> &[u8] {
-        debug_assert!(matches!(self.scheme, QScheme::Affine { .. }));
         debug_assert!(self.data.iter().all(|&c| c >= 0));
         // SAFETY: i8 and u8 have identical layout; all codes are ≥ 0, so
         // the reinterpretation preserves values.
         unsafe { std::slice::from_raw_parts(self.data.as_ptr().cast::<u8>(), self.data.len()) }
     }
 
-    /// Per-row sums of the raw codes — the correction term an affine
-    /// counterpart's zero point multiplies in [`qmatmul_nt`].
-    pub fn row_code_sums(&self) -> Vec<i32> {
-        let (rows, cols) = (self.shape[0], self.shape[1]);
-        (0..rows)
-            .map(|r| {
-                self.data[r * cols..][..cols]
-                    .iter()
-                    .map(|&c| c as i32)
-                    .sum()
-            })
-            .collect()
-    }
-
     /// Reconstructs the f32 tensor the codes represent.
     pub fn dequantize(&self) -> Tensor {
         let mut out = Tensor::zeros(&[self.shape[0], self.shape[1]]);
-        let od = out.data_mut();
-        match &self.scheme {
-            QScheme::Affine {
-                scale, zero_point, ..
-            } => {
-                for (o, &c) in od.iter_mut().zip(&self.data) {
-                    *o = scale * (c as i32 - zero_point) as f32;
-                }
-            }
-            QScheme::SymmetricPerRow { scales, .. } => {
-                let cols = self.shape[1];
-                for (r, &s) in scales.iter().enumerate() {
-                    for (o, &c) in od[r * cols..][..cols]
-                        .iter_mut()
-                        .zip(&self.data[r * cols..][..cols])
-                    {
-                        *o = s * c as f32;
-                    }
-                }
-            }
+        for (o, &c) in out.data_mut().iter_mut().zip(&self.data) {
+            *o = self.scale * (c as i32 - self.zero_point) as f32;
         }
         out
-    }
-
-    /// Largest dequantization step of this tensor — "one quantization
-    /// step" for parity tolerances.
-    pub fn step(&self) -> f32 {
-        match &self.scheme {
-            QScheme::Affine { scale, .. } => *scale,
-            QScheme::SymmetricPerRow { scales, .. } => scales.iter().fold(0.0f32, |m, &s| m.max(s)),
-        }
     }
 }
 
@@ -303,53 +171,9 @@ fn dims2(t: &Tensor) -> [usize; 2] {
     [s[0], s[1]]
 }
 
-/// Integer NT matmul of an affine activation tensor `a` (`m × k`)
-/// against a per-row-symmetric weight tensor `b` (`n × k`), returning
-/// the dequantized f32 product `dequant(a) · dequant(b)ᵀ` (`m × n`).
-///
-/// The products accumulate exactly in i32 through [`qgemm::qgemm_nt`];
-/// the affine zero point is removed digitally with `b`'s row code sums:
-/// `y[i,j] = s_a · s_b[j] · (acc[i,j] − zp_a · Σ_p b[j,p])`. The only
-/// rounding is the final f32 scaling, identical for any thread count.
-///
-/// # Panics
-///
-/// Panics if inner dims disagree or the schemes are not
-/// affine × symmetric-per-row.
-pub fn qmatmul_nt(a: &QuantizedTensor, b: &QuantizedTensor) -> Tensor {
-    let [m, k] = a.shape();
-    let [n, kb] = b.shape();
-    assert_eq!(k, kb, "qmatmul_nt: inner dims {k} vs {kb}");
-    let QScheme::Affine {
-        scale: sa,
-        zero_point: zp,
-        ..
-    } = *a.scheme()
-    else {
-        panic!("qmatmul_nt: a must be affine-quantized");
-    };
-    let QScheme::SymmetricPerRow { scales, .. } = b.scheme() else {
-        panic!("qmatmul_nt: b must be symmetric-per-row");
-    };
-    let mut acc = scratch::take_filled_i32(m * n, 0);
-    qgemm::qgemm_nt(a.as_unsigned(), b.data(), &mut acc, m, k, n);
-    let colsum = b.row_code_sums();
-    let mut out = Tensor::zeros(&[m, n]);
-    let od = out.data_mut();
-    for i in 0..m {
-        for j in 0..n {
-            let corrected = acc[i * n + j] - zp * colsum[j];
-            od[i * n + j] = sa * scales[j] * corrected as f32;
-        }
-    }
-    scratch::give_i32(acc);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linalg::matmul_nt;
     use crate::qgemm::QGEMM_A_MAX;
     use crate::rng::XorShiftRng;
 
@@ -367,7 +191,7 @@ mod tests {
         let x = rand_tensor(&mut rng, &[6, 40], -0.8, 1.3);
         let q = QuantizedTensor::quantize_affine(&x, 7);
         let back = q.dequantize();
-        let step = q.step();
+        let step = q.scale;
         for (&a, &b) in x.data().iter().zip(back.data()) {
             assert!((a - b).abs() <= 0.5 * step + 1e-6, "{a} vs {b} step {step}");
         }
@@ -387,36 +211,6 @@ mod tests {
                 .data()
                 .iter()
                 .all(|&c| c >= 0 && (c as i32) <= max_code.min(QGEMM_A_MAX as i32)));
-        }
-    }
-
-    #[test]
-    fn symmetric_per_row_scales_each_row_independently() {
-        let mut w = Tensor::zeros(&[2, 64]);
-        w.data_mut()[..64].iter_mut().for_each(|v| *v = 0.01);
-        w.data_mut()[64..].iter_mut().for_each(|v| *v = 100.0);
-        let q = QuantizedTensor::quantize_symmetric_per_row(&w, 8);
-        // Both rows are at full scale despite a 10^4 magnitude gap.
-        assert!(q.data().iter().all(|&c| c == 127));
-        let back = q.dequantize();
-        for (&a, &b) in w.data().iter().zip(back.data()) {
-            assert!((a - b).abs() <= 1e-4 * a.abs());
-        }
-    }
-
-    #[test]
-    fn qmatmul_matches_f32_on_dequantized_operands() {
-        let mut rng = XorShiftRng::new(77);
-        let x = rand_tensor(&mut rng, &[9, 48], -1.0, 1.0);
-        let w = rand_tensor(&mut rng, &[13, 48], -0.5, 0.5);
-        let qx = QuantizedTensor::quantize_affine(&x, 7);
-        let qw = QuantizedTensor::quantize_symmetric_per_row(&w, 8);
-        let got = qmatmul_nt(&qx, &qw);
-        let want = matmul_nt(&qx.dequantize(), &qw.dequantize()).unwrap();
-        // Same products, exact integer accumulation vs f32 accumulation:
-        // agreement to f32 rounding, far inside one quantization step.
-        for (&g, &e) in got.data().iter().zip(want.data()) {
-            assert!((g - e).abs() <= 1e-4 + 1e-4 * e.abs(), "{g} vs {e}");
         }
     }
 
@@ -559,12 +353,7 @@ mod tests {
             let cols = values.len();
             let x = Tensor::from_vec(values, &[1, cols]).unwrap();
             let q = QuantizedTensor::quantize_affine_with_range(&x, bits, range);
-            let QScheme::Affine {
-                scale, zero_point, ..
-            } = *q.scheme()
-            else {
-                unreachable!("affine scheme")
-            };
+            let (scale, zero_point) = (q.scale, q.zero_point);
             // The old loop sees zero where it would overflow: such inputs
             // (only ever with a fixed range) must clip to the top code.
             let overflows = |v| roundf_overflows(v, scale, zero_point);
@@ -590,25 +379,18 @@ mod tests {
         // and +Inf; both must clip to the top code.
         let x = Tensor::from_vec(vec![3e9, f32::INFINITY, -3e9, 5.0, f32::NAN], &[1, 5]).unwrap();
         let q = QuantizedTensor::quantize_affine_with_range(&x, 7, Some((-10.0, 117.0)));
-        assert_eq!(
-            *q.scheme(),
-            QScheme::Affine {
-                scale: 1.0,
-                zero_point: 10,
-                bits: 7
-            }
-        );
+        assert_eq!((q.scale, q.zero_point, q.bits), (1.0, 10, 7));
         assert_eq!(q.data(), &[127, 127, 0, 15, 10]);
     }
 
     #[test]
-    fn clone_and_drop_round_trip_through_the_pool() {
+    fn dropped_codes_return_to_the_pool() {
         let x = Tensor::full(&[4, 64], 0.5);
         let q = QuantizedTensor::quantize_affine(&x, 7);
-        let q2 = q.clone();
-        assert_eq!(q.data(), q2.data());
-        assert_eq!(q.scheme(), q2.scheme());
+        let codes = q.data().as_ptr();
         drop(q);
-        drop(q2);
+        // The next tensor of the same size takes the parked buffer.
+        let again = QuantizedTensor::quantize_affine(&x, 7);
+        assert_eq!(again.data().as_ptr(), codes);
     }
 }

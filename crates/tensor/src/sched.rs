@@ -63,6 +63,9 @@ struct Shared {
     /// waking a sleeper never contends with lanes pushing or popping work.
     sleep: Mutex<()>,
     available: Condvar,
+    /// Set when the [`Pool`] is dropped: a worker that finds the queue
+    /// empty exits instead of sleeping.
+    shutdown: AtomicBool,
 }
 
 impl Shared {
@@ -72,6 +75,7 @@ impl Shared {
             pending: AtomicUsize::new(0),
             sleep: Mutex::new(()),
             available: Condvar::new(),
+            shutdown: AtomicBool::new(false),
         }
     }
 
@@ -226,13 +230,13 @@ impl Latch {
 /// A scoped worker pool over `threads` concurrent lanes (workers plus the
 /// calling thread). Most callers want the process-wide
 /// [`crate::backend::global`] pool; explicit construction exists for tests
-/// and embedders.
+/// and embedders. Dropping a pool stops and joins its workers.
 pub struct Pool {
     shared: Arc<Shared>,
     threads: usize,
     /// Spawned worker threads — `min(threads, available_parallelism) - 1`.
-    /// Zero means every submission runs inline on the caller.
-    workers: usize,
+    /// Empty means every submission runs inline on the caller.
+    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Pool {
@@ -240,8 +244,29 @@ impl std::fmt::Debug for Pool {
         write!(
             f,
             "Pool({} threads, {} workers)",
-            self.threads, self.workers
+            self.threads,
+            self.workers.len()
         )
+    }
+}
+
+impl Drop for Pool {
+    /// Sets the shutdown flag, wakes every sleeping worker and joins them
+    /// all. No job is queued: every submission borrows the pool until
+    /// its last job has finished.
+    fn drop(&mut self) {
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        {
+            // Notified under the sleep lock, which a worker holds while it
+            // re-checks the flag: it either sees the flag or is already
+            // waiting when this wake lands.
+            let _guard = self.shared.sleep.lock().unwrap();
+            self.shared.available.notify_all();
+        }
+        for worker in self.workers.drain(..) {
+            // Jobs catch their own panics, so a worker only ever returns.
+            let _ = worker.join();
+        }
     }
 }
 
@@ -255,17 +280,19 @@ impl Pool {
     /// runs inline.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let workers = threads
+        let spawned = threads
             .min(crate::backend::hardware_threads())
             .saturating_sub(1);
         let shared = Arc::new(Shared::new());
-        for lane in 0..workers {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("xbar-worker-{}", lane + 1))
-                .spawn(move || worker_loop(&shared))
-                .expect("spawning pool worker");
-        }
+        let workers = (0..spawned)
+            .map(|lane| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("xbar-worker-{}", lane + 1))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawning pool worker")
+            })
+            .collect();
         Self {
             shared,
             threads,
@@ -284,7 +311,7 @@ impl Pool {
     /// to skip task construction entirely when every task would run on
     /// the caller anyway.
     pub fn has_workers(&self) -> bool {
-        self.workers > 0
+        !self.workers.is_empty()
     }
 
     /// Waits until every task accounted to `latch` has completed, helping
@@ -332,7 +359,7 @@ impl Pool {
     /// calling thread after the remaining tasks have completed — the same
     /// contract on the inline and queued paths.
     pub fn run_scoped<'scope>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
-        if tasks.len() <= 1 || self.workers == 0 || serial_active() {
+        if tasks.len() <= 1 || self.workers.is_empty() || serial_active() {
             let mut first_panic = None;
             for task in tasks {
                 if let Err(p) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)) {
@@ -395,7 +422,7 @@ impl Pool {
         if n == 0 {
             return;
         }
-        if n == 1 || self.workers == 0 || serial_active() {
+        if n == 1 || self.workers.is_empty() || serial_active() {
             for (i, item) in items.into_iter().enumerate() {
                 consume(i, produce(i, item));
             }
@@ -506,11 +533,40 @@ fn worker_loop(shared: &Shared) {
         let guard = shared.sleep.lock().unwrap();
         // Double-check under the sleep lock (pairs with wake_one): a push
         // that raced our empty queue scan has either bumped `pending`
-        // (seen here → retry) or will notify after our wait begins.
+        // (seen here → retry) or will notify after our wait begins. The
+        // shutdown flag pairs with `Pool::drop` the same way.
         if shared.pending.load(Ordering::SeqCst) > 0 {
             drop(guard);
             continue;
         }
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
         let _guard = shared.available.wait(guard).unwrap();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_dropped_pool_joins_its_workers() {
+        let pool = Pool::new(2);
+        let shared = Arc::downgrade(&pool.shared);
+        let hits = AtomicUsize::new(0);
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..8)
+            .map(|_| {
+                Box::new(|| {
+                    hits.fetch_add(1, Ordering::SeqCst);
+                }) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        pool.run_scoped(tasks);
+        assert_eq!(hits.load(Ordering::SeqCst), 8);
+        drop(pool);
+        // Each worker held a clone of the shared state until its thread
+        // ended; the drop joined them all, so no clone is left.
+        assert!(shared.upgrade().is_none(), "a worker outlived its pool");
     }
 }

@@ -299,3 +299,150 @@ fn resume_with_wrong_dataset_size_is_rejected() {
         "expected StateMismatch, got {err:?}"
     );
 }
+
+/// A dense 4→8→2 ACM network and a 16-sample, 4-feature set: the smallest
+/// resumable run.
+fn tiny_net(seed: u64) -> Sequential {
+    let device = DeviceConfig::quantized_linear(4);
+    let kind = WeightKind::Mapped(Mapping::Acm);
+    let mut rng = XorShiftRng::new(seed);
+    let mut net = Sequential::new();
+    net.push(Dense::new(4, 8, kind, device, &mut rng).unwrap());
+    net.push(Relu::new());
+    net.push(Dense::new(8, 2, kind, device, &mut rng).unwrap());
+    net
+}
+
+fn tiny_data() -> (Tensor, Vec<usize>) {
+    let mut rng = XorShiftRng::new(0x7D);
+    let x = Tensor::rand_uniform(&[16, 4], -1.0, 1.0, &mut rng);
+    let labels = (0..16).map(|i| i % 2).collect();
+    (x, labels)
+}
+
+/// Trains [`tiny_net`] for one epoch at two shards with a checkpoint in
+/// `dir`, and returns the config that resumes it for a second epoch
+/// (taking the shard count from the checkpoint, writing none).
+fn tiny_checkpointed_run(dir: &std::path::Path, x: &Tensor, labels: &[usize]) -> TrainConfig {
+    let cfg = TrainConfig {
+        epochs: 1,
+        batch_size: 8,
+        shards: Some(2),
+        checkpoint_every: 1,
+        checkpoint_dir: Some(dir.to_path_buf()),
+        ..TrainConfig::default()
+    };
+    let split = xbar_nn::Split::new(x, labels).unwrap();
+    train(&mut tiny_net(5), split, None, &cfg).unwrap();
+    TrainConfig {
+        epochs: 2,
+        shards: None,
+        checkpoint_every: 0,
+        ..cfg
+    }
+}
+
+#[test]
+fn resume_rejects_an_order_or_shard_count_it_cannot_replay() {
+    let dir = tmp_dir("badorder");
+    let path = dir.join("train.ckpt");
+    let (x, labels) = tiny_data();
+    let resume = tiny_checkpointed_run(&dir, &x, &labels);
+    let good = persist::load_checkpoint(&path).unwrap();
+    type Tamper = fn(&mut persist::TrainCheckpoint);
+    let cases: [(&str, Tamper); 5] = [
+        ("out-of-range sample index", |c| c.order[0] = 1_000_000),
+        ("repeated sample index", |c| c.order[1] = c.order[0]),
+        ("zero shards", |c| c.shards = 0),
+        ("more shards than batch rows", |c| c.shards = 9),
+        // Would size one model replica per shard before the first step.
+        ("huge shard count", |c| c.shards = usize::MAX >> 1),
+    ];
+    let split = || xbar_nn::Split::new(&x, &labels).unwrap();
+    for (name, tamper) in cases {
+        let mut bad = good.clone();
+        tamper(&mut bad);
+        persist::save_checkpoint(&path, &bad).unwrap();
+        let err = train(&mut tiny_net(5), split(), None, &resume).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                xbar_nn::NnError::Persist(PersistError::StateMismatch(_))
+            ),
+            "{name}: expected StateMismatch, got {err:?}"
+        );
+    }
+    persist::save_checkpoint(&path, &good).unwrap();
+    let hist = train(&mut tiny_net(5), split(), None, &resume).unwrap();
+    assert_eq!((hist.epochs().len(), hist.resolved_shards()), (2, 2));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Applies one to three seeded corruptions to `bytes`: a flipped bit, a
+/// byte overwritten, an 8-byte word overwritten with an edge value or
+/// noise (at any offset, so it can straddle fields), a cut tail or an
+/// appended one.
+fn corrupt(bytes: &mut Vec<u8>, rng: &mut XorShiftRng) {
+    for _ in 0..1 + rng.below(3) {
+        let at = rng.below(bytes.len() + 1);
+        match rng.below(5) {
+            0 => {
+                if let Some(b) = bytes.get_mut(at) {
+                    *b ^= 1 << rng.below(8);
+                }
+            }
+            1 => {
+                if let Some(b) = bytes.get_mut(at) {
+                    *b = rng.below(256) as u8;
+                }
+            }
+            2 => {
+                let edges = [0, 1, 2, 3, 9, 1 << 40, u64::MAX >> 1, u64::MAX];
+                let word = match rng.below(edges.len() + 1) {
+                    i if i < edges.len() => edges[i],
+                    _ => rng.next_u64(),
+                };
+                for (dst, b) in bytes.iter_mut().skip(at).zip(word.to_le_bytes()) {
+                    *dst = b;
+                }
+            }
+            3 => bytes.truncate(at),
+            _ => bytes.extend((0..1 + rng.below(16)).map(|_| rng.below(256) as u8)),
+        }
+    }
+}
+
+#[test]
+fn corrupted_checkpoint_payloads_resume_or_fail_typed() {
+    // Each draw corrupts a real checkpoint's payload and re-frames it
+    // with a valid checksum, so the decoder and the resume checks (not
+    // the CRC) must catch it. Every load and every resume returns Ok or
+    // a typed error; a panic fails the test.
+    let dir = tmp_dir("ckptfuzz");
+    let path = dir.join("train.ckpt");
+    let (x, labels) = tiny_data();
+    let resume = tiny_checkpointed_run(&dir, &x, &labels);
+    let clean = persist::read_container(&path, KIND_TRAIN).unwrap();
+    let mut rng = XorShiftRng::new(0xC0BB);
+    let (mut resumed, mut load_errors, mut resume_errors) = (0, 0, 0);
+    for _ in 0..256 {
+        let mut payload = clean.clone();
+        corrupt(&mut payload, &mut rng);
+        persist::write_container(&path, KIND_TRAIN, &payload).unwrap();
+        if persist::load_checkpoint(&path).is_err() {
+            load_errors += 1;
+            continue;
+        }
+        let split = xbar_nn::Split::new(&x, &labels).unwrap();
+        match train(&mut tiny_net(5), split, None, &resume) {
+            Ok(_) => resumed += 1,
+            Err(_) => resume_errors += 1,
+        }
+    }
+    // The loop reaches all three outcomes.
+    assert!(
+        resumed > 0 && load_errors > 0 && resume_errors > 0,
+        "resumed {resumed}, load errors {load_errors}, resume errors {resume_errors}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
